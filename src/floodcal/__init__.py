@@ -11,7 +11,6 @@ from .emulator import (
     HyperPriors,
     MultiResEmulator,
     PredictiveDistribution,
-    SingleResEmulator,
     TrendPrior,
     fit_multires,
     fit_singleres,
@@ -52,7 +51,6 @@ __all__ = [
     "HyperPriors",
     "MultiResEmulator",
     "PredictiveDistribution",
-    "SingleResEmulator",
     "TrendPrior",
     "fit_multires",
     "fit_singleres",

@@ -194,7 +194,7 @@ def log_likelihood_reduced(
     """
     mean, var = predict_scaled(emulator, emulator.space.scale(np.asarray(theta, dtype=float)))
     if disc is None:
-        total_var = var + sigma2_eps / basis.eigenvalues
+        total_var = var + sigma2_eps * (1.0 / basis.eigenvalues)
         resid = z_r.values - mean
         return float(
             -0.5 * np.sum(np.log(2 * math.pi * total_var) + resid**2 / total_var)
@@ -364,21 +364,13 @@ def run_mh(
     bounds[k:, 0] = -np.inf
     bounds[k:, 1] = np.inf
 
-    gram_inv_diag = 1.0 / basis.eigenvalues
-
     def log_post(state):
         theta = state[:k]
         log_sig2 = state[k]
         sig2 = math.exp(log_sig2)
         kappa = math.exp(state[k + 1]) if disc is not None else None
         try:
-            if disc is None:
-                mean, var = predict_scaled(emulator, space.scale(theta))
-                total_var = var + sig2 * gram_inv_diag
-                resid = z_r.values - mean
-                ll = -0.5 * np.sum(np.log(2 * math.pi * total_var) + resid**2 / total_var)
-            else:
-                ll = log_likelihood_reduced(theta, sig2, z_r, emulator, basis, disc, kappa)
+            ll = log_likelihood_reduced(theta, sig2, z_r, emulator, basis, disc, kappa)
         except NotPositiveDefinite:
             return -np.inf
         lp = ll + _invgamma_logpdf(sig2, priors.noise_shape, priors.noise_rate) + log_sig2

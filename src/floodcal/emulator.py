@@ -4,8 +4,8 @@ One GP is fitted per principal component.  The expensive process is modeled
 as rho times the latent cheap process plus an independent GP, linear trend
 coefficients for both fidelities carry a normal prior and are integrated
 out analytically, and the remaining hyperparameters are estimated by MAP
-with multi-start L-BFGS.  A single-resolution variant using only the
-expensive rows provides the comparison baseline.
+with multi-start L-BFGS.  The single-resolution comparison baseline is the
+same model with no cheap rows and rho = 0.
 
 All covariance evaluation happens in unit-scaled parameter coordinates;
 ``fit_multires`` / ``fit_singleres`` handle the scaling, the lower-level
@@ -20,6 +20,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -145,49 +146,6 @@ class PredictiveDistribution:
     extrapolated: bool = False
 
 
-# --- covariance functions --------------------------------------------------
-
-
-def _sq_dist(a: np.ndarray, b: np.ndarray, inv_range: np.ndarray) -> np.ndarray:
-    d2 = (np.atleast_2d(a)[:, None, :] - np.atleast_2d(b)[None, :, :]) ** 2
-    return d2 @ inv_range
-
-
-def _eq_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.all(np.atleast_2d(a)[:, None, :] == np.atleast_2d(b)[None, :, :], axis=2)
-
-
-def cov_cc(theta_i, theta_j, params: EmulatorParams) -> float:
-    """Cheap-cheap covariance at two (scaled) settings."""
-    theta_i = np.atleast_1d(np.asarray(theta_i, dtype=float))
-    theta_j = np.atleast_1d(np.asarray(theta_j, dtype=float))
-    d2 = np.sum((theta_i - theta_j) ** 2 / params.range_cheap)
-    val = params.var_cheap * math.exp(-d2)
-    if np.array_equal(theta_i, theta_j):
-        val += params.nugget_cheap
-    return val
-
-
-def cov_ee(theta_i, theta_j, params: EmulatorParams) -> float:
-    """Expensive-expensive covariance: rho^2 cheap kernel + own GP + nugget."""
-    theta_i = np.atleast_1d(np.asarray(theta_i, dtype=float))
-    theta_j = np.atleast_1d(np.asarray(theta_j, dtype=float))
-    diff2 = (theta_i - theta_j) ** 2
-    val = params.rho**2 * params.var_cheap * math.exp(-np.sum(diff2 / params.range_cheap))
-    val += params.var_exp * math.exp(-np.sum(diff2 / params.range_exp))
-    if np.array_equal(theta_i, theta_j):
-        val += params.nugget_exp
-    return val
-
-
-def cov_ce(theta_cheap_i, theta_exp_j, params: EmulatorParams) -> float:
-    """Cheap-expensive cross covariance; carries rho once and no nugget."""
-    ti = np.atleast_1d(np.asarray(theta_cheap_i, dtype=float))
-    tj = np.atleast_1d(np.asarray(theta_exp_j, dtype=float))
-    d2 = np.sum((ti - tj) ** 2 / params.range_cheap)
-    return params.rho * params.var_cheap * math.exp(-d2)
-
-
 # --- gram assembly ----------------------------------------------------------
 
 
@@ -197,17 +155,8 @@ def _mean_basis(theta: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((theta.shape[0], 1)), theta])
 
 
-def _trend_matrix(theta_cheap: np.ndarray, theta_exp: np.ndarray, rho: float) -> np.ndarray:
-    """Block matrix [[h(theta_c), 0], [rho h(theta_e), h(theta_e)]]."""
-    k1 = theta_exp.shape[1] + 1
-    p_c, p_e = theta_cheap.shape[0], theta_exp.shape[0]
-    h = np.zeros((p_c + p_e, 2 * k1))
-    if p_c:
-        h[:p_c, :k1] = _mean_basis(theta_cheap)
-    he = _mean_basis(theta_exp)
-    h[p_c:, :k1] = rho * he
-    h[p_c:, k1:] = he
-    return h
+def _eq_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.all(np.atleast_2d(a)[:, None, :] == np.atleast_2d(b)[None, :, :], axis=2)
 
 
 def _chol_with_jitter(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,20 +182,83 @@ def _chol_with_jitter(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _gp_cov_blocks(theta_cheap, theta_exp, params: EmulatorParams) -> np.ndarray:
-    """GP + nugget covariance of the stacked (cheap, expensive) scores."""
-    p_c, p_e = theta_cheap.shape[0], theta_exp.shape[0]
-    n = p_c + p_e
-    stacked = np.vstack([theta_cheap, theta_exp]) if p_c else theta_exp
-    corr_c = np.exp(-_sq_dist(stacked, stacked, 1.0 / params.range_cheap))
-    amp = np.concatenate([np.ones(p_c), np.full(p_e, params.rho)])
-    v = params.var_cheap * np.outer(amp, amp) * corr_c
-    ee = np.s_[p_c:, p_c:]
-    v[ee] += params.var_exp * np.exp(-_sq_dist(theta_exp, theta_exp, 1.0 / params.range_exp))
-    if p_c:
-        v[:p_c, :p_c][_eq_matrix(theta_cheap, theta_cheap)] += params.nugget_cheap
-    v[ee][_eq_matrix(theta_exp, theta_exp)] += params.nugget_exp
-    return v
+class _FitWorkspace:
+    """Design-fixed pieces of one emulator's training gram.
+
+    The squared-distance tensor, the repeated-setting masks that place the
+    nuggets and the trend cross products depend on the design only; each
+    gram then costs two dense exponentials.
+    """
+
+    def __init__(self, theta_cheap, theta_exp, trend_prior: TrendPrior):
+        theta_cheap = np.atleast_2d(np.asarray(theta_cheap, dtype=float))
+        theta_exp = np.atleast_2d(np.asarray(theta_exp, dtype=float))
+        self.trend = trend_prior
+        self.p_c = theta_cheap.shape[0]
+        stacked = np.vstack([theta_cheap, theta_exp])
+        self.d2 = kernels.sq_dists(stacked, stacked)
+        self.eq_cc = _eq_matrix(theta_cheap, theta_cheap)
+        self.eq_ee = _eq_matrix(theta_exp, theta_exp)
+
+        k1 = theta_exp.shape[1] + 1
+        he = _mean_basis(theta_exp)
+        h0 = np.zeros((stacked.shape[0], 2 * k1))
+        h0[: self.p_c, :k1] = _mean_basis(theta_cheap)
+        h0[self.p_c :, k1:] = he
+        h1 = np.zeros_like(h0)
+        h1[self.p_c :, :k1] = he
+        self.h0 = h0
+        self.h1 = h1
+
+    @cached_property
+    def _trend_products(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """h0 B h0^T, h0 B h1^T and h1 B h1^T, so that H B H^T is a
+        quadratic in rho; only the MAP objective needs them."""
+        b = self.trend.block_cov
+        return self.h0 @ b @ self.h0.T, self.h0 @ b @ self.h1.T, self.h1 @ b @ self.h1.T
+
+    def gp_cov(self, params: EmulatorParams) -> np.ndarray:
+        """GP plus nugget covariance V of the stacked training scores."""
+        p_c = self.p_c
+        v = kernels.gp_cov(
+            self.d2, p_c, p_c, params.rho, params.var_cheap, params.var_exp,
+            1.0 / params.range_cheap, 1.0 / params.range_exp,
+        )
+        v[:p_c, :p_c][self.eq_cc] += params.nugget_cheap
+        v[p_c:, p_c:][self.eq_ee] += params.nugget_exp
+        return v
+
+    def trend_matrix(self, rho: float) -> np.ndarray:
+        """Block matrix H = [[h(theta_c), 0], [rho h(theta_e), h(theta_e)]]."""
+        return self.h0 + rho * self.h1
+
+    def gram(self, params: EmulatorParams) -> np.ndarray:
+        """M = V + H B H^T from the cached trend products."""
+        g00, g01, g11 = self._trend_products
+        m = self.gp_cov(params)
+        rho = params.rho
+        m += g00 + rho * (g01 + g01.T) + rho**2 * g11
+        return 0.5 * (m + m.T)
+
+    def factored(self, params: EmulatorParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """H, M = V + H B H^T with any jitter it needed, and M's Cholesky factor.
+
+        H B H^T is formed directly rather than from the cached products of
+        :meth:`gram`: the two round differently, and fitted emulators'
+        predictions are pinned to this form.
+        """
+        h = self.trend_matrix(params.rho)
+        m = self.gp_cov(params) + h @ self.trend.block_cov @ h.T
+        chol, m = _chol_with_jitter(0.5 * (m + m.T))
+        return h, m, chol
+
+    def log_posterior(self, params: EmulatorParams, scores: np.ndarray, hp: HyperPriors) -> float:
+        try:
+            chol_m, _ = _chol_with_jitter(self.gram(params))
+        except NotPositiveDefinite:
+            return -np.inf
+        resid = scores - self.trend_matrix(params.rho) @ self.trend.mean
+        return _gauss_loglik(chol_m, resid) + _log_hyperprior(params, hp)
 
 
 def joint_gram(
@@ -260,13 +272,7 @@ def joint_gram(
     M comes back with whatever diagonal jitter was needed for a Cholesky
     factorization to succeed.
     """
-    theta_cheap = np.atleast_2d(np.asarray(theta_cheap, dtype=float))
-    theta_exp = np.atleast_2d(np.asarray(theta_exp, dtype=float))
-    v = _gp_cov_blocks(theta_cheap, theta_exp, params)
-    h = _trend_matrix(theta_cheap, theta_exp, params.rho)
-    m = v + h @ trend_prior.block_cov @ h.T
-    m = 0.5 * (m + m.T)
-    _, m = _chol_with_jitter(m)
+    h, m, _ = _FitWorkspace(theta_cheap, theta_exp, trend_prior).factored(params)
     return h, m
 
 
@@ -314,13 +320,8 @@ def log_posterior(
 
     Non-positive-definite grams count as rejected points (-inf).
     """
-    try:
-        h, m = joint_gram(theta_cheap, theta_exp, params, trend_prior)
-    except NotPositiveDefinite:
-        return -np.inf
-    chol_m, _ = _chol_with_jitter(m)
-    resid = np.asarray(scores, dtype=float) - h @ trend_prior.mean
-    return _gauss_loglik(chol_m, resid) + _log_hyperprior(params, hyperpriors)
+    ws = _FitWorkspace(theta_cheap, theta_exp, trend_prior)
+    return ws.log_posterior(params, np.asarray(scores, dtype=float), hyperpriors)
 
 
 # --- MAP fitting -------------------------------------------------------------
@@ -350,75 +351,6 @@ def _x_to_params(x: np.ndarray, k: int) -> EmulatorParams:
         range_cheap=logs[4 : 4 + k],
         range_exp=logs[4 + k : 4 + 2 * k],
     )
-
-
-class _FitWorkspace:
-    """Per-component cached pieces of the MAP objective.
-
-    Squared-distance tensors and trend cross products are fixed given the
-    designs; each objective evaluation then costs two dense exponentials
-    and a Cholesky.
-    """
-
-    def __init__(self, scores, theta_cheap, theta_exp, hyperpriors, trend_prior):
-        self.scores = np.asarray(scores, dtype=float)
-        self.theta_cheap = np.atleast_2d(np.asarray(theta_cheap, dtype=float))
-        self.theta_exp = np.atleast_2d(np.asarray(theta_exp, dtype=float))
-        self.hp = hyperpriors
-        self.trend = trend_prior
-        self.k = self.theta_exp.shape[1]
-        self.p_c = self.theta_cheap.shape[0]
-        self.p_e = self.theta_exp.shape[0]
-        n = self.p_c + self.p_e
-        stacked = np.vstack([self.theta_cheap, self.theta_exp]) if self.p_c else self.theta_exp
-        d = stacked[:, None, :] - stacked[None, :, :]
-        self.d2_full = np.ascontiguousarray(np.moveaxis(d**2, 2, 0))  # (k, n, n)
-        de = self.theta_exp[:, None, :] - self.theta_exp[None, :, :]
-        self.d2_exp = np.ascontiguousarray(np.moveaxis(de**2, 2, 0))
-        self.eq_cc = _eq_matrix(self.theta_cheap, self.theta_cheap) if self.p_c else None
-        self.eq_ee = _eq_matrix(self.theta_exp, self.theta_exp)
-
-        k1 = self.k + 1
-        he = _mean_basis(self.theta_exp)
-        h0 = np.zeros((n, 2 * k1))
-        if self.p_c:
-            h0[: self.p_c, :k1] = _mean_basis(self.theta_cheap)
-        h0[self.p_c :, k1:] = he
-        h1 = np.zeros((n, 2 * k1))
-        h1[self.p_c :, :k1] = he
-        b = trend_prior.block_cov
-        self.g00 = h0 @ b @ h0.T
-        self.g01 = h0 @ b @ h1.T
-        self.g11 = h1 @ b @ h1.T
-        self.h0 = h0
-        self.h1 = h1
-
-    def gram(self, params: EmulatorParams) -> np.ndarray:
-        rho = params.rho
-        corr_c = np.exp(-np.tensordot(1.0 / params.range_cheap, self.d2_full, axes=1))
-        amp = np.concatenate([np.ones(self.p_c), np.full(self.p_e, rho)])
-        m = params.var_cheap * np.outer(amp, amp) * corr_c
-        ee = np.s_[self.p_c :, self.p_c :]
-        m[ee] += params.var_exp * np.exp(
-            -np.tensordot(1.0 / params.range_exp, self.d2_exp, axes=1)
-        )
-        if self.p_c:
-            m[: self.p_c, : self.p_c][self.eq_cc] += params.nugget_cheap
-        m[ee][self.eq_ee] += params.nugget_exp
-        m += self.g00 + rho * (self.g01 + self.g01.T) + rho**2 * self.g11
-        return 0.5 * (m + m.T)
-
-    def trend_mean_vector(self, rho: float) -> np.ndarray:
-        return (self.h0 + rho * self.h1) @ self.trend.mean
-
-    def log_posterior(self, params: EmulatorParams) -> float:
-        m = self.gram(params)
-        try:
-            chol_m, _ = _chol_with_jitter(m)
-        except NotPositiveDefinite:
-            return -np.inf
-        resid = self.scores - self.trend_mean_vector(params.rho)
-        return _gauss_loglik(chol_m, resid) + _log_hyperprior(params, self.hp)
 
 
 def _draw_start(hp: HyperPriors, k: int, rng: np.random.Generator) -> EmulatorParams:
@@ -456,33 +388,47 @@ def fit(
     L-BFGS-B runs from ``n_starts`` hyperprior draws (plus any
     ``extra_starts``) over log-transformed positive parameters and raw rho;
     the best end point wins and is never worse than any probed start.
+
+    An empty cheap block gives the single-resolution baseline: rho stays
+    at 0, the cheap parameters at 1, and only the expensive variance,
+    nugget and ranges are optimised.
     """
     theta_cheap = np.atleast_2d(np.asarray(theta_cheap, dtype=float))
     theta_exp = np.atleast_2d(np.asarray(theta_exp, dtype=float))
-    if theta_exp.shape[0] < 2 or theta_cheap.shape[0] < 2:
-        raise ValueError("need at least 2 cheap and 2 expensive design points")
+    if theta_exp.shape[0] < 2 or theta_cheap.shape[0] == 1:
+        raise ValueError("need at least 2 expensive and either 0 or at least 2 cheap design points")
     k = theta_exp.shape[1]
     if hyperpriors is None:
         hyperpriors = HyperPriors()
     if trend_prior is None:
         trend_prior = default_trend_prior(k)
-    ws = _FitWorkspace(scores, theta_cheap, theta_exp, hyperpriors, trend_prior)
+    scores = np.asarray(scores, dtype=float)
+    ws = _FitWorkspace(theta_cheap, theta_exp, trend_prior)
+
+    n_x = 5 + 2 * k
+    all_bounds = [LOG_BOUNDS] * (n_x - 1) + [RHO_BOUNDS]
+    # without cheap rows only log var_exp, log nugget_exp and log range_exp are free
+    free = np.arange(n_x) if ws.p_c else np.r_[1, 3, 4 + k : 4 + 2 * k]
+    bounds = [all_bounds[i] for i in free]
+
+    def to_params(x):
+        full = np.zeros(n_x)  # log 1 and rho = 0 for the parameters held fixed
+        full[free] = x
+        return _x_to_params(full, k)
 
     def objective(x):
-        val = ws.log_posterior(_x_to_params(x, k))
+        val = ws.log_posterior(to_params(x), scores, hyperpriors)
         return -val if np.isfinite(val) else 1e12
 
     rng = np.random.default_rng(seed)
     starts = [_draw_start(hyperpriors, k, rng) for _ in range(n_starts)]
     starts.extend(extra_starts)
 
-    n_log = 4 + 2 * k
-    bounds = [LOG_BOUNDS] * n_log + [RHO_BOUNDS]
     best_x = None
     best_val = np.inf
     for start in starts:
         x0 = np.clip(
-            _params_to_x(start),
+            _params_to_x(start)[free],
             [b[0] for b in bounds],
             [b[1] for b in bounds],
         )
@@ -502,63 +448,18 @@ def fit(
             best_val, best_x = res.fun, res.x
     if best_x is None or best_val >= 1e12:
         raise AllStartsFailed("no optimizer start produced a finite posterior")
-    return _x_to_params(best_x, k)
+    return to_params(best_x)
 
 
 # --- fitted emulators --------------------------------------------------------
 
 
-@dataclass
-class _Packed:
-    """Contiguous per-component arrays in the kernel layout."""
-
-    theta_cheap: np.ndarray
-    theta_exp: np.ndarray
-    rho: np.ndarray
-    var_c: np.ndarray
-    var_e: np.ndarray
-    nug_e: np.ndarray
-    inv_range_c: np.ndarray
-    inv_range_e: np.ndarray
-    trend_mean: np.ndarray
-    trend_cov_c: np.ndarray
-    trend_cov_e: np.ndarray
-    trend_w: np.ndarray
-    chol: np.ndarray
-    alpha: np.ndarray
-
-
-def _pack(theta_cheap, theta_exp, params_list, trend_prior, grams, chols, alphas) -> _Packed:
-    n_comp = len(params_list)
-    k = theta_exp.shape[1]
-    n = theta_cheap.shape[0] + theta_exp.shape[0]
-    k1 = k + 1
-    trend_w = np.empty((n_comp, 2 * k1, n))
-    for j, params in enumerate(params_list):
-        h = _trend_matrix(theta_cheap, theta_exp, params.rho)
-        trend_w[j] = trend_prior.block_cov @ h.T
-    return _Packed(
-        theta_cheap=np.ascontiguousarray(theta_cheap),
-        theta_exp=np.ascontiguousarray(theta_exp),
-        rho=np.array([p.rho for p in params_list]),
-        var_c=np.array([p.var_cheap for p in params_list]),
-        var_e=np.array([p.var_exp for p in params_list]),
-        nug_e=np.array([p.nugget_exp for p in params_list]),
-        inv_range_c=np.array([1.0 / p.range_cheap for p in params_list]),
-        inv_range_e=np.array([1.0 / p.range_exp for p in params_list]),
-        trend_mean=np.ascontiguousarray(trend_prior.mean),
-        trend_cov_c=np.ascontiguousarray(trend_prior.cov_cheap),
-        trend_cov_e=np.ascontiguousarray(trend_prior.cov_exp),
-        trend_w=trend_w,
-        chol=np.ascontiguousarray(np.stack(chols)),
-        alpha=np.ascontiguousarray(np.stack(alphas)),
-    )
-
-
 class MultiResEmulator:
-    """Fitted per-component multiresolution GPs over a parameter space."""
+    """Fitted per-component multiresolution GPs over a parameter space.
 
-    uses_cheap = True
+    With no cheap rows and rho = 0 it is the single-resolution baseline;
+    :func:`singleres_emulator` builds that case.
+    """
 
     def __init__(self, space, theta_cheap, theta_exp, scores_cheap, scores_exp,
                  params_list, trend_prior, hyperpriors, seed, n_starts):
@@ -572,21 +473,36 @@ class MultiResEmulator:
         self.hyperpriors = hyperpriors
         self.seed = seed
         self.n_starts = n_starts
-        self.grams = []
-        self.chols = []
-        alphas = []
+        ws = _FitWorkspace(self.theta_cheap, self.theta_exp, trend_prior)
+        trend_w, chols, alphas = [], [], []
         for j, params in enumerate(self.params_list):
-            h, m = joint_gram(self.theta_cheap, self.theta_exp, params, trend_prior)
-            chol_m, m = _chol_with_jitter(m)
+            h, _, chol_m = ws.factored(params)
             t = np.concatenate([self.scores_cheap[:, j], self.scores_exp[:, j]])
-            alpha = cho_solve((chol_m, True), t - h @ trend_prior.mean)
-            self.grams.append(m)
-            self.chols.append(chol_m)
-            alphas.append(alpha)
-        self._packed = _pack(
-            self.theta_cheap, self.theta_exp, self.params_list, trend_prior,
-            self.grams, self.chols, alphas,
+            trend_w.append(trend_prior.block_cov @ h.T)
+            chols.append(chol_m)
+            alphas.append(cho_solve((chol_m, True), t - h @ trend_prior.mean))
+        p = self.params_list
+        self._packed = kernels.Packed(
+            theta=np.vstack([self.theta_cheap, self.theta_exp]),
+            n_cheap=self.theta_cheap.shape[0],
+            rho=np.array([q.rho for q in p]),
+            var_c=np.array([q.var_cheap for q in p]),
+            var_e=np.array([q.var_exp for q in p]),
+            nug_e=np.array([q.nugget_exp for q in p]),
+            inv_range_c=np.array([1.0 / q.range_cheap for q in p]),
+            inv_range_e=np.array([1.0 / q.range_exp for q in p]),
+            trend_mean=trend_prior.mean,
+            trend_cov_c=trend_prior.cov_cheap,
+            trend_cov_e=trend_prior.cov_exp,
+            trend_w=np.array(trend_w),
+            chol=np.array(chols),
+            alpha=np.array(alphas),
         )
+
+    @property
+    def uses_cheap(self) -> bool:
+        """False in the single-resolution case: no cheap rows and rho = 0."""
+        return self.theta_cheap.shape[0] > 0 or any(p.rho != 0 for p in self.params_list)
 
     @property
     def n_components(self) -> int:
@@ -594,65 +510,10 @@ class MultiResEmulator:
 
     @property
     def n_trend_params(self) -> int:
-        return self.trend_prior.mean.shape[0]
-
-    def stacked_scores(self, j: int) -> np.ndarray:
-        return np.concatenate([self.scores_cheap[:, j], self.scores_exp[:, j]])
-
-
-class SingleResEmulator:
-    """Expensive-only GP baseline; shares the prediction kernel via an
-    inert cheap block (rho = 0, zero trend-prior coupling)."""
-
-    uses_cheap = False
-
-    def __init__(self, space, theta_exp, scores_exp, params_list,
-                 trend_mean, trend_cov, hyperpriors, seed, n_starts):
-        self.space = space
-        self.theta_exp = np.atleast_2d(theta_exp)
-        self.scores_exp = np.atleast_2d(scores_exp)
-        self.params_list = list(params_list)
-        self.trend_mean = np.asarray(trend_mean, dtype=float)
-        self.trend_cov = np.asarray(trend_cov, dtype=float)
-        self.hyperpriors = hyperpriors
-        self.seed = seed
-        self.n_starts = n_starts
-        k = self.theta_exp.shape[1]
-        k1 = k + 1
-        self.theta_cheap = np.zeros((0, k))
-        full_prior = TrendPrior(
-            np.concatenate([np.zeros(k1), self.trend_mean]),
-            np.zeros((k1, k1)),
-            self.trend_cov,
-        )
-        self.trend_prior = full_prior
-        self.grams = []
-        self.chols = []
-        alphas = []
-        for j, hr in enumerate(self.params_list):
-            mr = _hr_as_mr(hr)
-            h, m = joint_gram(self.theta_cheap, self.theta_exp, mr, full_prior)
-            chol_m, m = _chol_with_jitter(m)
-            alpha = cho_solve((chol_m, True), self.scores_exp[:, j] - h @ full_prior.mean)
-            self.grams.append(m)
-            self.chols.append(chol_m)
-            alphas.append(alpha)
-        self._packed = _pack(
-            self.theta_cheap, self.theta_exp,
-            [_hr_as_mr(p) for p in self.params_list], full_prior,
-            self.grams, self.chols, alphas,
-        )
-
-    @property
-    def n_components(self) -> int:
-        return len(self.params_list)
-
-    @property
-    def n_trend_params(self) -> int:
-        return self.trend_mean.shape[0]
-
-    def stacked_scores(self, j: int) -> np.ndarray:
-        return self.scores_exp[:, j]
+        """Trend coefficients the scores inform; in the single-resolution
+        case the cheap ones drop out."""
+        k1 = self.theta_exp.shape[1] + 1
+        return 2 * k1 if self.uses_cheap else k1
 
 
 def _hr_as_mr(hr: HrParams) -> EmulatorParams:
@@ -668,9 +529,52 @@ def _hr_as_mr(hr: HrParams) -> EmulatorParams:
     )
 
 
+def _singleres_trend(trend_mean, trend_cov) -> TrendPrior:
+    k1 = len(trend_mean)
+    return TrendPrior(np.concatenate([np.zeros(k1), trend_mean]), np.zeros((k1, k1)), trend_cov)
+
+
+def singleres_emulator(space, theta_exp, scores_exp, params_list, trend_mean, trend_cov,
+                       hyperpriors, seed, n_starts) -> MultiResEmulator:
+    """The expensive-only baseline: an emulator with no cheap rows and rho = 0.
+
+    ``params_list`` holds one :class:`HrParams` per score column;
+    ``trend_mean`` and ``trend_cov`` are the prior of the expensive trend.
+    """
+    theta_exp = np.atleast_2d(theta_exp)
+    scores_exp = np.atleast_2d(scores_exp)
+    return MultiResEmulator(
+        space, np.zeros((0, theta_exp.shape[1])), theta_exp,
+        np.zeros((0, scores_exp.shape[1])), scores_exp,
+        [_hr_as_mr(p) for p in params_list], _singleres_trend(trend_mean, trend_cov),
+        hyperpriors, seed, n_starts,
+    )
+
+
 def _component_seeds(seed: int, n_comp: int) -> list[int]:
     children = np.random.SeedSequence(seed).spawn(n_comp)
     return [int(c.generate_state(1)[0]) for c in children]
+
+
+def _fit_components(theta_cheap, theta_exp, scores_cheap, scores_exp, hyperpriors,
+                    trend_prior, n_starts, seed, threads) -> list[EmulatorParams]:
+    """One MAP fit per score column.
+
+    Per-component seeds derive from ``seed``, so the thread count does not
+    change results.
+    """
+    n_comp = scores_exp.shape[1]
+    seeds = _component_seeds(seed, n_comp)
+
+    def fit_one(j):
+        t = np.concatenate([scores_cheap[:, j], scores_exp[:, j]])
+        return fit(t, theta_cheap, theta_exp, hyperpriors, trend_prior,
+                   n_starts=n_starts, seed=seeds[j])
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fit_one, range(n_comp)))
+    return [fit_one(j) for j in range(n_comp)]
 
 
 def fit_multires(
@@ -685,8 +589,6 @@ def fit_multires(
     """Fit one multiresolution GP per score column.
 
     ``scores`` rows follow the ensemble convention (expensive block first).
-    Components are fitted independently with per-component seeds derived
-    from ``seed``, so thread count does not change results.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     space = design.space
@@ -699,95 +601,11 @@ def fit_multires(
         hyperpriors = HyperPriors()
     if trend_prior is None:
         trend_prior = default_trend_prior(space.k)
-    seeds = _component_seeds(seed, scores.shape[1])
-
-    def fit_one(j):
-        t = np.concatenate([scores_cheap[:, j], scores_exp[:, j]])
-        return fit(t, theta_cheap, theta_exp, hyperpriors, trend_prior,
-                   n_starts=n_starts, seed=seeds[j])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            params_list = list(pool.map(fit_one, range(scores.shape[1])))
-    else:
-        params_list = [fit_one(j) for j in range(scores.shape[1])]
+    params_list = _fit_components(theta_cheap, theta_exp, scores_cheap, scores_exp,
+                                  hyperpriors, trend_prior, n_starts, seed, threads)
     return MultiResEmulator(
         space, theta_cheap, theta_exp, scores_cheap, scores_exp,
         params_list, trend_prior, hyperpriors, seed, n_starts,
-    )
-
-
-def fit_hr(
-    scores: np.ndarray,
-    theta_exp: np.ndarray,
-    hyperpriors: HyperPriors | None = None,
-    trend_mean: np.ndarray | None = None,
-    trend_cov: np.ndarray | None = None,
-    n_starts: int = 8,
-    seed: int = 0,
-) -> HrParams:
-    """MAP hyperparameters of the expensive-only GP for one component."""
-    theta_exp = np.atleast_2d(np.asarray(theta_exp, dtype=float))
-    if theta_exp.shape[0] < 2:
-        raise ValueError("need at least 2 expensive design points")
-    k = theta_exp.shape[1]
-    if hyperpriors is None:
-        hyperpriors = HyperPriors()
-    if trend_mean is None:
-        trend_mean = np.zeros(k + 1)
-    if trend_cov is None:
-        trend_cov = np.eye(k + 1)
-    k1 = k + 1
-    full_prior = TrendPrior(
-        np.concatenate([np.zeros(k1), trend_mean]), np.zeros((k1, k1)), trend_cov
-    )
-    ws = _FitWorkspace(scores, np.zeros((0, k)), theta_exp, hyperpriors, full_prior)
-
-    def objective(x):
-        params = EmulatorParams(
-            rho=0.0,
-            var_cheap=1.0,
-            var_exp=math.exp(x[0]),
-            nugget_cheap=1.0,
-            nugget_exp=math.exp(x[1]),
-            range_cheap=np.ones(k),
-            range_exp=np.exp(x[2:]),
-        )
-        m = ws.gram(params)
-        try:
-            chol_m, _ = _chol_with_jitter(m)
-        except NotPositiveDefinite:
-            return 1e12
-        resid = ws.scores - ws.trend_mean_vector(0.0)
-        val = _gauss_loglik(chol_m, resid)
-        val += _invgamma_logpdf(params.var_exp, *hyperpriors.var_exp)
-        val += _invgamma_logpdf(params.nugget_exp, *hyperpriors.nugget_exp)
-        val += sum(_gamma_logpdf(v, *hyperpriors.range_exp) for v in params.range_exp)
-        return -val if np.isfinite(val) else 1e12
-
-    rng = np.random.default_rng(seed)
-    bounds = [LOG_BOUNDS] * (2 + k)
-    best_x, best_val = None, np.inf
-    for _ in range(n_starts):
-        draw = _draw_start(hyperpriors, k, rng)
-        x0 = np.clip(
-            np.concatenate([np.log([draw.var_exp, draw.nugget_exp]), np.log(draw.range_exp)]),
-            LOG_BOUNDS[0],
-            LOG_BOUNDS[1],
-        )
-        f0 = objective(x0)
-        if f0 < best_val:
-            best_val, best_x = f0, x0
-        if f0 >= 1e12:
-            continue
-        res = minimize(objective, x0, method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": 200})
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_val, best_x = res.fun, res.x
-    if best_x is None or best_val >= 1e12:
-        raise AllStartsFailed("no optimizer start produced a finite posterior")
-    return HrParams(
-        var=math.exp(best_x[0]), nugget=math.exp(best_x[1]), range_=np.exp(best_x[2:])
     )
 
 
@@ -800,7 +618,7 @@ def fit_singleres(
     n_starts: int = 8,
     seed: int = 0,
     threads: int = 1,
-) -> SingleResEmulator:
+) -> MultiResEmulator:
     """Fit the expensive-only baseline to every score column."""
     scores_exp = np.atleast_2d(np.asarray(scores_exp, dtype=float))
     space = design.space
@@ -811,21 +629,13 @@ def fit_singleres(
         trend_mean = np.zeros(space.k + 1)
     if trend_cov is None:
         trend_cov = np.eye(space.k + 1)
-    seeds = _component_seeds(seed, scores_exp.shape[1])
-
-    def fit_one(j):
-        return fit_hr(scores_exp[:, j], theta_exp, hyperpriors, trend_mean,
-                      trend_cov, n_starts=n_starts, seed=seeds[j])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            params_list = list(pool.map(fit_one, range(scores_exp.shape[1])))
-    else:
-        params_list = [fit_one(j) for j in range(scores_exp.shape[1])]
-    return SingleResEmulator(
-        space, theta_exp, scores_exp, params_list,
-        trend_mean, trend_cov, hyperpriors, seed, n_starts,
+    fitted = _fit_components(
+        np.zeros((0, space.k)), theta_exp, np.zeros((0, scores_exp.shape[1])), scores_exp,
+        hyperpriors, _singleres_trend(trend_mean, trend_cov), n_starts, seed, threads,
     )
+    params_list = [HrParams(var=p.var_exp, nugget=p.nugget_exp, range_=p.range_exp) for p in fitted]
+    return singleres_emulator(space, theta_exp, scores_exp, params_list,
+                              trend_mean, trend_cov, hyperpriors, seed, n_starts)
 
 
 # --- prediction ---------------------------------------------------------------
@@ -833,13 +643,8 @@ def fit_singleres(
 
 def predict_scaled(emulator, theta0_scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kernel call on already unit-scaled coordinates."""
-    p = emulator._packed
     theta0 = np.ascontiguousarray(np.atleast_1d(theta0_scaled), dtype=float)
-    return kernels.predict_scores(
-        theta0, p.theta_cheap, p.theta_exp, p.rho, p.var_c, p.var_e, p.nug_e,
-        p.inv_range_c, p.inv_range_e, p.trend_mean, p.trend_cov_c, p.trend_cov_e,
-        p.trend_w, p.chol, p.alpha,
-    )
+    return kernels.predict_scores(theta0, emulator._packed)
 
 
 def predict(emulator, theta0: np.ndarray) -> PredictiveDistribution:
@@ -860,7 +665,7 @@ def predict(emulator, theta0: np.ndarray) -> PredictiveDistribution:
     return PredictiveDistribution(mean=mean, variance=var, extrapolated=extrapolated)
 
 
-def predict_hr(emulator: SingleResEmulator, theta0: np.ndarray) -> PredictiveDistribution:
+def predict_hr(emulator: MultiResEmulator, theta0: np.ndarray) -> PredictiveDistribution:
     """Single-resolution counterpart of :func:`predict`."""
     return predict(emulator, theta0)
 
@@ -885,31 +690,19 @@ def predict_joint(emulator, thetas: np.ndarray) -> list[tuple[np.ndarray, np.nda
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     scaled = emulator.space.scale(thetas)
     p = emulator._packed
+    d2_train = kernels.sq_dists(scaled, p.theta)
+    d2_test = kernels.sq_dists(scaled, scaled)
     basis = _mean_basis(scaled)
+    block_cov = emulator.trend_prior.block_cov
     out = []
-    for j, params in enumerate(
-        emulator.params_list if emulator.uses_cheap
-        else [_hr_as_mr(q) for q in emulator.params_list]
-    ):
-        a0 = np.hstack([params.rho * basis, basis])
-        corr_c_cheap = np.exp(-_sq_dist(scaled, p.theta_cheap, 1.0 / params.range_cheap))
-        corr_c_exp = np.exp(-_sq_dist(scaled, p.theta_exp, 1.0 / params.range_cheap))
-        corr_e_exp = np.exp(-_sq_dist(scaled, p.theta_exp, 1.0 / params.range_exp))
-        cross = np.hstack(
-            [
-                params.rho * params.var_cheap * corr_c_cheap,
-                params.rho**2 * params.var_cheap * corr_c_exp + params.var_exp * corr_e_exp,
-            ]
-        )
-        cross = cross + a0 @ p.trend_w[j]
+    for j in range(emulator.n_components):
+        kern = (p.rho[j], p.var_c[j], p.var_e[j], p.inv_range_c[j], p.inv_range_e[j])
+        a0 = np.hstack([p.rho[j] * basis, basis])
+        cross = kernels.gp_cov(d2_train, 0, p.n_cheap, *kern) + a0 @ p.trend_w[j]
         mean = a0 @ p.trend_mean + cross @ p.alpha[j]
-        prior = params.rho**2 * params.var_cheap * np.exp(
-            -_sq_dist(scaled, scaled, 1.0 / params.range_cheap)
-        )
-        prior += params.var_exp * np.exp(-_sq_dist(scaled, scaled, 1.0 / params.range_exp))
-        prior += a0 @ emulator.trend_prior.block_cov @ a0.T
-        prior[np.diag_indices_from(prior)] += params.nugget_exp
-        white = solve_triangular(emulator.chols[j], cross.T, lower=True)
+        prior = kernels.gp_cov(d2_test, 0, 0, *kern) + a0 @ block_cov @ a0.T
+        prior[np.diag_indices_from(prior)] += p.nug_e[j]
+        white = solve_triangular(p.chol[j], cross.T, lower=True)
         cov = prior - white.T @ white
         out.append((mean, 0.5 * (cov + cov.T)))
     return out
@@ -945,15 +738,15 @@ def save_emulator(emulator, directory) -> None:
         fh.write("\n")
     np.save(directory / "theta_exp.npy", emulator.theta_exp)
     np.save(directory / "scores_exp.npy", emulator.scores_exp)
+    trend = emulator.trend_prior
+    np.save(directory / "trend_cov_exp.npy", trend.cov_exp)
     if is_mr:
         np.save(directory / "theta_cheap.npy", emulator.theta_cheap)
         np.save(directory / "scores_cheap.npy", emulator.scores_cheap)
-        np.save(directory / "trend_mean.npy", emulator.trend_prior.mean)
-        np.save(directory / "trend_cov_cheap.npy", emulator.trend_prior.cov_cheap)
-        np.save(directory / "trend_cov_exp.npy", emulator.trend_prior.cov_exp)
+        np.save(directory / "trend_mean.npy", trend.mean)
+        np.save(directory / "trend_cov_cheap.npy", trend.cov_cheap)
     else:
-        np.save(directory / "trend_mean.npy", emulator.trend_mean)
-        np.save(directory / "trend_cov_exp.npy", emulator.trend_cov)
+        np.save(directory / "trend_mean.npy", trend.mean[trend.cov_exp.shape[0] :])
 
     k = emulator.theta_exp.shape[1]
     with open(directory / "params.csv", "w", newline="") as fh:
@@ -971,7 +764,7 @@ def save_emulator(emulator, directory) -> None:
             header = ["component", "var", "nugget"] + [f"range_{d}" for d in range(k)]
             writer.writerow(header)
             for j, prm in enumerate(emulator.params_list):
-                row = [prm.var, prm.nugget] + list(prm.range_)
+                row = [prm.var_exp, prm.nugget_exp] + list(prm.range_exp)
                 writer.writerow([j] + [f"{v:.17g}" for v in row])
 
 
@@ -1029,7 +822,7 @@ def load_emulator(directory):
     params_list = [
         HrParams(var=r[0], nugget=r[1], range_=np.array(r[2 : 2 + k])) for r in rows
     ]
-    return SingleResEmulator(
+    return singleres_emulator(
         space,
         theta_exp,
         scores_exp,

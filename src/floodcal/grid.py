@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    GeometryMismatch,
     LocationNotOnGrid,
     NodataNeighbor,
     TargetOutOfBounds,
@@ -204,14 +203,6 @@ def flatten(grid: Grid, locations: LocationSet) -> np.ndarray:
         idx = int(np.argmax(grid.nodata_mask[rows, cols]))
         raise NodataNeighbor(f"location {tuple(pts[idx])} is a nodata cell")
     return grid.values[rows, cols]
-
-
-def check_same_geometry(a: Grid, b: Grid) -> None:
-    if not a.same_geometry(b):
-        raise GeometryMismatch(
-            f"grid geometries differ: {a.values.shape}@{a.cell_size} vs "
-            f"{b.values.shape}@{b.cell_size}"
-        )
 
 
 # --- ASCII raster file format --------------------------------------------

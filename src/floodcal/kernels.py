@@ -1,238 +1,118 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Covariance and prediction kernels of the multiresolution GP.
 
-The multiresolution predictive distribution is evaluated once per
-Metropolis-Hastings proposal, i.e. hundreds of thousands of times per
-calibration run, so the per-parameter-setting score prediction is kept in a
-tight kernel.  Two interchangeable implementations are provided:
-
-* ``*_numba`` -- ``@njit``-compiled loops (default when numba imports),
-* ``*_numpy`` -- vectorized numpy fallback.
-
-Set ``FLOODCAL_DISABLE_NUMBA=1`` in the environment before import to force
-the numpy path (useful for debugging and for the benchmark in
-``benchmarks/bench_kernels.py``, which times both).
+This module is the only place the squared-exponential covariance is
+written: :func:`gp_cov` serves the MAP objective, emulator construction,
+:func:`predict_scores` and joint prediction alike.  The predictive
+distribution is evaluated once per Metropolis-Hastings proposal, i.e.
+hundreds of thousands of times per calibration run, so
+:func:`predict_scores` works on arrays packed once per emulator.
 
 All kernels work in unit-scaled parameter coordinates and use float64
-contiguous arrays.  Packed per-component arrays are laid out as
-
-* ``rho, var_c, var_e, nug_e`` -- shape ``(J,)``
-* ``inv_range_c, inv_range_e`` -- shape ``(J, k)``
-* ``trend_w`` -- shape ``(J, 2*(k+1), n)``, the trend-prior cross block
-* ``chol`` -- shape ``(J, n, n)``, lower Cholesky factors of the joint gram
-* ``alpha`` -- shape ``(J, n)``, gram-solved centered training scores
-
-with ``n = p_cheap + p_exp`` training rows ordered cheap block first.
+arrays.  Point sets are stacked cheap rows first, expensive rows after.
 """
 
 from __future__ import annotations
 
-import os
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-_DISABLE = os.environ.get("FLOODCAL_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
-
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled by FLOODCAL_DISABLE_NUMBA")
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised via env flag
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+BACKEND = "numpy"
 
 
-def sqexp_corr_numpy(x1, x2, inv_range):
-    """Squared-exponential correlation matrix exp(-sum_d d_ij^2 / range_d).
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared coordinate differences, shape ``(k, len(a), len(b))``."""
+    return (a.T[:, :, None] - b.T[:, None, :]) ** 2
 
-    ``inv_range`` holds 1/range per dimension; ranges are in squared
-    scaled-distance units.
+
+def gp_cov(d2, n_cheap_rows, n_cheap_cols, rho, var_c, var_e, inv_range_c, inv_range_e):
+    """GP covariance between two stacked point sets, without nuggets or trend.
+
+    ``d2`` comes from :func:`sq_dists`; the first ``n_cheap_rows`` rows and
+    ``n_cheap_cols`` columns are cheap runs.  Entries are ``var_c C_c``
+    cheap-cheap, ``rho var_c C_c`` cheap-expensive and
+    ``rho^2 var_c C_c + var_e C_e`` expensive-expensive, where
+    ``C(x, y) = exp(-sum_d (x_d - y_d)^2 inv_range_d)``.  The expensive
+    kernel is evaluated on the expensive block only.
     """
-    d2 = (x1[:, None, :] - x2[None, :, :]) ** 2
-    return np.exp(-d2 @ inv_range)
+    k, n1, n2 = d2.shape
+
+    def corr(block, inv_range):
+        return np.exp(-np.dot(inv_range, block.reshape(k, -1))).reshape(block.shape[1:])
+
+    amp_rows = np.ones(n1)
+    amp_rows[n_cheap_rows:] = rho
+    amp_cols = np.ones(n2)
+    amp_cols[n_cheap_cols:] = rho
+    v = var_c * (amp_rows[:, None] * amp_cols) * corr(d2, inv_range_c)
+    exp_block = d2[:, n_cheap_rows:, n_cheap_cols:]
+    v[n_cheap_rows:, n_cheap_cols:] += var_e * corr(exp_block, inv_range_e)
+    return v
 
 
-@njit(cache=True)
-def sqexp_corr_numba(x1, x2, inv_range):
-    n1, k = x1.shape
-    n2 = x2.shape[0]
-    out = np.empty((n1, n2))
-    for i in range(n1):
-        for j in range(n2):
-            s = 0.0
-            for d in range(k):
-                diff = x1[i, d] - x2[j, d]
-                s += diff * diff * inv_range[d]
-            out[i, j] = np.exp(-s)
-    return out
+@dataclass
+class Packed:
+    """Per-component arrays of a fitted emulator, stacked over J components.
+
+    ``theta`` holds the ``n`` training settings, ``n_cheap`` cheap rows
+    first; ``rho, var_c, var_e, nug_e`` have shape ``(J,)``,
+    ``inv_range_c, inv_range_e`` ``(J, k)``; ``trend_w`` ``(J, 2(k+1), n)``
+    is the trend-prior cross block ``B H^T``; ``chol`` ``(J, n, n)`` the
+    lower Cholesky factors of the joint gram and ``alpha`` ``(J, n)`` the
+    gram-solved centred training scores.
+    """
+
+    theta: np.ndarray
+    n_cheap: int
+    rho: np.ndarray
+    var_c: np.ndarray
+    var_e: np.ndarray
+    nug_e: np.ndarray
+    inv_range_c: np.ndarray
+    inv_range_e: np.ndarray
+    trend_mean: np.ndarray
+    trend_cov_c: np.ndarray
+    trend_cov_e: np.ndarray
+    trend_w: np.ndarray
+    chol: np.ndarray
+    alpha: np.ndarray
 
 
-def predict_scores_numpy(
-    theta0,
-    theta_cheap,
-    theta_exp,
-    rho,
-    var_c,
-    var_e,
-    nug_e,
-    inv_range_c,
-    inv_range_e,
-    trend_mean,
-    trend_cov_c,
-    trend_cov_e,
-    trend_w,
-    chol,
-    alpha,
-):
+def predict_scores(theta0: np.ndarray, packed: Packed) -> tuple[np.ndarray, np.ndarray]:
     """Per-component predictive mean and variance at one parameter setting.
 
     Returns ``(means, variances)`` of shape ``(J,)`` each.  The variance is
     floored at the expensive nugget, which it dominates exactly in exact
     arithmetic; the floor only absorbs round-off at training points.
     """
-    from scipy.linalg import solve_triangular
-
-    n_comp = rho.shape[0]
+    p = packed
+    n_comp = p.rho.shape[0]
     k1 = theta0.shape[0] + 1
     h0 = np.concatenate(([1.0], theta0))
-    quad_c = h0 @ trend_cov_c @ h0
-    quad_e = h0 @ trend_cov_e @ h0
-    trend_c = h0 @ trend_mean[:k1]
-    trend_e = h0 @ trend_mean[k1:]
+    quad_c = h0 @ p.trend_cov_c @ h0
+    quad_e = h0 @ p.trend_cov_e @ h0
+    trend_c = h0 @ p.trend_mean[:k1]
+    trend_e = h0 @ p.trend_mean[k1:]
+    d2 = sq_dists(theta0[None, :], p.theta)
 
     means = np.empty(n_comp)
     variances = np.empty(n_comp)
     for j in range(n_comp):
-        corr_c_cheap = np.exp(-((theta_cheap - theta0) ** 2) @ inv_range_c[j])
-        corr_c_exp = np.exp(-((theta_exp - theta0) ** 2) @ inv_range_c[j])
-        corr_e_exp = np.exp(-((theta_exp - theta0) ** 2) @ inv_range_e[j])
-        cross = np.concatenate(
-            (
-                rho[j] * var_c[j] * corr_c_cheap,
-                rho[j] ** 2 * var_c[j] * corr_c_exp + var_e[j] * corr_e_exp,
-            )
-        )
-        a0 = np.concatenate((rho[j] * h0, h0))
-        cross = cross + a0 @ trend_w[j]
-        means[j] = rho[j] * trend_c + trend_e + cross @ alpha[j]
-        white = solve_triangular(chol[j], cross, lower=True)
+        rho = p.rho[j]
+        cross = gp_cov(d2, 0, p.n_cheap, rho, p.var_c[j], p.var_e[j],
+                       p.inv_range_c[j], p.inv_range_e[j])[0]
+        a0 = np.concatenate((rho * h0, h0))
+        cross = cross + a0 @ p.trend_w[j]
+        means[j] = rho * trend_c + trend_e + cross @ p.alpha[j]
+        white = solve_triangular(p.chol[j], cross, lower=True)
         var = (
-            rho[j] ** 2 * var_c[j]
-            + var_e[j]
-            + nug_e[j]
-            + rho[j] ** 2 * quad_c
+            rho**2 * p.var_c[j]
+            + p.var_e[j]
+            + p.nug_e[j]
+            + rho**2 * quad_c
             + quad_e
             - white @ white
         )
-        variances[j] = var if var > nug_e[j] else nug_e[j]
+        variances[j] = var if var > p.nug_e[j] else p.nug_e[j]
     return means, variances
-
-
-@njit(cache=True)
-def predict_scores_numba(
-    theta0,
-    theta_cheap,
-    theta_exp,
-    rho,
-    var_c,
-    var_e,
-    nug_e,
-    inv_range_c,
-    inv_range_e,
-    trend_mean,
-    trend_cov_c,
-    trend_cov_e,
-    trend_w,
-    chol,
-    alpha,
-):
-    k = theta0.shape[0]
-    k1 = k + 1
-    p_cheap = theta_cheap.shape[0]
-    p_exp = theta_exp.shape[0]
-    n = p_cheap + p_exp
-    n_comp = rho.shape[0]
-
-    h0 = np.empty(k1)
-    h0[0] = 1.0
-    for d in range(k):
-        h0[d + 1] = theta0[d]
-
-    quad_c = 0.0
-    quad_e = 0.0
-    trend_c = 0.0
-    trend_e = 0.0
-    for a in range(k1):
-        trend_c += h0[a] * trend_mean[a]
-        trend_e += h0[a] * trend_mean[k1 + a]
-        for b in range(k1):
-            quad_c += h0[a] * trend_cov_c[a, b] * h0[b]
-            quad_e += h0[a] * trend_cov_e[a, b] * h0[b]
-
-    means = np.empty(n_comp)
-    variances = np.empty(n_comp)
-    cross = np.empty(n)
-    white = np.empty(n)
-
-    for j in range(n_comp):
-        rj = rho[j]
-        for i in range(p_cheap):
-            s = 0.0
-            for d in range(k):
-                diff = theta0[d] - theta_cheap[i, d]
-                s += diff * diff * inv_range_c[j, d]
-            cross[i] = rj * var_c[j] * np.exp(-s)
-        for i in range(p_exp):
-            sc = 0.0
-            se = 0.0
-            for d in range(k):
-                diff = theta0[d] - theta_exp[i, d]
-                sc += diff * diff * inv_range_c[j, d]
-                se += diff * diff * inv_range_e[j, d]
-            cross[p_cheap + i] = rj * rj * var_c[j] * np.exp(-sc) + var_e[j] * np.exp(-se)
-
-        # trend-prior block: [rho*h0, h0] @ trend_w[j]
-        for col in range(n):
-            s = 0.0
-            for a in range(k1):
-                s += rj * h0[a] * trend_w[j, a, col] + h0[a] * trend_w[j, k1 + a, col]
-            cross[col] += s
-
-        mean = rj * trend_c + trend_e
-        for col in range(n):
-            mean += cross[col] * alpha[j, col]
-        means[j] = mean
-
-        # forward substitution: chol[j] @ white = cross
-        ssq = 0.0
-        for row in range(n):
-            s = cross[row]
-            for col in range(row):
-                s -= chol[j, row, col] * white[col]
-            w = s / chol[j, row, row]
-            white[row] = w
-            ssq += w * w
-
-        var = rj * rj * var_c[j] + var_e[j] + nug_e[j] + rj * rj * quad_c + quad_e - ssq
-        if var < nug_e[j]:
-            var = nug_e[j]
-        variances[j] = var
-    return means, variances
-
-
-if NUMBA_AVAILABLE:
-    BACKEND = "numba"
-    sqexp_corr = sqexp_corr_numba
-    predict_scores = predict_scores_numba
-else:
-    BACKEND = "numpy"
-    sqexp_corr = sqexp_corr_numpy
-    predict_scores = predict_scores_numpy

@@ -6,10 +6,10 @@ from floodcal.emulator import (
     EmulatorParams,
     HyperPriors,
     MultiResEmulator,
-    SingleResEmulator,
     default_trend_prior,
     fit_multires,
     fit_singleres,
+    singleres_emulator,
 )
 
 
@@ -106,7 +106,7 @@ def build_hr(space, theta_exp, scores_exp, params, trend_mean=None, trend_cov=No
     if trend_cov is None:
         trend_cov = np.eye(k + 1)
     params_list = params if isinstance(params, list) else [params]
-    return SingleResEmulator(
+    return singleres_emulator(
         space, theta_exp, _as_columns(scores_exp), params_list,
         trend_mean, trend_cov, HyperPriors(), seed=0, n_starts=0,
     )

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,12 +10,8 @@ from floodcal.emulator import (
     HrParams,
     HyperPriors,
     TrendPrior,
-    cov_cc,
-    cov_ce,
-    cov_ee,
     default_trend_prior,
     fit,
-    fit_hr,
     joint_gram,
     load_emulator,
     log_posterior,
@@ -27,6 +24,7 @@ from floodcal.emulator import (
 from floodcal.errors import ExtrapolationWarning
 
 from conftest import build_hr, build_mr, draw_scores, make_nested_design
+from oracles import cov_cc, cov_ce, cov_ee
 
 
 def basic_params(k=2, **overrides):
@@ -226,6 +224,21 @@ class TestFit:
         val_truth = log_posterior(truth, hp, t, theta_c, theta_e, trend)
         assert val_fit >= val_truth - 1e-6
 
+    def test_single_resolution_never_worse_than_probed_truth(self, unit_space):
+        rng = np.random.default_rng(34)
+        theta_e = rng.random((8, 2))
+        no_cheap = np.zeros((0, 2))
+        truth = basic_params(rho=0.0, nugget_cheap=1.0, range_cheap=np.ones(2))
+        trend = default_trend_prior(2)
+        _, m = joint_gram(no_cheap, theta_e, truth, trend)
+        t = np.linalg.cholesky(m) @ rng.standard_normal(8)
+        fitted = fit(t, no_cheap, theta_e, n_starts=1, seed=35, extra_starts=(truth,))
+        assert fitted.rho == 0.0
+        hp = HyperPriors()
+        val_fit = log_posterior(fitted, hp, t, no_cheap, theta_e, trend)
+        val_truth = log_posterior(truth, hp, t, no_cheap, theta_e, trend)
+        assert val_fit >= val_truth - 1e-6
+
     def test_uncorrelated_scores_shrink_rho(self, unit_space):
         design = make_nested_design(unit_space, 8, 16, seed=41)
         trend = default_trend_prior(2)
@@ -337,20 +350,21 @@ class TestPredict:
 
     def test_cached_factor_reproduces_gram(self, gp_setup):
         for emu in (gp_setup["emu_mr"], gp_setup["emu_hr"]):
-            for chol, m in zip(emu.chols, emu.grams):
+            for chol, params in zip(emu._packed.chol, emu.params_list):
+                _, m = joint_gram(emu.theta_cheap, emu.theta_exp, params, emu.trend_prior)
                 err = np.linalg.norm(chol @ chol.T - m)
                 assert err <= 5 * np.finfo(float).eps * np.linalg.norm(m) * m.shape[0]
 
     def test_predict_joint_matches_pointwise(self, gp_setup):
-        emu = gp_setup["emu_mr"]
         rng = np.random.default_rng(64)
         thetas = rng.random((4, 2))
-        means, variances = predict_many(emu, thetas)
-        joint = predict_joint(emu, thetas)
-        for j in range(emu.n_components):
-            mean_j, cov_j = joint[j]
-            assert np.max(np.abs(mean_j - means[:, j])) < 1e-10
-            assert np.max(np.abs(np.diag(cov_j) - variances[:, j])) < 1e-10
+        for emu in (gp_setup["emu_mr"], gp_setup["emu_hr"]):
+            means, variances = predict_many(emu, thetas)
+            joint = predict_joint(emu, thetas)
+            for j in range(emu.n_components):
+                mean_j, cov_j = joint[j]
+                assert np.max(np.abs(mean_j - means[:, j])) < 1e-10
+                assert np.max(np.abs(np.diag(cov_j) - variances[:, j])) < 1e-10
 
     def test_predict_joint_cross_covariances_against_oracle(self, unit_space):
         rng = np.random.default_rng(66)
@@ -386,8 +400,8 @@ class TestSingleRes:
         def rmse_for(n_train):
             theta = np.linspace(0.0, 1.0, n_train)[:, None]
             t = np.sin(2 * math.pi * theta[:, 0])
-            params = fit_hr(t, theta, n_starts=4, seed=71)
-            emu = build_hr(space, theta, t, params)
+            params = fit(t, np.zeros((0, 1)), theta, n_starts=4, seed=71)
+            emu = build_mr(space, np.zeros((0, 1)), theta, np.zeros(0), t, params)
             means, _ = predict_many(emu, dense)
             return float(np.sqrt(np.mean((means[:, 0] - truth) ** 2)))
 
@@ -409,16 +423,32 @@ class TestFitMultires:
 
 
 class TestArchive:
-    def test_roundtrip_bitwise_predictions(self, gp_setup, tmp_path):
+    def test_roundtrip_bitwise_predictions(self, gp_setup, unit_space, tmp_path):
         rng = np.random.default_rng(80)
         thetas = rng.random((8, 2))
-        for name, emu in (("mr", gp_setup["emu_mr"]), ("hr", gp_setup["emu_hr"])):
+        theta_e = rng.random((5, 2))
+        # no cheap rows but rho != 0: still the multiresolution model
+        latent_cheap = build_mr(unit_space, np.zeros((0, 2)), theta_e, np.zeros(0),
+                                rng.standard_normal(5), basic_params(rho=0.7))
+        for name, emu in (("mr", gp_setup["emu_mr"]), ("hr", gp_setup["emu_hr"]),
+                          ("latent_cheap", latent_cheap)):
             save_emulator(emu, tmp_path / name)
             back = load_emulator(tmp_path / name)
             m0, v0 = predict_many(emu, thetas)
             m1, v1 = predict_many(back, thetas)
             assert np.array_equal(m0, m1)
             assert np.array_equal(v0, v1)
+
+    def test_singleres_archive_format(self, gp_setup, tmp_path):
+        save_emulator(gp_setup["emu_hr"], tmp_path)
+        assert json.loads((tmp_path / "emulator.json").read_text())["type"] == "singleres"
+        header = (tmp_path / "params.csv").read_text().splitlines()[0]
+        assert header == "component,var,nugget,range_0,range_1"
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "emulator.json", "params.csv", "scores_exp.npy", "theta_exp.npy",
+            "trend_cov_exp.npy", "trend_mean.npy",
+        ]
+        assert np.load(tmp_path / "trend_mean.npy").shape == (3,)
 
     def test_archive_deterministic(self, gp_setup, tmp_path):
         save_emulator(gp_setup["emu_mr"], tmp_path / "a")
