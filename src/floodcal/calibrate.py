@@ -45,8 +45,8 @@ class Observation:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.shape[0] != len(self.locations):
             raise ValueError("observation length must match locations")
-        if np.any(values < 0):
-            raise ValueError("depths must be non-negative")
+        if not np.all((values >= 0) & (values < np.inf)):  # NaN fails both
+            raise ValueError("depths must be finite and non-negative")
         object.__setattr__(self, "values", values)
 
 

@@ -32,7 +32,7 @@ class Grid:
     cell_size : float
         Cell edge length in meters, > 0.
     values : ndarray, shape (n_rows, n_cols)
-        Depths in meters, non-negative wherever not masked.
+        Depths in meters, finite and non-negative wherever not masked.
     nodata_mask : ndarray of bool, shape (n_rows, n_cols)
         True marks cells without valid data.
     """
@@ -58,8 +58,8 @@ class Grid:
         if not self.cell_size > 0:
             raise ValueError("cell_size must be positive")
         valid = values[~self.nodata_mask]
-        if valid.size and np.min(valid) < 0:
-            raise ValueError("depths must be non-negative outside nodata cells")
+        if not np.all((valid >= 0) & (valid < np.inf)):  # NaN fails both
+            raise ValueError("depths must be finite and non-negative outside nodata cells")
 
     @property
     def n_rows(self) -> int:

@@ -1,11 +1,13 @@
 """Covariance and prediction kernels of the multiresolution GP.
 
 This module is the only place the squared-exponential covariance is
-written: :func:`gp_cov` serves the MAP objective, emulator construction,
-:func:`predict_scores` and joint prediction alike.  The predictive
-distribution is evaluated once per Metropolis-Hastings proposal, i.e.
-hundreds of thousands of times per calibration run, so
-:func:`predict_scores` works on arrays packed once per emulator.
+written: :func:`sq_exp_corr` is the kernel and :func:`gp_cov` the stacked
+two-fidelity covariance built from it, serving the MAP objective and its
+gradient, emulator construction, :func:`predict_scores` and joint
+prediction alike.  The predictive distribution is evaluated once per
+Metropolis-Hastings proposal, i.e. hundreds of thousands of times per
+calibration run, so :func:`predict_scores` works on arrays packed once per
+emulator.
 
 All kernels work in unit-scaled parameter coordinates and use float64
 arrays.  Point sets are stacked cheap rows first, expensive rows after.
@@ -26,6 +28,32 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.T[:, :, None] - b.T[:, None, :]) ** 2
 
 
+def sq_exp_corr(d2: np.ndarray, inv_range: np.ndarray) -> np.ndarray:
+    """Squared-exponential correlation ``exp(-sum_d d2_d inv_range_d)``.
+
+    ``d2`` is a :func:`sq_dists` tensor (or a block of one); the result has
+    its trailing two-dimensional shape.
+    """
+    k = d2.shape[0]
+    return np.exp(-np.dot(inv_range, d2.reshape(k, -1))).reshape(d2.shape[1:])
+
+
+def gp_cov_from_corr(corr_c, corr_e, n_cheap_rows, n_cheap_cols, rho, var_c, var_e):
+    """:func:`gp_cov` from its two correlation matrices.
+
+    ``corr_c`` covers every row and column, ``corr_e`` the expensive block
+    only.  The MAP gradient reuses the correlations, so it assembles the
+    covariance through this step.
+    """
+    amp_rows = np.ones(corr_c.shape[0])
+    amp_rows[n_cheap_rows:] = rho
+    amp_cols = np.ones(corr_c.shape[1])
+    amp_cols[n_cheap_cols:] = rho
+    v = var_c * (amp_rows[:, None] * amp_cols) * corr_c
+    v[n_cheap_rows:, n_cheap_cols:] += var_e * corr_e
+    return v
+
+
 def gp_cov(d2, n_cheap_rows, n_cheap_cols, rho, var_c, var_e, inv_range_c, inv_range_e):
     """GP covariance between two stacked point sets, without nuggets or trend.
 
@@ -36,19 +64,9 @@ def gp_cov(d2, n_cheap_rows, n_cheap_cols, rho, var_c, var_e, inv_range_c, inv_r
     ``C(x, y) = exp(-sum_d (x_d - y_d)^2 inv_range_d)``.  The expensive
     kernel is evaluated on the expensive block only.
     """
-    k, n1, n2 = d2.shape
-
-    def corr(block, inv_range):
-        return np.exp(-np.dot(inv_range, block.reshape(k, -1))).reshape(block.shape[1:])
-
-    amp_rows = np.ones(n1)
-    amp_rows[n_cheap_rows:] = rho
-    amp_cols = np.ones(n2)
-    amp_cols[n_cheap_cols:] = rho
-    v = var_c * (amp_rows[:, None] * amp_cols) * corr(d2, inv_range_c)
-    exp_block = d2[:, n_cheap_rows:, n_cheap_cols:]
-    v[n_cheap_rows:, n_cheap_cols:] += var_e * corr(exp_block, inv_range_e)
-    return v
+    corr_c = sq_exp_corr(d2, inv_range_c)
+    corr_e = sq_exp_corr(d2[:, n_cheap_rows:, n_cheap_cols:], inv_range_e)
+    return gp_cov_from_corr(corr_c, corr_e, n_cheap_rows, n_cheap_cols, rho, var_c, var_e)
 
 
 @dataclass

@@ -70,6 +70,13 @@ class TestReduceObservation:
         oracle, *_ = np.linalg.lstsq(basis.components, z - basis.column_mean, rcond=None)
         assert np.max(np.abs(out.values - oracle)) < 1e-10
 
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf, -np.inf])
+    def test_invalid_depth_rejected(self, bad):
+        z = np.ones(10)
+        z[3] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            Observation(z, locations_for(10))
+
     def test_dimension_mismatch(self):
         basis = synthetic_basis()
         with pytest.raises(DimensionMismatch):

@@ -6,10 +6,15 @@ import pytest
 
 from floodcal.design import ParameterSpace
 from floodcal.emulator import (
+    LOG_BOUNDS,
+    RHO_BOUNDS,
     EmulatorParams,
     HrParams,
     HyperPriors,
     TrendPrior,
+    _FitWorkspace,
+    _params_to_x,
+    _x_to_params,
     default_trend_prior,
     fit,
     joint_gram,
@@ -264,9 +269,131 @@ class TestFit:
         fitted = fit(t, theta_c, theta_e, n_starts=2, seed=52)
         assert fitted.nugget_cheap > 0 and fitted.nugget_exp > 0
 
+    def test_repeated_expensive_setting(self):
+        # two expensive runs at one setting make M singular; jitter keeps it factorable
+        rng = np.random.default_rng(53)
+        theta_e = rng.random((6, 2))
+        theta_e[1] = theta_e[0]
+        theta_c = np.vstack([theta_e, rng.random((8, 2))])
+
+        def model(theta):  # deterministic, so the repeated runs agree
+            return np.sin(3 * theta.sum(axis=1)) + theta[:, 0]
+
+        t = np.concatenate([model(theta_c), 0.8 * model(theta_e) + 0.1 * theta_e[:, 1]])
+        fitted = fit(t, theta_c, theta_e, n_starts=3, seed=54)
+        assert np.all(np.isfinite(_params_to_x(fitted)))
+        val = log_posterior(fitted, HyperPriors(), t, theta_c, theta_e, default_trend_prior(2))
+        assert np.isfinite(val)
+
     def test_preconditions(self, unit_space):
         with pytest.raises(ValueError):
             fit(np.zeros(2), np.zeros((1, 2)), np.zeros((1, 2)))
+
+
+def _fd_gradient(f, x, step=1e-5):
+    """Central finite differences of a scalar function."""
+    grad = np.empty_like(x)
+    for i in range(len(x)):
+        up, down = x.copy(), x.copy()
+        up[i] += step
+        down[i] -= step
+        grad[i] = (f(up) - f(down)) / (2 * step)
+    return grad
+
+
+def _objective(theta_c, theta_e, scores, trend, free, fixed):
+    """fit's coordinates: x over ``free``, ``fixed`` elsewhere."""
+    ws = _FitWorkspace(theta_c, theta_e, trend)
+    k = theta_e.shape[1]
+
+    def value_and_grad(x):
+        full = fixed.copy()
+        full[free] = x
+        val, grad = ws.neg_log_posterior_and_grad(_x_to_params(full, k), scores, HyperPriors())
+        return val, grad[free]
+
+    return value_and_grad
+
+
+def _random_x(rng, k):
+    """log var/nugget/range and rho around typical fitted values."""
+    return np.concatenate([rng.normal(-1.0, 1.0, 4), rng.normal(-0.8, 0.5, 2 * k),
+                           [rng.normal(0.8, 0.4)]])
+
+
+class TestGradient:
+    """The analytic MAP gradient against central finite differences."""
+
+    TOL = 1e-6  # relative, in the max norm; observed errors are ~1e-10
+
+    def assert_matches_fd(self, objective, x):
+        _, grad = objective(x)
+        fd = _fd_gradient(lambda y: objective(y)[0], x)
+        assert np.max(np.abs(grad - fd)) <= self.TOL * np.max(np.abs(fd))
+
+    def test_multires(self):
+        rng = np.random.default_rng(100)
+        theta_e = rng.random((6, 2))
+        theta_c = np.vstack([theta_e, rng.random((8, 2))])
+        t = rng.standard_normal(20)
+        for _ in range(4):
+            x = _random_x(rng, 2)
+            assert abs(x[-1]) > 0.05
+            free = np.arange(len(x))
+            self.assert_matches_fd(
+                _objective(theta_c, theta_e, t, default_trend_prior(2), free, x), x)
+
+    def test_single_resolution_subset(self):
+        rng = np.random.default_rng(101)
+        theta_e = rng.random((9, 2))
+        t = rng.standard_normal(9)
+        free = np.r_[1, 3, 6, 7]
+        for _ in range(4):
+            fixed = _random_x(rng, 2)
+            fixed[[0, 2, 4, 5, 8]] = 0.0  # as fit holds them without cheap rows
+            objective = _objective(np.zeros((0, 2)), theta_e, t, default_trend_prior(2),
+                                   free, fixed)
+            self.assert_matches_fd(objective, fixed[free])
+
+    def test_trend_prior_terms(self):
+        # non-zero trend mean and non-identity blocks exercise both rho-trend terms
+        rng = np.random.default_rng(102)
+        theta_e = rng.random((5, 3))
+        theta_c = np.vstack([theta_e, rng.random((7, 3))])
+        a, b = rng.standard_normal((2, 4, 4))
+        trend = TrendPrior(rng.standard_normal(8), a @ a.T / 4 + 0.2 * np.eye(4),
+                           b @ b.T / 4 + 0.2 * np.eye(4))
+        t = rng.standard_normal(17)
+        for _ in range(4):
+            x = _random_x(rng, 3)
+            free = np.arange(len(x))
+            self.assert_matches_fd(_objective(theta_c, theta_e, t, trend, free, x), x)
+
+    def test_fit_ends_stationary(self, gp_setup):
+        """Every coordinate off a bound has a projected gradient below 1e-4.
+
+        L-BFGS-B's own projected-gradient stop is 1e-5; fitted optima here
+        measure up to 5e-6, so 1e-4 leaves margin for platform round-off.
+        """
+        design, scores = gp_setup["design"], gp_setup["scores"]
+        space = design.space
+        theta_c = space.scale(design.cheap_points)
+        theta_e = space.scale(design.expensive_points)
+        p_e = design.n_expensive
+        mr, hr = gp_setup["emu_mr"], gp_setup["emu_hr"]
+        cases = [(theta_c, np.concatenate([scores[p_e:, j], scores[:p_e, j]]), p, mr.trend_prior)
+                 for j, p in enumerate(mr.params_list)]
+        cases += [(np.zeros((0, 2)), scores[:p_e, j], p, hr.trend_prior)
+                  for j, p in enumerate(hr.params_list)]
+        lo = np.array([LOG_BOUNDS[0]] * 8 + [RHO_BOUNDS[0]])
+        hi = np.array([LOG_BOUNDS[1]] * 8 + [RHO_BOUNDS[1]])
+        for theta_cheap, t, params, trend in cases:
+            x = _params_to_x(params)
+            free = np.arange(9) if len(theta_cheap) else np.r_[1, 3, 6, 7]
+            _, grad = _objective(theta_cheap, theta_e, t, trend, free, x)(x[free])
+            inner = (x[free] > lo[free] + 1e-9) & (x[free] < hi[free] - 1e-9)
+            assert inner.any()
+            assert np.max(np.abs(grad[inner])) < 1e-4
 
 
 class TestPredict:

@@ -32,6 +32,22 @@ class TestGridInvariants:
         g = square_grid([[-9999.0, 0.0], [0.0, 1.0]], mask=mask)
         assert g.nodata_mask[0, 0]
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    def test_non_finite_depth_rejected_unless_masked(self, n_rows, n_cols, seed, bad):
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(0.0, 5.0, (n_rows, n_cols))
+        cell = (rng.integers(n_rows), rng.integers(n_cols))
+        vals[cell] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            square_grid(vals)
+        mask = np.zeros(vals.shape, dtype=bool)
+        mask[cell] = True
+        assert square_grid(vals, mask=mask).nodata_mask[cell]
+
     def test_cell_size_positive(self):
         with pytest.raises(ValueError):
             square_grid([[0.0]], cell=0.0)
