@@ -11,6 +11,7 @@ magnitude parameter kappa_d.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -122,7 +123,10 @@ class PosteriorChain:
     """Retained (post burn-in) MCMC samples with bookkeeping.
 
     ``samples`` columns are the native-unit theta coordinates followed by
-    sigma2_eps (and kappa_d on the discrepancy path).
+    sigma2_eps (and kappa_d on the discrepancy path).  ``proposal_sds`` are
+    the random-walk scales the chain ended with, after burn-in adaptation:
+    native units for theta, log scale for the variances.  They are kept in
+    memory only, never written with the chain.
     """
 
     samples: np.ndarray
@@ -134,6 +138,7 @@ class PosteriorChain:
     burn_in: int
     iterations: int
     ess: dict = field(default_factory=dict)
+    proposal_sds: np.ndarray | None = None
 
     @property
     def n_kept(self) -> int:
@@ -184,6 +189,9 @@ def log_likelihood_reduced(
     basis: ReducedBasis,
     disc: DiscrepancyBlock | None = None,
     kappa_d: float | None = None,
+    *,
+    prediction: tuple[np.ndarray, np.ndarray] | None = None,
+    gram_inv: np.ndarray | None = None,
 ) -> float:
     """Gaussian log density of the reduced observation at ``theta``.
 
@@ -191,8 +199,15 @@ def log_likelihood_reduced(
     predictive variance plus sigma2_eps over the basis eigenvalue.  With
     one, the noise term couples the coordinates through the combined-basis
     gram inverse.  Callers must keep ``theta`` inside the parameter space.
+
+    ``prediction`` is the emulator's ``(mean, var)`` at ``theta`` and
+    ``gram_inv`` the combined-basis gram inverse, when the caller already
+    has them; neither is modified.
     """
-    mean, var = predict_scaled(emulator, emulator.space.scale(np.asarray(theta, dtype=float)))
+    if prediction is None:
+        theta0 = emulator.space.scale(np.asarray(theta, dtype=float))
+        prediction = predict_scaled(emulator, theta0)
+    mean, var = prediction
     if disc is None:
         total_var = var + sigma2_eps * (1.0 / basis.eigenvalues)
         resid = z_r.values - mean
@@ -201,7 +216,8 @@ def log_likelihood_reduced(
         )
     if kappa_d is None:
         raise ValueError("kappa_d required on the discrepancy path")
-    gram_inv = _combined_gram_inverse(basis, disc)
+    if gram_inv is None:
+        gram_inv = _combined_gram_inverse(basis, disc)
     dim = z_r.n_emulator + z_r.n_disc
     cov = sigma2_eps * gram_inv
     cov[np.diag_indices(z_r.n_emulator)] += var
@@ -337,7 +353,17 @@ def run_mh(
     proposals are rejected), the noise variance is sampled on the log scale
     with its inverse-gamma prior, and the chain is deterministic for a
     given seed and configuration.
+
+    Noise moves (sigma2_eps, kappa_d) reuse the emulator prediction at the
+    current theta, and the discrepancy path factors the combined-basis
+    gram once per run; the chain is the one an uncached target gives.
     """
+    n_comp = emulator.n_components
+    if not (z_r.n_emulator == n_comp == len(basis.eigenvalues)):
+        raise DimensionMismatch(
+            f"emulator has {n_comp} components, reduced observation "
+            f"{z_r.n_emulator} and basis {len(basis.eigenvalues)}"
+        )
     space = emulator.space
     k = space.k
     names = list(space.names) + ["sigma2_eps"]
@@ -364,13 +390,28 @@ def run_mh(
     bounds[k:, 0] = -np.inf
     bounds[k:, 1] = np.inf
 
+    gram_inv = None if disc is None else _combined_gram_inverse(basis, disc)
+
+    # Keyed on theta's bytes.  The current theta is the sweep-start state or
+    # the last accepted theta proposal, so k + 1 entries always hold it when
+    # a noise move asks.  The arrays are shared between calls: read-only.
+    @functools.lru_cache(maxsize=k + 1)
+    def predict_at(theta_bytes):
+        prediction = predict_scaled(emulator, space.scale(np.frombuffer(theta_bytes)))
+        for arr in prediction:
+            arr.flags.writeable = False
+        return prediction
+
     def log_post(state):
         theta = state[:k]
         log_sig2 = state[k]
         sig2 = math.exp(log_sig2)
         kappa = math.exp(state[k + 1]) if disc is not None else None
         try:
-            ll = log_likelihood_reduced(theta, sig2, z_r, emulator, basis, disc, kappa)
+            ll = log_likelihood_reduced(
+                theta, sig2, z_r, emulator, basis, disc, kappa,
+                prediction=predict_at(theta.tobytes()), gram_inv=gram_inv,
+            )
         except NotPositiveDefinite:
             return -np.inf
         lp = ll + _invgamma_logpdf(sig2, priors.noise_shape, priors.noise_rate) + log_sig2
@@ -384,7 +425,7 @@ def run_mh(
     if disc is not None:
         initial[k + 1] = math.log(disc.kappa_rate / max(disc.kappa_shape - 1.0, 0.5))
 
-    samples, log_trace, masks, rates, _ = random_walk_metropolis(
+    samples, log_trace, masks, rates, final_sds = random_walk_metropolis(
         log_post,
         initial,
         bounds,
@@ -410,6 +451,7 @@ def run_mh(
         burn_in=burn_in,
         iterations=config.iterations,
         ess=ess,
+        proposal_sds=final_sds,
     )
 
 

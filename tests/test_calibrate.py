@@ -381,6 +381,110 @@ class TestRunMh:
         header = path.read_text().splitlines()[0]
         assert header == "iter,theta_a,theta_b,sigma2_eps,log_post,accepted_mask"
 
+    def test_component_count_mismatch_raises(self, unit_space):
+        # a one-component emulator broadcasts silently against three coordinates
+        rng = np.random.default_rng(30)
+        theta_e = rng.random((4, 2))
+        theta_c = np.vstack([theta_e, rng.random((3, 2))])
+        from test_emulator import basic_params
+        from floodcal.calibrate import ReducedObservation
+
+        emu = build_mr(unit_space, theta_c, theta_e, rng.standard_normal(7),
+                       rng.standard_normal(4), basic_params())
+        config = McmcConfig(iterations=200, seed=31, burn_in=50)
+        z3 = ReducedObservation(rng.standard_normal(3), 3, 0)
+        with pytest.raises(DimensionMismatch):
+            run_mh(z3, emu, synthetic_basis(n_comp=3), CalibrationPriors(0.1), config)
+        z1 = ReducedObservation(rng.standard_normal(1), 1, 0)
+        with pytest.raises(DimensionMismatch):
+            run_mh(z1, emu, synthetic_basis(n_comp=3), CalibrationPriors(0.1), config)
+
+
+def _mh_problem(gp_setup, with_disc):
+    """Reduced observation, basis and discrepancy block (or None) for run_mh."""
+    from floodcal.calibrate import ReducedObservation
+
+    emu = gp_setup["emu_mr"]
+    basis = synthetic_basis(n=40, n_comp=emu.n_components, seed=32)
+    mean = predict(emu, np.array([0.4, 0.6])).mean
+    if not with_disc:
+        return ReducedObservation(mean.copy(), emu.n_components, 0), basis, None
+    disc = DiscrepancyBlock(np.random.default_rng(33).standard_normal((40, 2)))
+    z_r = ReducedObservation(np.concatenate([mean, [0.1, -0.2]]), emu.n_components, 2)
+    return z_r, basis, disc
+
+
+@pytest.mark.parametrize("with_disc", [False, True], ids=["plain", "disc"])
+class TestRunMhHotPath:
+    """run_mh reuses the current theta's prediction and the gram inverse."""
+
+    def test_chain_matches_uncached_target(self, gp_setup, with_disc):
+        from floodcal.emulator import _invgamma_logpdf
+
+        emu = gp_setup["emu_mr"]
+        z_r, basis, disc = _mh_problem(gp_setup, with_disc)
+        priors = CalibrationPriors(0.1)
+        n = 4 if with_disc else 3
+        config = McmcConfig(iterations=600, seed=34, burn_in=150,
+                            proposal_sds=np.array([0.05, 0.05, 0.3, 0.3][:n]))
+        chain = run_mh(z_r, emu, basis, priors, config, disc=disc)
+
+        def uncached(state):
+            # a fresh prediction and gram inverse on every call
+            sig2 = math.exp(state[2])
+            kappa = math.exp(state[3]) if disc is not None else None
+            lp = (log_likelihood_reduced(state[:2], sig2, z_r, emu, basis, disc, kappa)
+                  + _invgamma_logpdf(sig2, priors.noise_shape, priors.noise_rate) + state[2])
+            if disc is not None:
+                lp += _invgamma_logpdf(kappa, disc.kappa_shape, disc.kappa_rate) + state[3]
+            return float(lp)
+
+        initial = [0.5, 0.5, math.log(0.1**2), math.log(2.0)][:n]
+        bounds = np.array([[0.0, 1.0], [0.0, 1.0]] + [[-np.inf, np.inf]] * (n - 2))
+        samples, log_post, masks, _, final_sds = random_walk_metropolis(
+            uncached, np.array(initial), bounds, config.proposal_sds,
+            config.iterations, config.seed, burn_in=config.burn_in,
+        )
+        samples[:, 2:] = np.exp(samples[:, 2:])
+        assert np.array_equal(chain.samples, samples)
+        assert np.array_equal(chain.log_posterior, log_post)
+        assert np.array_equal(chain.accepted_mask, masks)
+        assert np.array_equal(chain.proposal_sds, final_sds)
+        assert not np.array_equal(chain.proposal_sds, config.proposal_sds)  # adapted
+
+    def test_noise_moves_skip_the_emulator(self, gp_setup, with_disc, monkeypatch):
+        import floodcal.calibrate as calibrate
+        import floodcal.kernels as kernels
+
+        counts = {"predict": 0, "target": 0}
+        real_predict = kernels.predict_scores
+        real_sampler = calibrate.random_walk_metropolis
+
+        def counting_predict(theta0, packed):
+            counts["predict"] += 1
+            return real_predict(theta0, packed)
+
+        def counting_sampler(log_target, *args, **kwargs):
+            def target(x):
+                counts["target"] += 1
+                return log_target(x)
+
+            return real_sampler(target, *args, **kwargs)
+
+        z_r, basis, disc = _mh_problem(gp_setup, with_disc)
+        monkeypatch.setattr(kernels, "predict_scores", counting_predict)
+        monkeypatch.setattr(calibrate, "random_walk_metropolis", counting_sampler)
+        iterations = 300
+        run_mh(z_r, gp_setup["emu_mr"], basis, CalibrationPriors(0.1),
+               McmcConfig(iterations=iterations, seed=35, burn_in=100), disc=disc)
+
+        # every sweep makes one target call per noise coordinate (no bounds);
+        # the rest are the initial state and the in-bounds theta proposals
+        noise_moves = iterations * (2 if with_disc else 1)
+        theta_calls = counts["target"] - noise_moves
+        assert theta_calls > iterations // 4  # the chain does move in theta
+        assert counts["predict"] == theta_calls
+
 
 class TestThin:
     def fake_chain(self, n, burn_in=0):

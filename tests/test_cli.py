@@ -143,6 +143,20 @@ class TestExitCodes:
         config.write_text(CONFIG_TEMPLATE.replace("0.0305, 1.0", "0.5, 1.0"))
         assert main(["design", "--config", str(config)]) == 2
 
+    def test_stale_emulator_archive(self, pipeline, tmp_path, capsys):
+        # refit the basis with fewer components but keep the old emulator
+        root = tmp_path / "stale"
+        shutil.copytree(pipeline, root)
+        config = root / "experiment.ini"
+        config.write_text(CONFIG_TEMPLATE + "\n[pca]\ntarget_fraction = 0.8\n")
+        old_emulator = root / "old_emulator_mr"
+        shutil.copytree(root / "out" / "emulator_mr", old_emulator)
+        assert main(["emulate", "--config", str(config)]) == 0
+        shutil.rmtree(root / "out" / "emulator_mr")
+        shutil.copytree(old_emulator, root / "out" / "emulator_mr")
+        assert main(["calibrate", "--config", str(config)]) == 4
+        assert "emulator has 2 components" in capsys.readouterr().err
+
     def test_threads_do_not_change_results(self, tmp_path):
         config = tmp_path / "experiment.ini"
         config.write_text(CONFIG_TEMPLATE)

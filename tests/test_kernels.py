@@ -1,25 +1,38 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
+from floodcal import kernels
+from floodcal.design import ParameterSpace
 from floodcal.emulator import EmulatorParams, HrParams, TrendPrior, joint_gram, predict_joint
 
 from conftest import build_hr, build_mr
 from oracles import labelled, marginal_cov
 
 
-def _emulator(layout, space, rng):
+def _emulator(layout, space, rng, n_comp=1):
     """MR or HR emulator; the MR design is nested, so cheap and expensive
-    runs share settings and both nuggets meet cross-fidelity pairs."""
-    theta_e = rng.random((4, 2))
-    t_e = rng.standard_normal(4)
+    runs share settings and both nuggets meet cross-fidelity pairs.
+    Components differ in rho (MR) or variance (HR)."""
+    k = space.k
+    theta_e = rng.random((4, k))
+    t_e = rng.standard_normal((4, n_comp))
     if layout == "hr":
-        hr = HrParams(var=0.6, nugget=0.04, range_=[0.4, 0.7])
-        return build_hr(space, theta_e, t_e, hr, rng.standard_normal(3) * 0.3, 1.2 * np.eye(3))
-    theta_c = np.vstack([theta_e, rng.random((3, 2))])
-    params = EmulatorParams(rho=0.8, var_cheap=1.2, var_exp=0.5, nugget_cheap=0.03,
-                            nugget_exp=0.05, range_cheap=[0.5, 0.7], range_exp=[0.4, 0.6])
-    trend = TrendPrior(rng.standard_normal(6) * 0.3, 0.8 * np.eye(3), 1.2 * np.eye(3))
-    return build_mr(space, theta_c, theta_e, rng.standard_normal(7), t_e, params, trend)
+        hr = [HrParams(var=0.6 + 0.2 * j, nugget=0.04, range_=np.linspace(0.4, 0.7, k))
+              for j in range(n_comp)]
+        return build_hr(space, theta_e, t_e, hr, rng.standard_normal(k + 1) * 0.3,
+                        1.2 * np.eye(k + 1))
+    theta_c = np.vstack([theta_e, rng.random((3, k))])
+    params = [
+        EmulatorParams(rho=0.8 - 0.3 * j, var_cheap=1.2, var_exp=0.5, nugget_cheap=0.03,
+                       nugget_exp=0.05, range_cheap=np.linspace(0.5, 0.7, k),
+                       range_exp=np.linspace(0.4, 0.6, k))
+        for j in range(n_comp)
+    ]
+    trend = TrendPrior(rng.standard_normal(2 * (k + 1)) * 0.3, 0.8 * np.eye(k + 1),
+                       1.2 * np.eye(k + 1))
+    return build_mr(space, theta_c, theta_e, rng.standard_normal((7, n_comp)), t_e, params,
+                    trend)
 
 
 @pytest.mark.parametrize("layout", ["mr", "hr"])
@@ -44,3 +57,35 @@ def test_gram_and_joint_prediction_match_scalar_oracles(unit_space, layout):
     mean, cov = predict_joint(emu, np.array([x for x, _ in tests]))[0]
     assert np.max(np.abs(mean - mean_o)) < 1e-10
     assert np.max(np.abs(cov - cov_o)) < 1e-10
+
+
+@pytest.mark.parametrize("layout", ["mr", "hr"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_predict_matches_solve_triangular_reference(layout, k, monkeypatch):
+    rng = np.random.default_rng(40 + k)
+    space = ParameterSpace(tuple((f"x{i}", 0.0, 1.0) for i in range(k)))
+    packed = _emulator(layout, space, rng, n_comp=2)._packed
+    # a training setting (variance at the nugget floor) and fresh settings
+    points = np.vstack([packed.theta[-1], rng.random((4, k))])
+    fast = [kernels.predict_scores(x, packed) for x in points]
+
+    solves = []
+
+    def reference_solve(a, b, lower, trans):
+        # the reference: scipy's checked wrapper on the C-ordered factor
+        solves.append(1)
+        return solve_triangular(a.T, b, lower=True), 0
+
+    monkeypatch.setattr(kernels, "dtrtrs", reference_solve)
+    for x, (mean, var) in zip(points, fast):
+        ref_mean, ref_var = kernels.predict_scores(x, packed)
+        assert np.array_equal(mean, ref_mean)
+        assert np.array_equal(var, ref_var)
+    assert len(solves) == 2 * len(points)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_theta(unit_space, bad):
+    packed = _emulator("mr", unit_space, np.random.default_rng(44))._packed
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        kernels.predict_scores(np.array([0.5, bad]), packed)
