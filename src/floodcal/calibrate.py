@@ -181,6 +181,17 @@ def _combined_gram_inverse(basis: ReducedBasis, disc: DiscrepancyBlock) -> np.nd
     return cho_solve(factor, np.eye(gram.shape[0]))
 
 
+def _check_component_counts(z_r: ReducedObservation, emulator, basis: ReducedBasis) -> None:
+    """Raise DimensionMismatch unless the emulator, the reduced observation
+    and the basis agree on the number of components."""
+    n_comp = emulator.n_components
+    if not (z_r.n_emulator == n_comp == len(basis.eigenvalues)):
+        raise DimensionMismatch(
+            f"emulator has {n_comp} components, reduced observation "
+            f"{z_r.n_emulator} and basis {len(basis.eigenvalues)}"
+        )
+
+
 def log_likelihood_reduced(
     theta: np.ndarray,
     sigma2_eps: float,
@@ -202,8 +213,10 @@ def log_likelihood_reduced(
 
     ``prediction`` is the emulator's ``(mean, var)`` at ``theta`` and
     ``gram_inv`` the combined-basis gram inverse, when the caller already
-    has them; neither is modified.
+    has them; neither is modified.  Raises DimensionMismatch when the
+    emulator, ``z_r`` and ``basis`` disagree on the component count.
     """
+    _check_component_counts(z_r, emulator, basis)
     if prediction is None:
         theta0 = emulator.space.scale(np.asarray(theta, dtype=float))
         prediction = predict_scaled(emulator, theta0)
@@ -358,12 +371,7 @@ def run_mh(
     current theta, and the discrepancy path factors the combined-basis
     gram once per run; the chain is the one an uncached target gives.
     """
-    n_comp = emulator.n_components
-    if not (z_r.n_emulator == n_comp == len(basis.eigenvalues)):
-        raise DimensionMismatch(
-            f"emulator has {n_comp} components, reduced observation "
-            f"{z_r.n_emulator} and basis {len(basis.eigenvalues)}"
-        )
+    _check_component_counts(z_r, emulator, basis)
     space = emulator.space
     k = space.k
     names = list(space.names) + ["sigma2_eps"]

@@ -12,7 +12,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import AllExpensiveRemoved
 
@@ -126,6 +125,31 @@ def _unit_lhs(p: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return u
 
 
+def min_pairwise_distance(u: np.ndarray) -> float:
+    """Smallest Euclidean distance between two rows of ``u``, shape (p, k).
+
+    Bitwise equal to ``scipy.spatial.distance.pdist(u).min()``.  Rows are
+    sorted by the first coordinate and compared with their neighbours at
+    offset 1, 2, ...; the sweep stops at the first offset whose smallest
+    squared first-coordinate gap already reaches the running minimum, since
+    gaps only grow with the offset.  Squares are summed in coordinate order,
+    as ``pdist`` does, and the one square root comes last: sqrt is monotone,
+    so the minimum is the same number.
+    """
+    s = u[np.argsort(u[:, 0])]
+    best = np.inf
+    for offset in range(1, len(s)):
+        sq = s[offset:] - s[:-offset]
+        sq *= sq
+        acc = sq[:, 0]
+        if acc.min() >= best:
+            break
+        for d in range(1, s.shape[1]):
+            acc += sq[:, d]
+        best = min(best, acc.min())
+    return float(np.sqrt(best))
+
+
 def maximin_lhs(
     space: ParameterSpace,
     p: int,
@@ -148,7 +172,7 @@ def maximin_lhs(
     best_dist = -np.inf
     for _ in range(n_candidates):
         u = _unit_lhs(p, space.k, rng)
-        dmin = pdist(u).min()
+        dmin = min_pairwise_distance(u)
         if dmin > best_dist:
             best, best_dist = u, dmin
     points = space.unscale(best)

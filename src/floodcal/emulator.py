@@ -158,10 +158,6 @@ def _mean_basis(theta: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((theta.shape[0], 1)), theta])
 
 
-def _eq_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.all(np.atleast_2d(a)[:, None, :] == np.atleast_2d(b)[None, :, :], axis=2)
-
-
 def _chol_with_jitter(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factor, escalating diagonal jitter on failure.
 
@@ -188,9 +184,10 @@ def _chol_with_jitter(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _FitWorkspace:
     """Design-fixed pieces of one emulator's training gram.
 
-    The squared-distance tensor, the repeated-setting masks that place the
-    nuggets and the trend basis depend on the design only; each gram then
-    costs two dense exponentials.
+    The squared-distance tensor and the trend basis depend on the design
+    only; each gram then costs two dense exponentials.  A nugget is
+    independent per-run noise: it sits on the diagonal only, so two runs of
+    one fidelity at the same setting are two noisy looks at one value.
     """
 
     def __init__(self, theta_cheap, theta_exp, trend_prior: TrendPrior):
@@ -200,8 +197,6 @@ class _FitWorkspace:
         self.p_c = theta_cheap.shape[0]
         stacked = np.vstack([theta_cheap, theta_exp])
         self.d2 = kernels.sq_dists(stacked, stacked)
-        self.eq_cc = _eq_matrix(theta_cheap, theta_cheap)
-        self.eq_ee = _eq_matrix(theta_exp, theta_exp)
 
         k1 = theta_exp.shape[1] + 1
         he = _mean_basis(theta_exp)
@@ -228,8 +223,8 @@ class _FitWorkspace:
         corr_e = kernels.sq_exp_corr(self.d2[:, p_c:, p_c:], 1.0 / params.range_exp)
         m = kernels.gp_cov_from_corr(corr_c, corr_e, p_c, p_c, params.rho,
                                      params.var_cheap, params.var_exp)
-        m[:p_c, :p_c][self.eq_cc] += params.nugget_cheap
-        m[p_c:, p_c:][self.eq_ee] += params.nugget_exp
+        m[np.diag_indices_from(m)] += np.where(np.arange(len(m)) < p_c,
+                                               params.nugget_cheap, params.nugget_exp)
         h = self.trend_matrix(params.rho)
         m += h @ self.trend.block_cov @ h.T
         return h, corr_c, corr_e, 0.5 * (m + m.T)
@@ -286,8 +281,9 @@ class _FitWorkspace:
         g_var_e = 0.5 * params.var_exp * np.sum(we)
         g_range_e = (0.5 * params.var_exp / params.range_exp
                      * np.dot(self.d2[:, p_c:, p_c:].reshape(k, -1), we.ravel()))
-        g_nug_c = 0.5 * params.nugget_cheap * np.sum(w[:p_c, :p_c][self.eq_cc])
-        g_nug_e = 0.5 * params.nugget_exp * np.sum(w[p_c:, p_c:][self.eq_ee])
+        # nuggets sit on the diagonal: dM/dlog nugget is nugget times I on its block
+        g_nug_c = 0.5 * params.nugget_cheap * np.trace(w[:p_c, :p_c])
+        g_nug_e = 0.5 * params.nugget_exp * np.trace(w[p_c:, p_c:])
         # d(H B H^T)/drho = h1 B H^T + H B h1^T, and the trend-mean term
         b = self.trend.block_cov
         g_rho += 0.5 * np.sum((h.T @ (w @ self.h1)) * (b + b.T))

@@ -105,7 +105,9 @@ class LocationSet:
         coords = np.asarray(self.coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise ValueError("coords must have shape (n, 2)")
-        if len(np.unique(coords, axis=0)) != len(coords):
+        # equal rows are adjacent in lexicographic order
+        ordered = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
+        if np.any((ordered[1:] == ordered[:-1]).all(axis=1)):
             raise ValueError("duplicate coordinates in LocationSet")
         object.__setattr__(self, "coords", coords)
 
@@ -127,24 +129,34 @@ def _fractional_index(grid: Grid, targets: np.ndarray) -> tuple[np.ndarray, np.n
     return gx, gy
 
 
-def bilinear_interpolate(coarse: Grid, targets: LocationSet) -> np.ndarray:
-    """Bilinear interpolation of ``coarse`` at each target location.
+def _geometry(grid: Grid) -> tuple:
+    return grid.values.shape, grid.origin_x, grid.origin_y, grid.cell_size
 
-    Every target must lie inside the convex hull of the coarse cell centers
-    (no extrapolation into the boundary half-cell band), and all four
-    surrounding cell centers must carry data.
 
-    Returns
-    -------
-    ndarray, shape (len(targets),)
-        Interpolated depths; exact at cell centers.
+@dataclass(frozen=True)
+class BilinearStencil:
+    """Flat indices of each target's four neighbours and its weights.
+
+    Depends only on a grid's geometry, so one stencil serves every grid
+    whose shape, origin and cell size are exactly those it was built for.
+    """
+
+    geometry: tuple
+    corners: tuple  # flat indices (r0c0, r0c1, r1c0, r1c1)
+    fx: np.ndarray
+    fy: np.ndarray
+
+    def fits(self, grid: Grid) -> bool:
+        return self.geometry == _geometry(grid)
+
+
+def bilinear_stencil(coarse: Grid, targets: LocationSet) -> BilinearStencil:
+    """The :class:`BilinearStencil` of ``targets`` on ``coarse``'s geometry.
 
     Raises
     ------
     TargetOutOfBounds
         If any target lies outside the cell-center hull.
-    NodataNeighbor
-        If any of the four neighbors of a target is nodata.
     """
     pts = targets.coords
     gx, gy = _fractional_index(coarse, pts)
@@ -162,19 +174,50 @@ def bilinear_interpolate(coarse: Grid, targets: LocationSet) -> np.ndarray:
     r0 = np.minimum(np.floor(gy).astype(int), coarse.n_rows - 2) if coarse.n_rows > 1 else np.zeros(len(pts), dtype=int)
     c1 = np.minimum(c0 + 1, coarse.n_cols - 1)
     r1 = np.minimum(r0 + 1, coarse.n_rows - 1)
-    fx = gx - c0
-    fy = gy - r0
+    n_cols = coarse.n_cols
+    corners = (r0 * n_cols + c0, r0 * n_cols + c1, r1 * n_cols + c0, r1 * n_cols + c1)
+    return BilinearStencil(_geometry(coarse), corners, gx - c0, gy - r0)
 
+
+def bilinear_interpolate(coarse: Grid, targets: LocationSet,
+                         stencil: BilinearStencil | None = None) -> np.ndarray:
+    """Bilinear interpolation of ``coarse`` at each target location.
+
+    Every target must lie inside the convex hull of the coarse cell centers
+    (no extrapolation into the boundary half-cell band), and all four
+    surrounding cell centers must carry data.  ``stencil``, from
+    :func:`bilinear_stencil` on the same targets and a grid of the same
+    geometry, skips recomputing the neighbours and weights.
+
+    Returns
+    -------
+    ndarray, shape (len(targets),)
+        Interpolated depths; exact at cell centers.
+
+    Raises
+    ------
+    TargetOutOfBounds
+        If any target lies outside the cell-center hull.
+    NodataNeighbor
+        If any of the four neighbors of a target is nodata.
+    """
+    if stencil is None:
+        stencil = bilinear_stencil(coarse, targets)
+    elif not stencil.fits(coarse):
+        raise ValueError("stencil was built for a grid of another geometry")
+    i00, i01, i10, i11 = stencil.corners
     mask = coarse.nodata_mask
-    bad = mask[r0, c0] | mask[r0, c1] | mask[r1, c0] | mask[r1, c1]
+    bad = mask.take(i00) | mask.take(i01) | mask.take(i10) | mask.take(i11)
     if np.any(bad):
         idx = int(np.argmax(bad))
-        raise NodataNeighbor(f"nodata cell among the 4 neighbors of target {tuple(pts[idx])}")
+        raise NodataNeighbor(
+            f"nodata cell among the 4 neighbors of target {tuple(targets.coords[idx])}")
 
     v = coarse.values
+    fx, fy = stencil.fx, stencil.fy
     return (
-        (1 - fy) * ((1 - fx) * v[r0, c0] + fx * v[r0, c1])
-        + fy * ((1 - fx) * v[r1, c0] + fx * v[r1, c1])
+        (1 - fy) * ((1 - fx) * v.take(i00) + fx * v.take(i01))
+        + fy * ((1 - fx) * v.take(i10) + fx * v.take(i11))
     )
 
 
@@ -214,7 +257,8 @@ def write_ascii_grid(grid: Grid, path) -> None:
     """Write a grid in the plain-text cell-center raster format.
 
     Header keys: ncols, nrows, xllcenter, yllcenter, cellsize, nodata_value.
-    Data rows run north to south.
+    Data rows run north to south.  Values are written as ``%.17g``, which
+    round-trips every float64 exactly.
     """
     vals = grid.values.copy()
     vals[grid.nodata_mask] = NODATA_VALUE
@@ -225,9 +269,9 @@ def write_ascii_grid(grid: Grid, path) -> None:
         fh.write(f"yllcenter {grid.origin_y:.17g}\n")
         fh.write(f"cellsize {grid.cell_size:.17g}\n")
         fh.write(f"nodata_value {NODATA_VALUE:.17g}\n")
+        row_format = " ".join(["%.17g"] * grid.n_cols) + "\n"
         for row in vals[::-1]:
-            fh.write(" ".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def read_ascii_grid(path) -> Grid:

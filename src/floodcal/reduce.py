@@ -17,7 +17,7 @@ import numpy as np
 
 from .design import Design
 from .errors import DegenerateEnsemble, DimensionMismatch
-from .grid import Grid, LocationSet, bilinear_interpolate, flatten
+from .grid import Grid, LocationSet, bilinear_interpolate, bilinear_stencil, flatten
 
 CENTERING_DIVISOR = "p-1"  # sample covariance convention used for eigenvalues
 
@@ -93,16 +93,23 @@ def build_ensemble(
     """Assemble the run matrix on shared locations.
 
     Expensive grids are read off directly (locations must be their cell
-    centers); cheap grids are matched by bilinear interpolation.
+    centers); cheap grids are matched by bilinear interpolation, with the
+    neighbours and weights computed once per coarse geometry.
     """
     design.validate_nesting()
     if len(expensive_grids) != design.n_expensive:
         raise ValueError("expensive grid count does not match design")
     if len(cheap_grids) != design.n_cheap:
         raise ValueError("cheap grid count does not match design")
-    rows = [flatten(g, locations) for g in expensive_grids]
-    rows += [bilinear_interpolate(g, locations) for g in cheap_grids]
-    return RunEnsemble(np.array(rows), design, locations)
+    depths = np.empty((len(expensive_grids) + len(cheap_grids), len(locations)))
+    for i, grid in enumerate(expensive_grids):
+        depths[i] = flatten(grid, locations)
+    stencil = None
+    for i, grid in enumerate(cheap_grids, start=len(expensive_grids)):
+        if stencil is None or not stencil.fits(grid):
+            stencil = bilinear_stencil(grid, locations)
+        depths[i] = bilinear_interpolate(grid, locations, stencil)
+    return RunEnsemble(depths, design, locations)
 
 
 def fit_basis(ensemble: RunEnsemble, target_fraction: float = 0.95) -> ReducedBasis:

@@ -2,7 +2,8 @@
 
 These are the reference that ``floodcal.kernels.gp_cov`` and the grams and
 joint predictions built on it are tested against.  Settings are unit-scaled;
-a nugget is added wherever two runs of the same fidelity share a setting.
+a nugget is per-run noise, so it enters a run's covariance with itself only,
+not that of two runs that share a setting.
 """
 
 import math
@@ -10,25 +11,25 @@ import math
 import numpy as np
 
 
-def cov_cc(theta_i, theta_j, params) -> float:
-    """Cheap-cheap covariance at two (scaled) settings."""
+def cov_cc(theta_i, theta_j, params, same_run=False) -> float:
+    """Cheap-cheap covariance of two runs at (scaled) settings."""
     theta_i = np.atleast_1d(np.asarray(theta_i, dtype=float))
     theta_j = np.atleast_1d(np.asarray(theta_j, dtype=float))
     d2 = np.sum((theta_i - theta_j) ** 2 / params.range_cheap)
     val = params.var_cheap * math.exp(-d2)
-    if np.array_equal(theta_i, theta_j):
+    if same_run:
         val += params.nugget_cheap
     return val
 
 
-def cov_ee(theta_i, theta_j, params) -> float:
+def cov_ee(theta_i, theta_j, params, same_run=False) -> float:
     """Expensive-expensive covariance: rho^2 cheap kernel + own GP + nugget."""
     theta_i = np.atleast_1d(np.asarray(theta_i, dtype=float))
     theta_j = np.atleast_1d(np.asarray(theta_j, dtype=float))
     diff2 = (theta_i - theta_j) ** 2
     val = params.rho**2 * params.var_cheap * math.exp(-np.sum(diff2 / params.range_cheap))
     val += params.var_exp * math.exp(-np.sum(diff2 / params.range_exp))
-    if np.array_equal(theta_i, theta_j):
+    if same_run:
         val += params.nugget_exp
     return val
 
@@ -48,14 +49,15 @@ def labelled(theta_cheap, theta_exp):
 
 def marginal_cov(rows, cols, params, trend) -> np.ndarray:
     """GP, nugget and trend-prior covariance between labelled settings,
-    and the trend rows H of ``rows``."""
+    and the trend rows H of ``rows``.  Each label is one run: passing the
+    same list as ``rows`` and ``cols`` puts the nuggets on the diagonal."""
 
-    def gp(a, b):
+    def gp(a, b, same_run):
         (xa, fa), (xb, fb) = a, b
         if fa == fb == "C":
-            return cov_cc(xa, xb, params)
+            return cov_cc(xa, xb, params, same_run)
         if fa == fb == "E":
-            return cov_ee(xa, xb, params)
+            return cov_ee(xa, xb, params, same_run)
         return cov_ce(xa, xb, params) if fa == "C" else cov_ce(xb, xa, params)
 
     def trend_row(x, f):
@@ -64,5 +66,6 @@ def marginal_cov(rows, cols, params, trend) -> np.ndarray:
 
     h_rows = np.array([trend_row(*a) for a in rows])
     h_cols = np.array([trend_row(*b) for b in cols])
-    v = np.array([[gp(a, b) for b in cols] for a in rows])
+    v = np.array([[gp(a, b, rows is cols and i == j) for j, b in enumerate(cols)]
+                  for i, a in enumerate(rows)])
     return v + h_rows @ trend.block_cov @ h_cols.T, h_rows

@@ -399,6 +399,31 @@ class TestRunMh:
         with pytest.raises(DimensionMismatch):
             run_mh(z1, emu, synthetic_basis(n_comp=3), CalibrationPriors(0.1), config)
 
+    def test_public_likelihood_rejects_component_count_mismatch(self, unit_space):
+        # before the shared check, J = 1 against 3 coordinates returned a number
+        rng = np.random.default_rng(30)
+        theta_e = rng.random((4, 2))
+        theta_c = np.vstack([theta_e, rng.random((3, 2))])
+        from test_emulator import basic_params
+        from floodcal.calibrate import ReducedObservation
+
+        emu = build_mr(unit_space, theta_c, theta_e, rng.standard_normal(7),
+                       rng.standard_normal(4), basic_params())
+        theta = np.array([0.4, 0.6])
+        z3 = ReducedObservation(rng.standard_normal(3), 3, 0)
+        with pytest.raises(DimensionMismatch):
+            log_likelihood_reduced(theta, 0.1, z3, emu, synthetic_basis(n_comp=3))
+        z1 = ReducedObservation(rng.standard_normal(1), 1, 0)
+        with pytest.raises(DimensionMismatch):
+            log_likelihood_reduced(theta, 0.1, z1, emu, synthetic_basis(n_comp=3))
+        z1_disc = ReducedObservation(rng.standard_normal(3), 1, 2)
+        disc = DiscrepancyBlock(rng.standard_normal((40, 2)))
+        with pytest.raises(DimensionMismatch):
+            log_likelihood_reduced(theta, 0.1, z1_disc, emu, synthetic_basis(n_comp=3),
+                                   disc, 0.5)
+        assert math.isfinite(log_likelihood_reduced(theta, 0.1, z1, emu,
+                                                    synthetic_basis(n_comp=1)))
+
 
 def _mh_problem(gp_setup, with_disc):
     """Reduced observation, basis and discrepancy block (or None) for run_mh."""

@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import floodcal
 from floodcal.cli import main
 
 CONFIG_TEMPLATE = """\
@@ -171,3 +176,17 @@ class TestExitCodes:
         a = (tmp_path / "runs" / "run_0000_expensive.asc").read_bytes()
         b = (serial / "runs" / "run_0000_expensive.asc").read_bytes()
         assert a == b
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy_stats(self):
+        # every stage is a fresh process; scipy.stats alone cost about half a
+        # second and 20 MB of start-up per stage
+        src = str(Path(floodcal.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = ("import sys, floodcal.cli; print(sorted(m for m in sys.modules "
+                 "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"

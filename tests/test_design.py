@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import pdist
 
 from floodcal.design import (
@@ -8,6 +9,7 @@ from floodcal.design import (
     augment_cheap,
     edge_filter,
     maximin_lhs,
+    min_pairwise_distance,
     read_design_csv,
     write_design_csv,
 )
@@ -46,6 +48,24 @@ class TestMaximinLhs:
         a = maximin_lhs(flood_space, 6, seed=42, n_candidates=20)
         b = maximin_lhs(flood_space, 6, seed=42, n_candidates=20)
         assert np.array_equal(a.points, b.points)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 300), st.integers(1, 10), st.integers(0, 2**32 - 1),
+           st.integers(0, 3), st.booleans())
+    def test_sweep_minimum_is_bitwise_pdist(self, p, k, seed, n_dup, lattice):
+        rng = np.random.default_rng(seed)
+        # jittered Latin hypercube rows, or rows on a coarse lattice (many ties)
+        u = rng.integers(0, 4, (p, k)) / 4.0 if lattice else rng.random((p, k))
+        for _ in range(n_dup):  # exact duplicate rows: minimum 0
+            u[rng.integers(p)] = u[rng.integers(p)]
+        assert min_pairwise_distance(u) == pdist(u).min()
+
+    def test_sweep_on_unequal_coordinate_scales(self):
+        rng = np.random.default_rng(5)
+        for p, k in ((2, 1), (3, 2), (20, 2), (300, 2), (60, 10)):
+            u = rng.random((p, k)) * np.array([1e-9, 1e9] * 5)[:k]
+            assert min_pairwise_distance(u) == pdist(u).min()
+        assert min_pairwise_distance(np.zeros((4, 3))) == 0.0
 
     def test_preconditions(self, unit1d):
         with pytest.raises(ValueError):

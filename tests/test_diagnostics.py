@@ -155,6 +155,15 @@ class TestUspe:
         assert np.allclose(report.qq[:, 1], t_dist.ppf(probs, 7))
         assert np.all(np.diff(report.qq[:, 0]) >= 0)
 
+    @pytest.mark.parametrize("n, n_mean_params", [(2, 1), (7, 3), (10, 3), (51, 6), (199, 140)])
+    def test_qq_quantiles_bitwise_equal_to_t_ppf(self, n, n_mean_params):
+        rng = np.random.default_rng(n)
+        report = uspe(rng.standard_normal(n), np.zeros(n), np.eye(n), n_mean_params)
+        probs = (np.arange(1, n + 1) - 0.5) / n
+        expected = t_dist.ppf(probs, n - n_mean_params)
+        # bytes, not values: a -0.0 at p = 0.5 (odd n) would compare equal to 0.0
+        assert report.qq[:, 1].tobytes() == np.ascontiguousarray(expected).tobytes()
+
     def test_non_positive_df(self):
         with pytest.raises(NonPositiveDf):
             uspe(np.zeros(3), np.zeros(3), np.eye(3), 3)

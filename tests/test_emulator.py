@@ -13,6 +13,7 @@ from floodcal.emulator import (
     HyperPriors,
     TrendPrior,
     _FitWorkspace,
+    _chol_with_jitter,
     _params_to_x,
     _x_to_params,
     default_trend_prior,
@@ -62,7 +63,7 @@ def mvn_conditioning_oracle_joint(theta_c, theta_e, test_thetas, t, params, tren
     cov = np.zeros((n_all, n_all))
     for i, (xi, fi) in enumerate(pts):
         for j, (xj, fj) in enumerate(pts):
-            same = np.array_equal(xi, xj)
+            same = i == j  # nuggets are per-run noise
             base_c = params.var_cheap * sqexp(xi, xj, params.range_cheap)
             base_e = params.var_exp * sqexp(xi, xj, params.range_exp)
             if fi == "C" and fj == "C":
@@ -71,9 +72,7 @@ def mvn_conditioning_oracle_joint(theta_c, theta_e, test_thetas, t, params, tren
                 cov[i, j] = params.rho * base_c
             else:
                 cov[i, j] = params.rho**2 * base_c + base_e
-                if fi == fj == "E" and same:
-                    cov[i, j] += params.nugget_exp
-                if fi == fj == "new" and i == j:
+                if same:
                     cov[i, j] += params.nugget_exp
 
     def trend_row(x, f):
@@ -103,7 +102,8 @@ class TestCovarianceFunctions:
     def test_cc_diagonal(self):
         p = basic_params()
         theta = np.array([0.3, 0.4])
-        assert cov_cc(theta, theta, p) == pytest.approx(p.var_cheap + p.nugget_cheap)
+        assert cov_cc(theta, theta, p, same_run=True) == pytest.approx(p.var_cheap + p.nugget_cheap)
+        assert cov_cc(theta, theta, p) == pytest.approx(p.var_cheap)  # a second run there
 
     def test_cc_monotone_decay(self):
         p = basic_params(k=1, range_cheap=[0.5], range_exp=[0.5])
@@ -126,7 +126,8 @@ class TestCovarianceFunctions:
         p = basic_params()
         theta = np.array([0.5, 0.5])
         expected = p.rho**2 * p.var_cheap + p.var_exp + p.nugget_exp
-        assert cov_ee(theta, theta, p) == pytest.approx(expected)
+        assert cov_ee(theta, theta, p, same_run=True) == pytest.approx(expected)
+        assert cov_ee(theta, theta, p) == pytest.approx(expected - p.nugget_exp)
 
     def test_ee_twice_ce_identity(self):
         # rho=1, equal variances and ranges, no expensive nugget:
@@ -270,7 +271,7 @@ class TestFit:
         assert fitted.nugget_cheap > 0 and fitted.nugget_exp > 0
 
     def test_repeated_expensive_setting(self):
-        # two expensive runs at one setting make M singular; jitter keeps it factorable
+        # two expensive runs at one setting: two noisy looks at one value
         rng = np.random.default_rng(53)
         theta_e = rng.random((6, 2))
         theta_e[1] = theta_e[0]
@@ -284,6 +285,26 @@ class TestFit:
         assert np.all(np.isfinite(_params_to_x(fitted)))
         val = log_posterior(fitted, HyperPriors(), t, theta_c, theta_e, default_trend_prior(2))
         assert np.isfinite(val)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noisy_repeated_setting_fits_inside_bounds(self, seed):
+        # 6e14c with one expensive setting (and so its cheap twin) repeated and
+        # scores that differ there: the nugget on the diagonal keeps M positive
+        # definite, so no jitter hides a singular gram and the fit stays inside
+        rng = np.random.default_rng(seed)
+        theta_e = rng.random((6, 2))
+        theta_e[1] = theta_e[0]
+        theta_c = np.vstack([theta_e, rng.random((8, 2))])
+        t = rng.standard_normal(20)
+        fitted = fit(t, theta_c, theta_e, n_starts=3, seed=seed)
+        trend = default_trend_prior(2)
+        assert np.isfinite(log_posterior(fitted, HyperPriors(), t, theta_c, theta_e, trend))
+        x = _params_to_x(fitted)
+        lo = np.array([LOG_BOUNDS[0]] * 8 + [RHO_BOUNDS[0]])
+        hi = np.array([LOG_BOUNDS[1]] * 8 + [RHO_BOUNDS[1]])
+        assert np.all((x > lo + 1e-6) & (x < hi - 1e-6)), x
+        m = _FitWorkspace(theta_c, theta_e, trend)._assemble(fitted)[3]
+        assert _chol_with_jitter(m)[1] is m  # factored without jitter
 
     def test_preconditions(self, unit_space):
         with pytest.raises(ValueError):

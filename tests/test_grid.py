@@ -8,9 +8,11 @@ from floodcal.errors import (
     TargetOutOfBounds,
 )
 from floodcal.grid import (
+    NODATA_VALUE,
     Grid,
     LocationSet,
     bilinear_interpolate,
+    bilinear_stencil,
     flatten,
     grid_locations,
     read_ascii_grid,
@@ -55,6 +57,28 @@ class TestGridInvariants:
     def test_duplicate_locations_rejected(self):
         with pytest.raises(ValueError):
             LocationSet([[0.0, 0.0], [0.0, 0.0]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(*[st.one_of(st.sampled_from([-1.5, -0.0, 0.0, 1e-300, 2.0]),
+                              st.floats(allow_nan=False, allow_infinity=False))] * 2),
+        min_size=1, max_size=12,
+    ))
+    def test_duplicates_rejected_exactly_when_unique_finds_fewer_rows(self, rows):
+        coords = np.array(rows, dtype=float)
+        duplicated = len(np.unique(coords, axis=0)) < len(coords)
+        if duplicated:
+            with pytest.raises(ValueError, match="duplicate"):
+                LocationSet(coords)
+        else:
+            assert len(LocationSet(coords)) == len(coords)
+
+    def test_signed_zeros_are_one_location(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            LocationSet([[0.0, 1.0], [2.0, 3.0], [-0.0, 1.0]])
+        with pytest.raises(ValueError, match="duplicate"):
+            LocationSet([[1.0, -0.0], [1.0, 0.0]])
+        assert len(LocationSet([[0.0, 1.0], [1.0, 0.0]])) == 2
 
 
 class TestBilinear:
@@ -106,6 +130,21 @@ class TestBilinear:
             bilinear_interpolate(g, LocationSet([[-0.5, 1.0]]))
         with pytest.raises(TargetOutOfBounds):
             bilinear_interpolate(g, LocationSet([[1.0, 2.4]]))
+
+    def test_shared_stencil_is_bitwise_per_grid_interpolation(self):
+        rng = np.random.default_rng(8)
+        targets = LocationSet(rng.uniform(0.0, 3.0, (40, 2)))
+        stencil = bilinear_stencil(square_grid(np.zeros((4, 4))), targets)
+        for _ in range(3):
+            g = square_grid(rng.uniform(0.0, 2.0, (4, 4)))
+            assert np.array_equal(bilinear_interpolate(g, targets, stencil),
+                                  bilinear_interpolate(g, targets))
+
+    def test_stencil_of_another_geometry_rejected(self):
+        targets = LocationSet([[1.0, 1.0]])
+        stencil = bilinear_stencil(square_grid(np.zeros((3, 3))), targets)
+        with pytest.raises(ValueError, match="geometry"):
+            bilinear_interpolate(square_grid(np.zeros((3, 3)), cell=1.5), targets, stencil)
 
     def test_nodata_neighbor(self):
         mask = np.zeros((4, 4), dtype=bool)
@@ -186,3 +225,26 @@ class TestAsciiFormat:
         write_ascii_grid(g, tmp_path / "a.asc")
         write_ascii_grid(g, tmp_path / "b.asc")
         assert (tmp_path / "a.asc").read_bytes() == (tmp_path / "b.asc").read_bytes()
+
+    @pytest.mark.parametrize("shape", [(7, 5), (6, 1), (1, 1)])
+    def test_bytes_match_per_value_formatter(self, tmp_path, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        vals = rng.uniform(0.0, 4.0, shape)
+        specials = [0.0, 1e-300, 1e300, 5e-324, 0.1, 1.0 / 3.0, 2.0**53 + 2]
+        vals.ravel()[: len(specials)] = specials[: vals.size]
+        mask = np.zeros(shape, dtype=bool)
+        if vals.size > 2:
+            mask.ravel()[[1, -1]] = True
+        g = Grid(-3.5, 1e6 + 0.1, 0.25, vals, mask)
+        write_ascii_grid(g, tmp_path / "g.asc")
+
+        # reference: one f-string per value
+        written = g.values.copy()
+        written[mask] = NODATA_VALUE
+        lines = [f"ncols {g.n_cols}", f"nrows {g.n_rows}", f"xllcenter {g.origin_x:.17g}",
+                 f"yllcenter {g.origin_y:.17g}", f"cellsize {g.cell_size:.17g}",
+                 f"nodata_value {NODATA_VALUE:.17g}"]
+        lines += [" ".join(f"{v:.17g}" for v in row) for row in written[::-1]]
+        assert (tmp_path / "g.asc").read_text() == "\n".join(lines) + "\n"
+        back = read_ascii_grid(tmp_path / "g.asc")
+        assert np.array_equal(back.values[~mask], vals[~mask])

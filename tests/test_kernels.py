@@ -59,6 +59,23 @@ def test_gram_and_joint_prediction_match_scalar_oracles(unit_space, layout):
     assert np.max(np.abs(cov - cov_o)) < 1e-10
 
 
+def test_gram_with_repeated_settings_matches_oracle():
+    # one repeated expensive setting (and its cheap twin) and one repeated
+    # cheap-only setting: the nuggets stay on the diagonal and M needs no jitter
+    rng = np.random.default_rng(18)
+    theta_e = rng.random((4, 2))
+    theta_e[3] = theta_e[2]
+    theta_c = np.vstack([theta_e, rng.random((3, 2))])
+    theta_c[-1] = theta_c[-2]
+    params = EmulatorParams(rho=0.8, var_cheap=1.2, var_exp=0.5, nugget_cheap=0.03,
+                            nugget_exp=0.05, range_cheap=[0.5, 0.7], range_exp=[0.4, 0.6])
+    trend = TrendPrior(rng.standard_normal(6) * 0.3, 0.8 * np.eye(3), 1.2 * np.eye(3))
+    train = labelled(theta_c, theta_e)
+    _, m = joint_gram(theta_c, theta_e, params, trend)
+    m_o, _ = marginal_cov(train, train, params, trend)
+    assert np.max(np.abs(m - m_o)) <= 1e-13 * np.max(np.abs(m_o))
+
+
 @pytest.mark.parametrize("layout", ["mr", "hr"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_predict_matches_solve_triangular_reference(layout, k, monkeypatch):

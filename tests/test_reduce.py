@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from floodcal.errors import DegenerateEnsemble, DimensionMismatch
-from floodcal.grid import LocationSet
+from floodcal.grid import Grid, LocationSet, bilinear_interpolate, flatten
 from floodcal.reduce import (
     RunEnsemble,
+    build_ensemble,
     fit_basis,
     load_basis,
     project,
@@ -12,6 +13,7 @@ from floodcal.reduce import (
     reduce_runs,
     save_basis,
 )
+from floodcal.synthmodel import SynthConfig, run_cheap, run_expensive, shared_locations
 
 from conftest import make_nested_design
 
@@ -30,6 +32,23 @@ def make_ensemble(depths, unit_space):
 def random_ensemble(unit_space):
     rng = np.random.default_rng(21)
     return make_ensemble(rng.uniform(0, 3, (21, 50)), unit_space)
+
+
+class TestBuildEnsemble:
+    def test_rows_bitwise_equal_to_per_grid_reads(self, flood_space):
+        config = SynthConfig(space=flood_space)
+        design = make_nested_design(flood_space, 3, 4, seed=6)
+        locations = shared_locations(config)
+        exp_grids = [run_expensive(p, config) for p in design.expensive_points]
+        cheap_grids = [run_cheap(p, config) for p in design.cheap_points]
+        # a cheap run on another coarse geometry between two on the usual one
+        rng = np.random.default_rng(6)
+        cheap_grids[3] = Grid(1.0, 1.0, 2.0, rng.uniform(0.0, 2.0, (16, 16)))
+        ensemble = build_ensemble(exp_grids, cheap_grids, design, locations)
+        rows = [flatten(g, locations) for g in exp_grids]
+        rows += [bilinear_interpolate(g, locations) for g in cheap_grids]
+        assert np.array_equal(ensemble.depths, np.array(rows))
+        assert ensemble.depths.flags.c_contiguous
 
 
 class TestFitBasis:
