@@ -58,6 +58,7 @@ from .emulator import (
 from .errors import (
     ConfigError,
     FloodcalError,
+    MalformedArtifact,
     MissingArtifact,
     ModelRunFailed,
     NonPositiveDf,
@@ -702,6 +703,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (MissingArtifact, FileNotFoundError) as err:
         print(f"floodcal: missing artifact: {err}", file=sys.stderr)
+        return EXIT_MISSING
+    except MalformedArtifact as err:
+        print(f"floodcal: malformed artifact: {err}", file=sys.stderr)
         return EXIT_MISSING
     except FloodcalError as err:
         print(f"floodcal: numerical failure: {err}", file=sys.stderr)

@@ -103,3 +103,7 @@ class ConfigError(FloodcalError):
 
 class MissingArtifact(FloodcalError):
     """An upstream pipeline artifact was not found."""
+
+
+class MalformedArtifact(FloodcalError):
+    """An upstream pipeline artifact exists but is unreadable or inconsistent."""

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     LocationNotOnGrid,
+    MalformedArtifact,
     NodataNeighbor,
     TargetOutOfBounds,
 )
@@ -274,39 +275,41 @@ def write_ascii_grid(grid: Grid, path) -> None:
             fh.write(row_format % tuple(row.tolist()))
 
 
+_HEADER_KEYS = (b"ncols", b"nrows", b"xllcenter", b"yllcenter", b"cellsize", b"nodata_value")
+
+
 def read_ascii_grid(path) -> Grid:
-    """Read a grid written by :func:`write_ascii_grid`."""
-    header = {}
-    data_lines = []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) == 2 and parts[0].lower() in (
-                "ncols",
-                "nrows",
-                "xllcenter",
-                "yllcenter",
-                "cellsize",
-                "nodata_value",
-            ):
-                header[parts[0].lower()] = float(parts[1])
-            else:
-                data_lines.append(parts)
-    n_cols = int(header["ncols"])
-    n_rows = int(header["nrows"])
-    flat = np.array([float(v) for parts in data_lines for v in parts])
-    if flat.size != n_rows * n_cols:
-        raise ValueError(f"expected {n_rows * n_cols} values, found {flat.size}")
-    values = flat.reshape(n_rows, n_cols)[::-1].copy()
-    nodata = header.get("nodata_value", NODATA_VALUE)
-    mask = values == nodata
-    values[mask] = 0.0
-    return Grid(
-        origin_x=header["xllcenter"],
-        origin_y=header["yllcenter"],
-        cell_size=header["cellsize"],
-        values=values,
-        nodata_mask=mask,
-    )
+    """Read a grid written by :func:`write_ascii_grid`.
+
+    The header keys lead the file in any order and any case;
+    ``nodata_value`` is optional.
+
+    Raises
+    ------
+    MalformedArtifact
+        If a header key is missing, a token is not a number, the value count
+        disagrees with the header, or a depth is invalid.
+    """
+    with open(path, "rb") as fh:
+        tokens = fh.read().split()
+    n_head = 0
+    while (n_head < 2 * len(_HEADER_KEYS) and n_head + 1 < len(tokens)
+           and tokens[n_head].lower() in _HEADER_KEYS):
+        n_head += 2
+    keys = [key.lower() for key in tokens[:n_head:2]]
+    # every key but the optional nodata_value is required
+    missing = [key.decode() for key in _HEADER_KEYS[:-1] if key not in keys]
+    if missing:
+        raise MalformedArtifact(f"{path}: header lacks {', '.join(missing)}")
+    try:
+        header = dict(zip(keys, map(float, tokens[1:n_head:2])))
+        flat = np.array(tokens[n_head:], dtype=float)
+        n_cols, n_rows = int(header[b"ncols"]), int(header[b"nrows"])
+        if flat.size != n_rows * n_cols:
+            raise ValueError(f"expected {n_rows * n_cols} values, found {flat.size}")
+        values = flat.reshape(n_rows, n_cols)[::-1].copy()
+        mask = values == header.get(b"nodata_value", NODATA_VALUE)
+        values[mask] = 0.0
+        return Grid(header[b"xllcenter"], header[b"yllcenter"], header[b"cellsize"], values, mask)
+    except (OverflowError, ValueError) as err:
+        raise MalformedArtifact(f"{path}: {err}") from err

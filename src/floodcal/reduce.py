@@ -2,9 +2,10 @@
 
 The run matrix stacks expensive rows first, then cheap rows interpolated to
 the same locations.  Columns are centered by their mean over all rows, the
-centered matrix is decomposed by SVD, and enough scaled eigenvectors
-(sqrt(eigenvalue) * eigenvector of the sample covariance) are retained to
-explain the target variance fraction.
+principal components are taken from the eigendecomposition of the p x p
+Gram matrix of the centered runs (the method of snapshots), and enough
+scaled eigenvectors (sqrt(eigenvalue) * eigenvector of the sample
+covariance) are retained to explain the target variance fraction.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .design import Design
-from .errors import DegenerateEnsemble, DimensionMismatch
+from .errors import DegenerateEnsemble, DimensionMismatch, MalformedArtifact
 from .grid import Grid, LocationSet, bilinear_interpolate, bilinear_stencil, flatten
 
 CENTERING_DIVISOR = "p-1"  # sample covariance convention used for eigenvalues
@@ -115,10 +117,14 @@ def build_ensemble(
 def fit_basis(ensemble: RunEnsemble, target_fraction: float = 0.95) -> ReducedBasis:
     """Retain the fewest principal components explaining ``target_fraction``.
 
-    The SVD is taken of the centered matrix directly for numerical
-    stability; eigenvalues follow the divisor-(p-1) sample covariance.
-    Eigenvector signs are fixed so each one's largest-magnitude entry is
-    positive, making the result deterministic for a given input.
+    With ``X`` the centered p x N run matrix, the nonzero eigenvalues of the
+    sample covariance ``X^T X / (p-1)`` are those of the p x p Gram matrix
+    ``G = X X^T`` over p-1, and an eigenvector ``u`` of ``G`` gives the
+    scaled component ``X^T u / sqrt(p-1)``.  This costs O(p^2 N) instead of
+    a tall SVD; retained eigenvalues are accurate to about
+    p * eps * lambda_1 / lambda_j relative.  Component signs are fixed so
+    each one's largest-magnitude entry is positive, making the result
+    deterministic for a given input.
 
     Raises
     ------
@@ -133,23 +139,23 @@ def fit_basis(ensemble: RunEnsemble, target_fraction: float = 0.95) -> ReducedBa
         raise ValueError("target_fraction must be in (0, 1]")
     mean = depths.mean(axis=0)
     centered = depths - mean
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    gram_values, gram_vectors = eigh(centered @ centered.T)
+    gram_values, gram_vectors = np.clip(gram_values[::-1], 0.0, None), gram_vectors[:, ::-1]
     scale = max(1.0, float(np.abs(depths).max()))
-    if svals[0] <= max(depths.shape) * np.finfo(float).eps * scale:
+    if np.sqrt(gram_values[0]) <= max(depths.shape) * np.finfo(float).eps * scale:
         raise DegenerateEnsemble("all runs identical: zero variance to reduce")
 
-    eigenvalues = svals**2 / (p - 1)
+    eigenvalues = gram_values / (p - 1)
     total = float(eigenvalues.sum())
     fractions = np.cumsum(eigenvalues) / total
     n_keep = int(np.searchsorted(fractions, target_fraction - 1e-12) + 1)
     n_keep = min(n_keep, len(eigenvalues))
 
-    vectors = vt[:n_keep].T.copy()
+    components = centered.T @ (gram_vectors[:, :n_keep] / np.sqrt(p - 1))
     for j in range(n_keep):
-        lead = np.argmax(np.abs(vectors[:, j]))
-        if vectors[lead, j] < 0:
-            vectors[:, j] = -vectors[:, j]
-    components = vectors * np.sqrt(eigenvalues[:n_keep])
+        lead = np.argmax(np.abs(components[:, j]))
+        if components[lead, j] < 0:
+            components[:, j] = -components[:, j]
     return ReducedBasis(
         column_mean=mean,
         components=components,
@@ -207,14 +213,38 @@ def save_basis(basis: ReducedBasis, directory) -> None:
 
 
 def load_basis(directory) -> ReducedBasis:
+    """Read a basis written by :func:`save_basis`.
+
+    Raises
+    ------
+    MalformedArtifact
+        If a file is unreadable or lacks a manifest key, the arrays disagree
+        in shape with each other or with the manifest's component count, or
+        an eigenvalue is not finite and > 0.
+    """
     directory = Path(directory)
-    with open(directory / "basis.json") as fh:
-        manifest = json.load(fh)
-    return ReducedBasis(
-        column_mean=np.load(directory / "column_mean.npy"),
-        components=np.load(directory / "components.npy"),
-        eigenvalues=np.load(directory / "eigenvalues.npy"),
-        variance_fraction=manifest["variance_fraction"],
-        total_variance=manifest["total_variance"],
-        target_fraction=manifest["target_fraction"],
-    )
+    try:
+        with open(directory / "basis.json") as fh:
+            manifest = json.load(fh)
+        n_components = manifest["n_components"]
+        summary = {key: manifest[key]
+                     for key in ("variance_fraction", "total_variance", "target_fraction")}
+        mean = np.load(directory / "column_mean.npy")
+        components = np.load(directory / "components.npy")
+        eigenvalues = np.load(directory / "eigenvalues.npy")
+    except (EOFError, KeyError, ValueError) as err:
+        raise MalformedArtifact(f"{directory}: unreadable basis archive: {err!r}") from err
+    if components.ndim != 2 or mean.shape != components.shape[:1]:
+        raise MalformedArtifact(
+            f"{directory}: column_mean has shape {mean.shape}, "
+            f"components {components.shape}"
+        )
+    if eigenvalues.shape != (n_components,) or components.shape[1] != n_components:
+        raise MalformedArtifact(
+            f"{directory}: eigenvalues have shape {eigenvalues.shape}, components "
+            f"{components.shape}, the manifest says {n_components} components"
+        )
+    if not np.all((eigenvalues > 0) & (eigenvalues < np.inf)):
+        raise MalformedArtifact(f"{directory}: eigenvalues must be finite and > 0")
+    return ReducedBasis(column_mean=mean, components=components, eigenvalues=eigenvalues,
+                        **summary)

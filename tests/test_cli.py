@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import floodcal
@@ -161,6 +162,22 @@ class TestExitCodes:
         shutil.copytree(old_emulator, root / "out" / "emulator_mr")
         assert main(["calibrate", "--config", str(config)]) == 4
         assert "emulator has 2 components" in capsys.readouterr().err
+
+    def test_malformed_basis_archive(self, pipeline, tmp_path, capsys):
+        root = tmp_path / "malformed"
+        shutil.copytree(pipeline, root)
+        eigenvalues = root / "out" / "basis" / "eigenvalues.npy"
+        np.save(eigenvalues, -np.load(eigenvalues))
+        assert main(["calibrate", "--config", str(root / "experiment.ini")]) == 3
+        assert "eigenvalues must be finite and > 0" in capsys.readouterr().err
+
+    def test_malformed_run_grid(self, pipeline, tmp_path, capsys):
+        root = tmp_path / "malformed"
+        shutil.copytree(pipeline, root)
+        run = root / "runs" / "run_0000_expensive.asc"
+        run.write_text(run.read_text()[: len(run.read_text()) // 2])
+        assert main(["emulate", "--config", str(root / "experiment.ini")]) == 3
+        assert "run_0000_expensive.asc" in capsys.readouterr().err
 
     def test_threads_do_not_change_results(self, tmp_path):
         config = tmp_path / "experiment.ini"

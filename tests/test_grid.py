@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from floodcal.errors import (
     LocationNotOnGrid,
+    MalformedArtifact,
     NodataNeighbor,
     TargetOutOfBounds,
 )
@@ -248,3 +249,57 @@ class TestAsciiFormat:
         assert (tmp_path / "g.asc").read_text() == "\n".join(lines) + "\n"
         back = read_ascii_grid(tmp_path / "g.asc")
         assert np.array_equal(back.values[~mask], vals[~mask])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_roundtrip_bitwise(self, tmp_path_factory, data):
+        shape = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+        size = shape[0] * shape[1]
+        depth = st.one_of(st.sampled_from([0.0, 5e-324, 1e308, 0.1]),
+                          st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+        vals = np.reshape(data.draw(st.lists(depth, min_size=size, max_size=size)), shape)
+        mask = np.reshape(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)), shape)
+        origin = data.draw(st.tuples(*[st.floats(-1e7, 1e7, allow_nan=False)] * 2))
+        cell = data.draw(st.floats(1e-3, 1e4, allow_nan=False))
+        g = Grid(origin[0], origin[1], cell, vals, mask)
+        path = tmp_path_factory.mktemp("roundtrip") / "g.asc"
+        write_ascii_grid(g, path)
+        back = read_ascii_grid(path)
+        assert (back.origin_x, back.origin_y, back.cell_size) == (g.origin_x, g.origin_y, cell)
+        expected = np.where(mask, 0.0, vals)
+        assert back.values.tobytes() == expected.tobytes()
+        assert np.array_equal(back.nodata_mask, mask)
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda lines: lines[:-1], id="truncated"),
+        pytest.param(lambda lines: lines[:6] + ["nan 1 2"] + lines[7:], id="nan"),
+        pytest.param(lambda lines: lines[:6] + ["0.5 x 2"] + lines[7:], id="non-numeric"),
+        pytest.param(lambda lines: lines[:6] + ["0.5 -1 2"] + lines[7:], id="negative"),
+        pytest.param(lambda lines: lines[1:], id="no-ncols"),
+        pytest.param(lambda lines: lines[:4] + lines[5:], id="no-cellsize"),
+        pytest.param(lambda lines: ["ncols two"] + lines[1:], id="non-numeric-header"),
+        pytest.param(lambda lines: [], id="empty"),
+    ])
+    def test_malformed_file_raises_with_path(self, tmp_path, corrupt):
+        path = tmp_path / "g.asc"
+        write_ascii_grid(square_grid(np.arange(6.0).reshape(2, 3)), path)
+        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+        with pytest.raises(MalformedArtifact, match="g.asc"):
+            read_ascii_grid(path)
+
+    def test_header_keys_in_any_case_and_order(self, tmp_path):
+        g = square_grid([[1.0, 0.0], [3.0, 4.0]], cell=5.0, origin=(7.0, 9.0),
+                        mask=[[False, True], [False, False]])
+        path = tmp_path / "g.asc"
+        write_ascii_grid(g, path)
+        lines = path.read_text().splitlines()
+        header = [line.split() for line in lines[:6]]
+        header = [f"{key.upper() if i % 2 else key.title()} {value}"
+                  for i, (key, value) in enumerate(header)]
+        path.write_text("\n".join(header[::-1] + lines[6:]) + "\n")
+        back = read_ascii_grid(path)
+        assert back.same_geometry(g)
+        assert np.array_equal(back.values, g.values)
+        assert np.array_equal(back.nodata_mask, g.nodata_mask)
+        path.write_text("\n".join(lines[:5] + lines[6:]) + "\n")  # nodata_value optional
+        assert np.array_equal(read_ascii_grid(path).nodata_mask, g.nodata_mask)

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from floodcal.errors import DegenerateEnsemble, DimensionMismatch
+from floodcal.errors import DegenerateEnsemble, DimensionMismatch, MalformedArtifact
 from floodcal.grid import Grid, LocationSet, bilinear_interpolate, flatten
 from floodcal.reduce import (
     RunEnsemble,
@@ -102,6 +105,61 @@ class TestFitBasis:
             assert a.components[lead, j] > 0
 
 
+def svd_oracle(depths, n_keep):
+    """Sample-covariance eigenvalues and sign-fixed scaled components by SVD."""
+    p = depths.shape[0]
+    _, svals, vt = np.linalg.svd(depths - depths.mean(axis=0), full_matrices=False)
+    eigenvalues = svals**2 / (p - 1)
+    components = vt[:n_keep].T * np.sqrt(eigenvalues[:n_keep])
+    lead = np.argmax(np.abs(components), axis=0)
+    components *= np.sign(components[lead, np.arange(n_keep)])
+    return eigenvalues, components
+
+
+def graded_depths(p, n, spectrum, seed):
+    """Runs whose centered matrix has exactly the given singular values."""
+    rng = np.random.default_rng(seed)
+    left = rng.standard_normal((p, len(spectrum)))
+    left, _ = np.linalg.qr(left - left.mean(axis=0))
+    right, _ = np.linalg.qr(rng.standard_normal((n, len(spectrum))))
+    return 2.0 + (left * spectrum) @ right.T
+
+
+# singular values whose 0.999999 retention ends at lambda_J / lambda_1 = 1e-6
+GRADED = np.sqrt(np.r_[np.logspace(0, -6, 13), 5e-7, 3e-7])
+
+
+class TestGramBasisOracle:
+    @pytest.mark.parametrize("depths, target", [
+        pytest.param(np.random.default_rng(31).uniform(0, 3, (40, 5000)), 0.95, id="p<<N"),
+        pytest.param(np.random.default_rng(32).uniform(0, 3, (60, 30)), 0.95, id="p>N"),
+        pytest.param(graded_depths(30, 400, GRADED, seed=33), 0.999999, id="graded-1e-6"),
+    ])
+    def test_matches_svd(self, unit_space, depths, target):
+        basis = fit_basis(make_ensemble(depths, unit_space), target_fraction=target)
+        n_keep = basis.n_components
+        eigenvalues, components = svd_oracle(depths, n_keep)
+        rel = np.abs(basis.eigenvalues - eigenvalues[:n_keep]) / eigenvalues[:n_keep]
+        assert rel.max() < 1e-8
+        assert basis.total_variance == pytest.approx(eigenvalues.sum(), rel=1e-12)
+        col_err = np.linalg.norm(basis.components - components, axis=0)
+        assert np.all(col_err < 1e-8 * np.linalg.norm(components, axis=0))
+
+    def test_graded_case_retains_the_smallest(self, unit_space):
+        depths = graded_depths(30, 400, GRADED, seed=33)
+        basis = fit_basis(make_ensemble(depths, unit_space), target_fraction=0.999999)
+        assert basis.eigenvalues[-1] / basis.eigenvalues[0] == pytest.approx(1e-6, rel=1e-6)
+
+    def test_no_svd_call(self, random_ensemble, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit_basis must not take an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(scipy.linalg, "svd", refuse)
+        basis = fit_basis(random_ensemble, target_fraction=0.999999)
+        assert basis.n_components > 1
+
+
 class TestProjectReconstruct:
     def test_mean_row_projects_to_zero(self, random_ensemble):
         basis = fit_basis(random_ensemble)
@@ -176,3 +234,56 @@ class TestBasisArchive:
         save_basis(basis, tmp_path / "b")
         for name in ("column_mean.npy", "components.npy", "eigenvalues.npy", "basis.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def corrupt_mean(directory):
+    np.save(directory / "column_mean.npy", np.load(directory / "column_mean.npy")[:-1])
+
+
+def corrupt_eigenvalue_count(directory):
+    np.save(directory / "eigenvalues.npy", np.load(directory / "eigenvalues.npy")[:-1])
+
+
+def corrupt_component_count(directory):
+    np.save(directory / "components.npy", np.load(directory / "components.npy")[:, :-1])
+
+
+def corrupt_manifest_count(directory):
+    manifest = json.loads((directory / "basis.json").read_text())
+    manifest["n_components"] += 1
+    (directory / "basis.json").write_text(json.dumps(manifest))
+
+
+def corrupt_npy(directory):
+    (directory / "components.npy").write_bytes(b"garbage")
+
+
+def drop_manifest_key(directory):
+    manifest = json.loads((directory / "basis.json").read_text())
+    del manifest["total_variance"]
+    (directory / "basis.json").write_text(json.dumps(manifest))
+
+
+def set_eigenvalue(value):
+    def corrupt(directory):
+        eigenvalues = np.load(directory / "eigenvalues.npy")
+        eigenvalues[-1] = value
+        np.save(directory / "eigenvalues.npy", eigenvalues)
+    return corrupt
+
+
+class TestBasisArchiveValidation:
+    @pytest.mark.parametrize("corrupt", [
+        corrupt_mean, corrupt_eigenvalue_count, corrupt_component_count, corrupt_manifest_count,
+        corrupt_npy, drop_manifest_key,
+        set_eigenvalue(0.0), set_eigenvalue(-1.0), set_eigenvalue(np.nan), set_eigenvalue(np.inf),
+    ], ids=["mean-rows", "eigenvalue-count", "component-count", "manifest-count", "npy-garbage",
+            "manifest-key", "eigenvalue-zero", "eigenvalue-negative", "eigenvalue-nan",
+            "eigenvalue-inf"])
+    def test_inconsistent_archive_rejected(self, random_ensemble, tmp_path, corrupt):
+        basis = fit_basis(random_ensemble)
+        assert basis.n_components > 1
+        save_basis(basis, tmp_path / "basis")
+        corrupt(tmp_path / "basis")
+        with pytest.raises(MalformedArtifact, match="basis"):
+            load_basis(tmp_path / "basis")
