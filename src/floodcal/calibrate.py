@@ -161,24 +161,24 @@ def reduce_observation(
         return ReducedObservation(project(basis, z)[0], basis.n_components, 0)
     if disc.kernel_basis.shape[0] != basis.n_locations:
         raise DimensionMismatch("discrepancy basis rows must match locations")
-    combined = np.hstack([basis.components, disc.kernel_basis])
-    gram = combined.T @ combined
-    try:
-        factor = cho_factor(gram)
-    except np.linalg.LinAlgError as err:
-        raise SingularBasis("combined basis is numerically singular") from err
+    combined, factor = _combined_gram_factor(basis, disc)
     coords = cho_solve(factor, combined.T @ (z - basis.column_mean))
     return ReducedObservation(coords, basis.n_components, disc.n_disc)
 
 
-def _combined_gram_inverse(basis: ReducedBasis, disc: DiscrepancyBlock) -> np.ndarray:
+def _combined_gram_factor(basis: ReducedBasis, disc: DiscrepancyBlock):
+    """The combined basis ``[components | kernel_basis]`` and the Cholesky
+    factor of its gram."""
     combined = np.hstack([basis.components, disc.kernel_basis])
-    gram = combined.T @ combined
     try:
-        factor = cho_factor(gram)
+        return combined, cho_factor(combined.T @ combined)
     except np.linalg.LinAlgError as err:
         raise SingularBasis("combined basis is numerically singular") from err
-    return cho_solve(factor, np.eye(gram.shape[0]))
+
+
+def _combined_gram_inverse(basis: ReducedBasis, disc: DiscrepancyBlock) -> np.ndarray:
+    combined, factor = _combined_gram_factor(basis, disc)
+    return cho_solve(factor, np.eye(combined.shape[1]))
 
 
 def _check_component_counts(z_r: ReducedObservation, emulator, basis: ReducedBasis) -> None:

@@ -7,8 +7,8 @@ artifact gets a manifest with the config digest and the seeds it consumed;
 rerunning a stage with unchanged inputs reproduces its outputs byte for
 byte.
 
-Exit codes: 0 success, 2 config error, 3 missing upstream artifact,
-4 numerical failure.
+Exit codes: 0 success, 2 config error, 3 missing or malformed upstream
+artifact, 4 numerical failure, including a component-count mismatch.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .calibrate import (
+    ESS_TARGET,
     CalibrationPriors,
     McmcConfig,
     Observation,
@@ -48,6 +49,7 @@ from .design import (
 )
 from .diagnostics import extent_metrics, format_d_table, rmse, summarize_d, uspe
 from .emulator import (
+    child_seeds,
     fit_multires,
     fit_singleres,
     load_emulator,
@@ -226,14 +228,10 @@ def _require(path: Path, what: str) -> Path:
     return Path(path)
 
 
-def _child_seeds(seed: int, n: int) -> list[int]:
-    return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(n)]
-
-
-def _stage_manifest(cfg: ExperimentConfig, stage: str, **extra) -> dict:
-    data = {"stage": stage, "config_digest": cfg.digest}
-    data.update(extra)
-    return data
+def _finish(cfg: ExperimentConfig, stage: str, path: Path, summary: str, **fields) -> None:
+    """Write the stage manifest to ``path`` and print the stage's summary line."""
+    write_manifest(path, {"stage": stage, "config_digest": cfg.digest, **fields})
+    print(summary)
 
 
 # --- stages -----------------------------------------------------------------
@@ -241,23 +239,15 @@ def _stage_manifest(cfg: ExperimentConfig, stage: str, **extra) -> dict:
 
 def cmd_design(cfg: ExperimentConfig, seed: int | None = None) -> None:
     seed = cfg.seeds["design"] if seed is None else seed
-    exp_seed, cheap_seed = _child_seeds(seed, 2)
+    exp_seed, cheap_seed = child_seeds(seed, 2)
     expensive = maximin_lhs(cfg.space, cfg.n_expensive, exp_seed, cfg.n_candidates)
     full = augment_cheap(expensive, cfg.space, cfg.extra_cheap, cheap_seed)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_design_csv(full, cfg.out_dir / "design.csv")
-    write_manifest(
-        cfg.out_dir / "design.manifest.json",
-        _stage_manifest(
-            cfg,
-            "design",
-            seed=seed,
-            n_expensive=full.n_expensive,
-            n_cheap=full.n_cheap,
-            n_candidates=cfg.n_candidates,
-        ),
-    )
-    print(f"design: {full.n_expensive} expensive + {full.n_cheap} cheap points")
+    _finish(cfg, "design", cfg.out_dir / "design.manifest.json",
+            f"design: {full.n_expensive} expensive + {full.n_cheap} cheap points",
+            seed=seed, n_expensive=full.n_expensive, n_cheap=full.n_cheap,
+            n_candidates=cfg.n_candidates)
 
 
 def _load_design(cfg: ExperimentConfig) -> Design:
@@ -302,78 +292,48 @@ def cmd_run_synth(cfg: ExperimentConfig, seed: int | None = None, threads: int =
     )
     write_ascii_grid(obs_grid, cfg.runs_dir / "observation.asc")
 
-    write_manifest(
-        cfg.runs_dir / "runs.manifest.json",
-        _stage_manifest(
-            cfg,
-            "run-synth",
-            observation_seed=seed,
-            theta_star=list(cfg.theta_star),
+    _finish(cfg, "run-synth", cfg.runs_dir / "runs.manifest.json",
+            f"run-synth: {len(files)} runs + observation written to {cfg.runs_dir}",
+            observation_seed=seed, theta_star=list(cfg.theta_star),
             noise_sd=cfg.synth.noise_sd,
             runs=[
                 {"row": i, "file": files[i], "fidelity": design.fidelity[i],
                  "theta": list(design.points[i])}
                 for i in range(len(files))
-            ],
-        ),
-    )
-    print(f"run-synth: {len(files)} runs + observation written to {cfg.runs_dir}")
+            ])
 
 
-def _load_runs(cfg: ExperimentConfig, design: Design) -> tuple[list, list]:
+def _load_ensemble(cfg: ExperimentConfig) -> RunEnsemble:
+    """The design's runs, as listed in the runs manifest, on the shared locations."""
+    design = _load_design(cfg)
     manifest = read_manifest(_require(cfg.runs_dir / "runs.manifest.json", "runs manifest"))
     grids = {}
     for entry in manifest["runs"]:
         grids[entry["row"]] = read_ascii_grid(_require(cfg.runs_dir / entry["file"], "model run"))
-    exp_grids = [grids[i] for i in range(len(design.points)) if design.fidelity[i] == EXPENSIVE]
-    cheap_grids = [grids[i] for i in range(len(design.points)) if design.fidelity[i] == CHEAP]
-    return exp_grids, cheap_grids
+    rows = range(len(design.points))
+    exp_grids = [grids[i] for i in rows if design.fidelity[i] == EXPENSIVE]
+    cheap_grids = [grids[i] for i in rows if design.fidelity[i] == CHEAP]
+    return build_ensemble(exp_grids, cheap_grids, design, shared_locations(cfg.synth))
 
 
 def cmd_emulate(cfg: ExperimentConfig, seed: int | None = None, threads: int = 1) -> None:
     seed = cfg.seeds["emulator"] if seed is None else seed
-    design = _load_design(cfg)
-    exp_grids, cheap_grids = _load_runs(cfg, design)
-
-    if cfg.apply_edge_bands:
-        held = edge_mask(design, cfg.edge_bands)
-        exp_idx = np.flatnonzero(design.fidelity == EXPENSIVE)
-        keep_exp = ~held[exp_idx]
-        exp_grids = [g for g, keep in zip(exp_grids, keep_exp) if keep]
-        design = Design(design.points[~held], design.fidelity[~held], design.space)
-
-    locations = shared_locations(cfg.synth)
-    ensemble = build_ensemble(exp_grids, cheap_grids, design, locations)
-    basis = fit_basis(ensemble, cfg.target_fraction)
-    scores = reduce_runs(basis, ensemble)
-
-    mr_seed, hr_seed = _child_seeds(seed, 2)
-    emu_mr = fit_multires(design, scores.scores, n_starts=cfg.n_starts,
-                          seed=mr_seed, threads=threads)
-    emu_hr = fit_singleres(design, scores.expensive, n_starts=cfg.n_starts,
-                           seed=hr_seed, threads=threads)
+    ensemble = _load_ensemble(cfg)
+    design = ensemble.design
+    held = np.flatnonzero(edge_mask(design, cfg.edge_bands)) if cfg.apply_edge_bands else []
+    basis, emulators, _, _, _ = _fit_holdout(cfg, design, ensemble, held, seed, threads)
 
     save_basis(basis, cfg.out_dir / "basis")
-    save_emulator(emu_mr, cfg.out_dir / "emulator_mr")
-    save_emulator(emu_hr, cfg.out_dir / "emulator_hr")
-    write_manifest(
-        cfg.out_dir / "emulate.manifest.json",
-        _stage_manifest(
-            cfg,
-            "emulate",
-            seed=seed,
-            n_locations=len(locations),
-            n_components=basis.n_components,
+    for label, emu in emulators.items():
+        save_emulator(emu, cfg.out_dir / f"emulator_{label}")
+    n_locations = len(ensemble.locations)
+    _finish(cfg, "emulate", cfg.out_dir / "emulate.manifest.json",
+            f"emulate: {basis.n_components} components capture "
+            f"{100 * basis.variance_fraction:.2f}% variance at {n_locations} locations",
+            seed=seed, n_locations=n_locations, n_components=basis.n_components,
             variance_fraction=basis.variance_fraction,
             edge_bands_applied=cfg.apply_edge_bands,
-            n_expensive=design.n_expensive,
-            n_cheap=design.n_cheap,
-        ),
-    )
-    print(
-        f"emulate: {basis.n_components} components capture "
-        f"{100 * basis.variance_fraction:.2f}% variance at {len(locations)} locations"
-    )
+            n_expensive=design.n_expensive - len(held), n_cheap=design.n_cheap)
 
 
 def _load_observation(cfg: ExperimentConfig) -> Observation:
@@ -400,28 +360,17 @@ def cmd_calibrate(cfg: ExperimentConfig, seed: int | None = None) -> None:
     chain = run_mh(z_r, emulator, basis, CalibrationPriors(cfg.noise_guess), mcmc)
     name = f"chain_{cfg.approach}"
     save_chain(chain, cfg.out_dir / f"{name}.csv")
-    from .calibrate import ESS_TARGET
 
     ess_min = min(chain.ess.values())
-    write_manifest(
-        cfg.out_dir / f"{name}.manifest.json",
-        _stage_manifest(
-            cfg,
-            "calibrate",
-            seed=seed,
-            approach=cfg.approach,
-            iterations=cfg.iterations,
-            burn_in=chain.burn_in,
-            adapt=cfg.adapt,
-            noise_guess=cfg.noise_guess,
-            acceptance_rates=dict(zip(chain.names, chain.acceptance_rates)),
-            ess=chain.ess,
-            ess_target=ESS_TARGET,
-            ess_target_met=bool(ess_min >= ESS_TARGET),
-        ),
-    )
     flag = "" if ess_min >= ESS_TARGET else f" (target {ESS_TARGET} not met)"
-    print(f"calibrate[{cfg.approach}]: {chain.n_kept} retained samples, min ESS {ess_min:.0f}{flag}")
+    _finish(cfg, "calibrate", cfg.out_dir / f"{name}.manifest.json",
+            f"calibrate[{cfg.approach}]: {chain.n_kept} retained samples, "
+            f"min ESS {ess_min:.0f}{flag}",
+            seed=seed, approach=cfg.approach, iterations=cfg.iterations,
+            burn_in=chain.burn_in, adapt=cfg.adapt, noise_guess=cfg.noise_guess,
+            acceptance_rates=dict(zip(chain.names, chain.acceptance_rates)),
+            ess=chain.ess, ess_target=ESS_TARGET,
+            ess_target_met=bool(ess_min >= ESS_TARGET))
 
 
 def cmd_project(cfg: ExperimentConfig, seed: int | None = None, threads: int = 1) -> None:
@@ -448,18 +397,10 @@ def cmd_project(cfg: ExperimentConfig, seed: int | None = None, threads: int = 1
     else:
         projection = calibrated_projection(thetas, model)
     write_ascii_grid(projection, cfg.out_dir / f"projection_{cfg.approach}.asc")
-    write_manifest(
-        cfg.out_dir / f"projection_{cfg.approach}.manifest.json",
-        _stage_manifest(
-            cfg,
-            "project",
-            seed=seed,
-            approach=cfg.approach,
-            n_thinned=len(thetas),
-            thetas=[list(t) for t in thetas],
-        ),
-    )
-    print(f"project[{cfg.approach}]: mean of {len(thetas)} thinned projections written")
+    _finish(cfg, "project", cfg.out_dir / f"projection_{cfg.approach}.manifest.json",
+            f"project[{cfg.approach}]: mean of {len(thetas)} thinned projections written",
+            seed=seed, approach=cfg.approach, n_thinned=len(thetas),
+            thetas=[list(t) for t in thetas])
 
 
 def cmd_diagnose(
@@ -485,10 +426,8 @@ def cmd_diagnose(
         fh.write(f"{'Correctness':<16}{report.correctness:.3f}\n")
 
     # emulator validation: hold out expensive runs, whiten errors per leading PC
-    design = _load_design(cfg)
-    exp_grids, cheap_grids = _load_runs(cfg, design)
-    locations = shared_locations(cfg.synth)
-    ensemble = build_ensemble(exp_grids, cheap_grids, design, locations)
+    ensemble = _load_ensemble(cfg)
+    design = ensemble.design
 
     rng = np.random.default_rng(seed)
     p_e = design.n_expensive
@@ -503,36 +442,46 @@ def cmd_diagnose(
     held_idx = np.sort(rng.choice(p_e, size=n_hold, replace=False))
     uspe_written = _uspe_validation(cfg, design, ensemble, held_idx, seed)
 
-    write_manifest(
-        cfg.out_dir / "diagnose.manifest.json",
-        _stage_manifest(
-            cfg,
-            "diagnose",
-            seed=seed,
-            flood_threshold=threshold,
-            held_out_rows=[int(i) for i in held_idx],
-            uspe_files=uspe_written,
-        ),
-    )
-    print(
-        f"diagnose[{cfg.approach}]: rmse {report.rmse:.4f} m, bias "
-        f"{report.percent_bias:.2f}%, fit {report.fit:.3f}, "
-        f"correctness {report.correctness:.3f}"
-    )
+    _finish(cfg, "diagnose", cfg.out_dir / "diagnose.manifest.json",
+            f"diagnose[{cfg.approach}]: rmse {report.rmse:.4f} m, bias "
+            f"{report.percent_bias:.2f}%, fit {report.fit:.3f}, "
+            f"correctness {report.correctness:.3f}",
+            seed=seed, flood_threshold=threshold,
+            held_out_rows=[int(i) for i in held_idx], uspe_files=uspe_written)
 
 
-def _train_test_split(design: Design, ensemble, held_exp_idx: np.ndarray):
-    """Drop the given expensive rows from the design and depth matrix."""
-    p = len(design.points)
-    held_rows = np.zeros(p, dtype=bool)
+def _train_test_split(design: Design, ensemble: RunEnsemble, held_exp_idx: np.ndarray):
+    """The ensemble without the given expensive rows, and those rows' depths and settings."""
+    if len(held_exp_idx) == 0:  # no copy of the depth matrix when nothing is held out
+        return ensemble, ensemble.depths[:0], design.points[:0]
+    held_rows = np.zeros(len(design.points), dtype=bool)
     held_rows[held_exp_idx] = True  # expensive rows come first
-    train_design = Design(
-        design.points[~held_rows], design.fidelity[~held_rows], design.space
+    train = RunEnsemble(
+        ensemble.depths[~held_rows],
+        Design(design.points[~held_rows], design.fidelity[~held_rows], design.space),
+        ensemble.locations,
     )
-    train_depths = ensemble.depths[~held_rows]
-    test_depths = ensemble.depths[held_rows]
-    test_thetas = design.points[held_rows]
-    return train_design, train_depths, test_depths, test_thetas
+    return train, ensemble.depths[held_rows], design.points[held_rows]
+
+
+def _fit_holdout(cfg, design, ensemble, held_idx, seed, threads=1):
+    """Basis and MR/HR emulators fitted without the held-out expensive rows.
+
+    Returns the basis, the emulators keyed ``mr``/``hr``, and the held-out
+    settings, depths and scores.
+    """
+    train, test_depths, test_thetas = _train_test_split(design, ensemble, held_idx)
+    basis = fit_basis(train, cfg.target_fraction)
+    scores = reduce_runs(basis, train)
+    test_scores = project(basis, test_depths)
+    mr_seed, hr_seed = child_seeds(seed, 2)
+    emulators = {
+        "mr": fit_multires(train.design, scores.scores, n_starts=cfg.n_starts,
+                           seed=mr_seed, threads=threads),
+        "hr": fit_singleres(train.design, scores.expensive, n_starts=cfg.n_starts,
+                            seed=hr_seed, threads=threads),
+    }
+    return basis, emulators, test_thetas, test_depths, test_scores
 
 
 def _leading_components(basis, fraction: float = 0.75) -> int:
@@ -541,21 +490,12 @@ def _leading_components(basis, fraction: float = 0.75) -> int:
 
 
 def _uspe_validation(cfg, design, ensemble, held_idx, seed) -> list:
-    train_design, train_depths, test_depths, test_thetas = _train_test_split(
-        design, ensemble, held_idx
+    basis, emulators, test_thetas, _, test_scores = _fit_holdout(
+        cfg, design, ensemble, held_idx, seed
     )
-    train_ens = RunEnsemble(train_depths, train_design, ensemble.locations)
-    basis = fit_basis(train_ens, cfg.target_fraction)
-    scores = reduce_runs(basis, train_ens)
-    test_scores = project(basis, test_depths)
     n_lead = _leading_components(basis)
-
-    mr_seed, hr_seed = _child_seeds(seed, 2)
-    emu_mr = fit_multires(train_design, scores.scores, n_starts=cfg.n_starts, seed=mr_seed)
-    emu_hr = fit_singleres(train_design, scores.expensive, n_starts=cfg.n_starts, seed=hr_seed)
-
     written = []
-    for label, emu in (("mr", emu_mr), ("hr", emu_hr)):
+    for label, emu in emulators.items():
         joint = predict_joint(emu, test_thetas)
         path = cfg.out_dir / f"uspe_{label}.csv"
         with open(path, "w") as fh:
@@ -571,17 +511,15 @@ def _uspe_validation(cfg, design, ensemble, held_idx, seed) -> list:
 
 def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, threads: int = 1) -> None:
     seed = cfg.seeds["crossval"] if seed is None else seed
-    design = _load_design(cfg)
-    exp_grids, cheap_grids = _load_runs(cfg, design)
-    locations = shared_locations(cfg.synth)
-    ensemble = build_ensemble(exp_grids, cheap_grids, design, locations)
+    ensemble = _load_ensemble(cfg)
+    design = ensemble.design
     label = f"{design.n_expensive}e{design.n_cheap}c"
 
     rng = np.random.default_rng(seed)
     p_e = design.n_expensive
     perm = rng.permutation(p_e)
     folds = np.array_split(perm, cfg.folds)
-    fold_seeds = _child_seeds(seed, len(folds) + 1)
+    fold_seeds = child_seeds(seed, len(folds) + 1)
 
     cv_d = []
     for fold, fold_seed in zip(folds, fold_seeds[:-1]):
@@ -615,37 +553,43 @@ def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, threads: int = 
         if edge_d is not None:
             fh.write("\nEdge cases: difference in RMSE between MR and HR (m)\n")
             fh.write(format_d_table({label: summarize_d(edge_d)}))
-    write_manifest(cfg.out_dir / "crossval.json", _stage_manifest(cfg, "crossval", seed=seed, **result))
     q = summarize_d(cv_d)
-    print(f"crossval[{label}]: D(MR-HR) Q1 {q[0]:.3f} median {q[1]:.3f} mean {q[2]:.3f} Q3 {q[3]:.3f}")
+    _finish(cfg, "crossval", cfg.out_dir / "crossval.json",
+            f"crossval[{label}]: D(MR-HR) Q1 {q[0]:.3f} median {q[1]:.3f} "
+            f"mean {q[2]:.3f} Q3 {q[3]:.3f}",
+            seed=seed, **result)
 
 
 def _holdout_d_values(cfg, design, ensemble, held_idx, seed, threads=1) -> list:
     """Per-held-out-point RMSE difference between the MR and HR emulators."""
-    train_design, train_depths, test_depths, test_thetas = _train_test_split(
-        design, ensemble, held_idx
+    basis, emulators, test_thetas, test_depths, _ = _fit_holdout(
+        cfg, design, ensemble, held_idx, seed, threads
     )
-    train_ens = RunEnsemble(train_depths, train_design, ensemble.locations)
-    basis = fit_basis(train_ens, cfg.target_fraction)
-    scores = reduce_runs(basis, train_ens)
-    mr_seed, hr_seed = _child_seeds(seed, 2)
-    emu_mr = fit_multires(train_design, scores.scores, n_starts=cfg.n_starts,
-                          seed=mr_seed, threads=threads)
-    emu_hr = fit_singleres(train_design, scores.expensive, n_starts=cfg.n_starts,
-                           seed=hr_seed, threads=threads)
-    mean_mr, _ = predict_many(emu_mr, test_thetas)
-    mean_hr, _ = predict_many(emu_hr, test_thetas)
-    pred_mr = reconstruct(basis, mean_mr)
-    pred_hr = reconstruct(basis, mean_hr)
-    out = []
-    for i in range(len(test_thetas)):
-        out.append(
-            rmse(pred_mr[i], test_depths[i]) - rmse(pred_hr[i], test_depths[i])
-        )
-    return out
+    pred_mr, pred_hr = (reconstruct(basis, predict_many(emu, test_thetas)[0])
+                        for emu in emulators.values())
+    return [rmse(mr, depths) - rmse(hr, depths)
+            for mr, hr, depths in zip(pred_mr, pred_hr, test_depths)]
 
 
 # --- entry point ---------------------------------------------------------
+
+_THREADS = {"--threads": dict(type=int, default=1,
+                              help="worker threads for model runs and per-component fits")}
+
+# stage name -> (function, help text, extra flags); every stage also takes
+# --config, --seed and --out, and is called as function(cfg, seed, **extra)
+STAGES = {
+    "design": (cmd_design, "generate the nested maximin LHS design", {}),
+    "run-synth": (cmd_run_synth, "run the synthetic two-fidelity model over the design",
+                  _THREADS),
+    "emulate": (cmd_emulate, "reduce dimensions and fit the MR and HR emulators", _THREADS),
+    "calibrate": (cmd_calibrate, "sample the posterior over (theta, sigma2_eps)", {}),
+    "project": (cmd_project, "average model runs at thinned posterior samples", _THREADS),
+    "diagnose": (cmd_diagnose, "projection metrics and emulator validation",
+                 {"--flood-threshold": dict(type=float, default=None,
+                                            help="depth (m) above which a cell counts as flooded")}),
+    "crossval": (cmd_crossval, "cross-validation and edge-case D(MR-HR) tables", _THREADS),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -655,49 +599,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("design", "generate the nested maximin LHS design"),
-        ("run-synth", "run the synthetic two-fidelity model over the design"),
-        ("emulate", "reduce dimensions and fit the MR and HR emulators"),
-        ("calibrate", "sample the posterior over (theta, sigma2_eps)"),
-        ("project", "average model runs at thinned posterior samples"),
-        ("diagnose", "projection metrics and emulator validation"),
-        ("crossval", "cross-validation and edge-case D(MR-HR) tables"),
-    ):
+    for name, (_, help_text, flags) in STAGES.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="experiment config file (INI)")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override this stage's seed from [seeds]")
         cmd.add_argument("--out", default=None, help="override the output directory")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads for model runs and per-component fits")
-        if name == "diagnose":
-            cmd.add_argument("--flood-threshold", type=float, default=None,
-                             help="depth (m) above which a cell counts as flooded")
+        for flag, spec in flags.items():
+            cmd.add_argument(flag, **spec)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    stage = STAGES[args.pop("command")][0]
+    config, seed, out = args.pop("config"), args.pop("seed"), args.pop("out")
     try:
-        cfg = load_config(args.config)
-        if args.out is not None:
-            cfg.out_dir = Path(args.out)
+        cfg = load_config(config)
+        if out is not None:
+            cfg.out_dir = Path(out)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "design":
-            cmd_design(cfg, args.seed)
-        elif args.command == "run-synth":
-            cmd_run_synth(cfg, args.seed, args.threads)
-        elif args.command == "emulate":
-            cmd_emulate(cfg, args.seed, args.threads)
-        elif args.command == "calibrate":
-            cmd_calibrate(cfg, args.seed)
-        elif args.command == "project":
-            cmd_project(cfg, args.seed, args.threads)
-        elif args.command == "diagnose":
-            cmd_diagnose(cfg, args.seed, args.flood_threshold)
-        elif args.command == "crossval":
-            cmd_crossval(cfg, args.seed, args.threads)
+        stage(cfg, seed, **args)  # args now holds only the stage's extra flags
     except ConfigError as err:
         print(f"floodcal: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

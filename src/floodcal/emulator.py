@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
 from .design import Design, ParameterSpace
-from .errors import AllStartsFailed, ExtrapolationWarning, NotPositiveDefinite
+from .errors import AllStartsFailed, ExtrapolationWarning, MalformedArtifact, NotPositiveDefinite
 from . import kernels
 
 JITTER_START = 1e-10  # relative to trace(M)/dim, escalates x10
@@ -621,9 +621,9 @@ def singleres_emulator(space, theta_exp, scores_exp, params_list, trend_mean, tr
     )
 
 
-def _component_seeds(seed: int, n_comp: int) -> list[int]:
-    children = np.random.SeedSequence(seed).spawn(n_comp)
-    return [int(c.generate_state(1)[0]) for c in children]
+def child_seeds(seed: int, n: int) -> list[int]:
+    """``n`` independent integer seeds spawned from ``seed``."""
+    return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(n)]
 
 
 def _fit_components(theta_cheap, theta_exp, scores_cheap, scores_exp, hyperpriors,
@@ -634,7 +634,7 @@ def _fit_components(theta_cheap, theta_exp, scores_cheap, scores_exp, hyperprior
     change results.
     """
     n_comp = scores_exp.shape[1]
-    seeds = _component_seeds(seed, n_comp)
+    seeds = child_seeds(seed, n_comp)
 
     def fit_one(j):
         t = np.concatenate([scores_cheap[:, j], scores_exp[:, j]])
@@ -838,68 +838,98 @@ def save_emulator(emulator, directory) -> None:
                 writer.writerow([j] + [f"{v:.17g}" for v in row])
 
 
-def load_emulator(directory):
+def load_emulator(directory) -> MultiResEmulator:
+    """Read an emulator written by :func:`save_emulator`.
+
+    Raises
+    ------
+    MalformedArtifact
+        If a file is unreadable or lacks a manifest key, the type is unknown,
+        a settings array and its scores disagree in row count, the parameter
+        rows disagree with the score columns or the space's dimension count,
+        a trend array is not sized for ``k + 1`` coefficients, or a parameter
+        is not positive.
+    """
     directory = Path(directory)
-    with open(directory / "emulator.json") as fh:
-        manifest = json.load(fh)
-    space = ParameterSpace(tuple((n, lo, hi) for n, lo, hi in manifest["space"]))
-    hp_raw = manifest["hyperpriors"]
-    hyperpriors = HyperPriors(
-        var_cheap=tuple(hp_raw["var_cheap"]),
-        var_exp=tuple(hp_raw["var_exp"]),
-        nugget_cheap=tuple(hp_raw["nugget_cheap"]),
-        nugget_exp=tuple(hp_raw["nugget_exp"]),
-        range_cheap=tuple(hp_raw["range_cheap"]),
-        range_exp=tuple(hp_raw["range_exp"]),
-        rho_mean=hp_raw["rho_mean"],
-        rho_var=hp_raw["rho_var"],
-    )
-    theta_exp = np.load(directory / "theta_exp.npy")
-    scores_exp = np.load(directory / "scores_exp.npy")
-    k = theta_exp.shape[1]
-    rows = []
-    with open(directory / "params.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            rows.append([float(v) for v in row[1:]])
-    if manifest["type"] == "multires":
-        params_list = [
-            EmulatorParams(
-                rho=r[0], var_cheap=r[1], var_exp=r[2], nugget_cheap=r[3],
-                nugget_exp=r[4], range_cheap=np.array(r[5 : 5 + k]),
-                range_exp=np.array(r[5 + k : 5 + 2 * k]),
+    try:
+        with open(directory / "emulator.json") as fh:
+            manifest = json.load(fh)
+        kind, seed, n_starts = manifest["type"], manifest["seed"], manifest["n_starts"]
+        space = ParameterSpace(tuple((n, lo, hi) for n, lo, hi in manifest["space"]))
+        hp_raw = manifest["hyperpriors"]
+        hyperpriors = HyperPriors(
+            var_cheap=tuple(hp_raw["var_cheap"]),
+            var_exp=tuple(hp_raw["var_exp"]),
+            nugget_cheap=tuple(hp_raw["nugget_cheap"]),
+            nugget_exp=tuple(hp_raw["nugget_exp"]),
+            range_cheap=tuple(hp_raw["range_cheap"]),
+            range_exp=tuple(hp_raw["range_exp"]),
+            rho_mean=hp_raw["rho_mean"],
+            rho_var=hp_raw["rho_var"],
+        )
+        if kind not in ("multires", "singleres"):
+            raise MalformedArtifact(f"{directory}: unknown emulator type {kind!r}")
+        is_mr = kind == "multires"
+        names = ["theta_exp", "scores_exp", "trend_mean", "trend_cov_exp"]
+        if is_mr:
+            names += ["theta_cheap", "scores_cheap", "trend_cov_cheap"]
+        arrays = {name: np.load(directory / f"{name}.npy") for name in names}
+        with open(directory / "params.csv", newline="") as fh:
+            rows = [[float(v) for v in row[1:]] for row in list(csv.reader(fh))[1:]]
+    except (EOFError, KeyError, TypeError, ValueError) as err:
+        raise MalformedArtifact(f"{directory}: unreadable emulator archive: {err!r}") from err
+
+    k = space.k
+    for fidelity in ("exp", "cheap") if is_mr else ("exp",):
+        theta, scores = arrays[f"theta_{fidelity}"], arrays[f"scores_{fidelity}"]
+        if theta.ndim != 2 or scores.ndim != 2 or theta.shape != (len(scores), k):
+            raise MalformedArtifact(
+                f"{directory}: theta_{fidelity} has shape {theta.shape}, "
+                f"scores_{fidelity} {scores.shape}, the space has {k} dimensions"
             )
-            for r in rows
-        ]
+        if scores.shape[1] != len(rows):
+            raise MalformedArtifact(
+                f"{directory}: scores_{fidelity} has {scores.shape[1]} columns, "
+                f"params.csv {len(rows)} rows"
+            )
+    n_values = 5 + 2 * k if is_mr else 2 + k
+    if any(len(r) != n_values for r in rows):
+        raise MalformedArtifact(
+            f"{directory}: params.csv rows need {n_values} values for {k} dimensions"
+        )
+    k1 = k + 1
+    trend_shapes = {"trend_mean": ((2 if is_mr else 1) * k1,), "trend_cov_exp": (k1, k1)}
+    if is_mr:
+        trend_shapes["trend_cov_cheap"] = (k1, k1)
+    for name, shape in trend_shapes.items():
+        if arrays[name].shape != shape:
+            raise MalformedArtifact(
+                f"{directory}: {name} has shape {arrays[name].shape}, expected {shape}"
+            )
+
+    try:
+        if is_mr:
+            params_list = [
+                EmulatorParams(
+                    rho=r[0], var_cheap=r[1], var_exp=r[2], nugget_cheap=r[3],
+                    nugget_exp=r[4], range_cheap=np.array(r[5 : 5 + k]),
+                    range_exp=np.array(r[5 + k :]),
+                )
+                for r in rows
+            ]
+        else:
+            params_list = [HrParams(var=r[0], nugget=r[1], range_=np.array(r[2:])) for r in rows]
+    except ValueError as err:
+        raise MalformedArtifact(f"{directory}: params.csv: {err}") from err
+    if is_mr:
         trend_prior = TrendPrior(
-            np.load(directory / "trend_mean.npy"),
-            np.load(directory / "trend_cov_cheap.npy"),
-            np.load(directory / "trend_cov_exp.npy"),
+            arrays["trend_mean"], arrays["trend_cov_cheap"], arrays["trend_cov_exp"]
         )
         return MultiResEmulator(
-            space,
-            np.load(directory / "theta_cheap.npy"),
-            theta_exp,
-            np.load(directory / "scores_cheap.npy"),
-            scores_exp,
-            params_list,
-            trend_prior,
-            hyperpriors,
-            manifest["seed"],
-            manifest["n_starts"],
+            space, arrays["theta_cheap"], arrays["theta_exp"], arrays["scores_cheap"],
+            arrays["scores_exp"], params_list, trend_prior, hyperpriors, seed, n_starts,
         )
-    params_list = [
-        HrParams(var=r[0], nugget=r[1], range_=np.array(r[2 : 2 + k])) for r in rows
-    ]
     return singleres_emulator(
-        space,
-        theta_exp,
-        scores_exp,
-        params_list,
-        np.load(directory / "trend_mean.npy"),
-        np.load(directory / "trend_cov_exp.npy"),
-        hyperpriors,
-        manifest["seed"],
-        manifest["n_starts"],
+        space, arrays["theta_exp"], arrays["scores_exp"], params_list,
+        arrays["trend_mean"], arrays["trend_cov_exp"], hyperpriors, seed, n_starts,
     )

@@ -91,6 +91,26 @@ class TestPipeline:
         for key in ("rmse_m", "percent_bias", "fit", "correctness"):
             assert key in metrics
 
+    def test_manifest_keys(self, pipeline):
+        common = {"stage", "config_digest", "seed"}
+        expected = {
+            "out/design.manifest.json": common | {"n_expensive", "n_cheap", "n_candidates"},
+            "runs/runs.manifest.json": {"stage", "config_digest", "observation_seed",
+                                        "theta_star", "noise_sd", "runs"},
+            "out/emulate.manifest.json": common | {
+                "n_locations", "n_components", "variance_fraction", "edge_bands_applied",
+                "n_expensive", "n_cheap"},
+            "out/chain_mr.manifest.json": common | {
+                "approach", "iterations", "burn_in", "adapt", "noise_guess",
+                "acceptance_rates", "ess", "ess_target", "ess_target_met"},
+            "out/projection_mr.manifest.json": common | {"approach", "n_thinned", "thetas"},
+            "out/diagnose.manifest.json": common | {"flood_threshold", "held_out_rows",
+                                                     "uspe_files"},
+            "out/crossval.json": common | {"label", "cross_validation", "edge_case"},
+        }
+        for name, keys in expected.items():
+            assert set(json.loads((pipeline / name).read_text())) == keys, name
+
     def test_uspe_csv_shape(self, pipeline):
         lines = (pipeline / "out" / "uspe_mr.csv").read_text().splitlines()
         assert lines[0] == "component,empirical,theoretical"
@@ -178,6 +198,27 @@ class TestExitCodes:
         run.write_text(run.read_text()[: len(run.read_text()) // 2])
         assert main(["emulate", "--config", str(root / "experiment.ini")]) == 3
         assert "run_0000_expensive.asc" in capsys.readouterr().err
+
+    def test_malformed_emulator_archive(self, pipeline, tmp_path, capsys):
+        root = tmp_path / "malformed"
+        shutil.copytree(pipeline, root)
+        scores = root / "out" / "emulator_mr" / "scores_exp.npy"
+        np.save(scores, np.load(scores)[:-1])
+        assert main(["calibrate", "--config", str(root / "experiment.ini")]) == 3
+        assert "emulator_mr" in capsys.readouterr().err
+
+    def test_threads_only_where_used(self, pipeline, tmp_path, capsys):
+        config = str(pipeline / "experiment.ini")
+        for stage in ("design", "calibrate", "diagnose"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([stage, "--config", config, "--threads", "2"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        root = tmp_path / "threads"
+        shutil.copytree(pipeline, root)
+        assert main(["emulate", "--config", str(root / "experiment.ini"), "--threads", "2"]) == 0
+        for name in ("emulator_mr/params.csv", "emulator_hr/params.csv"):
+            assert (root / "out" / name).read_bytes() == (pipeline / "out" / name).read_bytes()
 
     def test_threads_do_not_change_results(self, tmp_path):
         config = tmp_path / "experiment.ini"

@@ -1,8 +1,10 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floodcal.design import ParameterSpace
 from floodcal.emulator import (
@@ -27,7 +29,7 @@ from floodcal.emulator import (
     predict_many,
     save_emulator,
 )
-from floodcal.errors import ExtrapolationWarning
+from floodcal.errors import ExtrapolationWarning, MalformedArtifact
 
 from conftest import build_hr, build_mr, draw_scores, make_nested_design
 from oracles import cov_cc, cov_ce, cov_ee
@@ -603,3 +605,117 @@ class TestArchive:
         save_emulator(gp_setup["emu_mr"], tmp_path / "b")
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+
+def random_params(rng, k, rho):
+    return EmulatorParams(
+        rho=rho, var_cheap=rng.uniform(0.2, 2.0), var_exp=rng.uniform(0.2, 2.0),
+        nugget_cheap=rng.uniform(0.01, 0.5), nugget_exp=rng.uniform(0.01, 0.5),
+        range_cheap=rng.uniform(0.1, 2.0, k), range_exp=rng.uniform(0.1, 2.0, k),
+    )
+
+
+class TestArchiveProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["mr", "latent_cheap", "hr"]), st.integers(1, 3),
+           st.integers(2, 6), st.integers(2, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_roundtrip_bitwise_predictions(self, tmp_path_factory, kind, k, p_e, p_c, n_comp,
+                                           seed):
+        rng = np.random.default_rng(seed)
+        space = ParameterSpace(tuple((f"x{d}", -1.0 - d, 2.0 + d) for d in range(k)))
+        theta_e = rng.random((p_e, k))
+        if kind == "hr":
+            emu = build_hr(space, theta_e, rng.standard_normal((p_e, n_comp)),
+                           [HrParams(p.var_exp, p.nugget_exp, p.range_exp)
+                            for p in (random_params(rng, k, 0.0) for _ in range(n_comp))],
+                           rng.standard_normal(k + 1), np.diag(rng.uniform(0.5, 2.0, k + 1)))
+        else:
+            p_c = p_c if kind == "mr" else 0
+            emu = build_mr(space, rng.random((p_c, k)), theta_e,
+                           rng.standard_normal((p_c, n_comp)), rng.standard_normal((p_e, n_comp)),
+                           [random_params(rng, k, rng.uniform(0.1, 1.5)) for _ in range(n_comp)])
+        directory = tmp_path_factory.mktemp("emulator")
+        save_emulator(emu, directory)
+        back = load_emulator(directory)
+        thetas = space.unscale(rng.random((5, k)))
+        for before, after in zip(predict_many(emu, thetas), predict_many(back, thetas)):
+            assert before.tobytes() == after.tobytes()
+
+
+def _edit_manifest(edit):
+    def corrupt(directory):
+        manifest = json.loads((directory / "emulator.json").read_text())
+        edit(manifest)
+        (directory / "emulator.json").write_text(json.dumps(manifest))
+    return corrupt
+
+
+def _edit_array(name, edit):
+    def corrupt(directory):
+        np.save(directory / f"{name}.npy", edit(np.load(directory / f"{name}.npy")))
+    return corrupt
+
+
+def _edit_params(edit):
+    def corrupt(directory):
+        lines = (directory / "params.csv").read_text().splitlines()
+        (directory / "params.csv").write_text("\n".join(edit(lines)) + "\n")
+    return corrupt
+
+
+def _set_param(column, value):
+    def edit(lines):
+        cells = lines[1].split(",")
+        cells[column] = value
+        return [lines[0], ",".join(cells)] + lines[2:]
+    return _edit_params(edit)
+
+
+def _garbage(name):
+    def corrupt(directory):
+        (directory / name).write_bytes(b"garbage")
+    return corrupt
+
+
+MR_CORRUPTIONS = {
+    "npy-garbage": _garbage("theta_exp.npy"),
+    "manifest-garbage": _garbage("emulator.json"),
+    "manifest-key": _edit_manifest(lambda m: m.pop("seed")),
+    "unknown-type": _edit_manifest(lambda m: m.update(type="quadres")),
+    "space-dims": _edit_manifest(lambda m: m.update(space=m["space"][:1])),
+    "exp-rows": _edit_array("scores_exp", lambda a: a[:-1]),
+    "cheap-rows": _edit_array("theta_cheap", lambda a: a[:-1]),
+    "params-rows": _edit_params(lambda lines: lines[:-1]),
+    "range-count": _edit_params(lambda lines: [",".join(l.split(",")[:-1]) for l in lines]),
+    "params-text": _set_param(2, "abc"),
+    "trend-mean": _edit_array("trend_mean", lambda a: a[:-1]),
+    "trend-cov-cheap": _edit_array("trend_cov_cheap", lambda a: a[:-1, :-1]),
+    "trend-cov-exp": _edit_array("trend_cov_exp", lambda a: np.pad(a, ((0, 1), (0, 1)))),
+    "var-negative": _set_param(3, "-1"),
+    "range-zero": _set_param(-1, "0"),
+}
+
+HR_CORRUPTIONS = {
+    "exp-rows": _edit_array("theta_exp", lambda a: a[:-1]),
+    "score-columns": _edit_array("scores_exp", lambda a: a[:, :-1]),
+    "range-count": _edit_params(lambda lines: [l + ",1" for l in lines]),
+    "trend-mean": _edit_array("trend_mean", lambda a: np.append(a, 0.0)),
+    "nugget-zero": _set_param(2, "0"),
+}
+
+
+class TestArchiveValidation:
+    @pytest.mark.parametrize("corrupt", MR_CORRUPTIONS.values(), ids=MR_CORRUPTIONS.keys())
+    def test_malformed_multires_archive(self, gp_setup, tmp_path, corrupt):
+        save_emulator(gp_setup["emu_mr"], tmp_path / "emu")
+        corrupt(tmp_path / "emu")
+        with pytest.raises(MalformedArtifact, match=re.escape(str(tmp_path / "emu"))):
+            load_emulator(tmp_path / "emu")
+
+    @pytest.mark.parametrize("corrupt", HR_CORRUPTIONS.values(), ids=HR_CORRUPTIONS.keys())
+    def test_malformed_singleres_archive(self, gp_setup, tmp_path, corrupt):
+        assert gp_setup["emu_hr"].n_components > 1
+        save_emulator(gp_setup["emu_hr"], tmp_path / "emu")
+        corrupt(tmp_path / "emu")
+        with pytest.raises(MalformedArtifact, match=re.escape(str(tmp_path / "emu"))):
+            load_emulator(tmp_path / "emu")

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from floodcal.errors import DegenerateEnsemble, DimensionMismatch, MalformedArtifact
 from floodcal.grid import Grid, LocationSet, bilinear_interpolate, flatten
 from floodcal.reduce import (
+    ReducedBasis,
     RunEnsemble,
     build_ensemble,
     fit_basis,
@@ -227,6 +229,28 @@ class TestBasisArchive:
         assert np.array_equal(back.components, basis.components)
         assert np.array_equal(back.eigenvalues, basis.eigenvalues)
         assert back.variance_fraction == basis.variance_fraction
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_roundtrip_bitwise_property(self, tmp_path_factory, n_loc, n_comp, seed):
+        rng = np.random.default_rng(seed)
+        basis = ReducedBasis(
+            column_mean=rng.standard_normal(n_loc) * 10.0 ** rng.integers(-300, 300, n_loc),
+            components=rng.standard_normal((n_loc, n_comp)),
+            eigenvalues=np.exp(rng.uniform(-300.0, 300.0, n_comp)),
+            variance_fraction=rng.random(),
+            total_variance=rng.exponential(),
+            target_fraction=rng.random(),
+        )
+        directory = tmp_path_factory.mktemp("basis")
+        save_basis(basis, directory)
+        back = load_basis(directory)
+        for name in ("column_mean", "components", "eigenvalues"):
+            before, after = getattr(basis, name), getattr(back, name)
+            assert before.dtype == after.dtype and before.shape == after.shape
+            assert before.tobytes() == after.tobytes()
+        for name in ("variance_fraction", "total_variance", "target_fraction"):
+            assert getattr(back, name) == getattr(basis, name)
 
     def test_archive_deterministic(self, random_ensemble, tmp_path):
         basis = fit_basis(random_ensemble)
