@@ -3,18 +3,22 @@
 Stages communicate only through files in the configured runs/output
 directories, so each can be rerun in isolation and external models can be
 substituted for the synthetic one by writing the same artifacts.  Every
-artifact gets a manifest with the config digest and the seeds it consumed;
-rerunning a stage with unchanged inputs reproduces its outputs byte for
-byte.
+stage's outputs get a manifest with the config digest and the seeds it
+consumed; rerunning a stage with unchanged inputs reproduces its outputs
+byte for byte.  The run matrix is also cached under the output directory,
+keyed by the content it is built from (see ``_load_ensemble``).
 
 Exit codes: 0 success, 2 config error, 3 missing or malformed upstream
-artifact, 4 numerical failure, including a component-count mismatch.
+artifact, 4 numerical failure, including a component-count mismatch and a
+hold-out that leaves fewer than 2 expensive runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import hashlib
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -58,6 +62,7 @@ from .emulator import (
     save_emulator,
 )
 from .errors import (
+    AllExpensiveRemoved,
     ConfigError,
     FloodcalError,
     MalformedArtifact,
@@ -150,6 +155,8 @@ def load_config(path) -> ExperimentConfig:
         high_fr = _floats(parser.get("design", "edge_high_fractions", fallback=zeros))
         if len(low_fr) != k or len(high_fr) != k:
             raise ConfigError("edge band fractions must match dimension count")
+        if not all(0 <= f < 0.5 for f in low_fr + high_fr):
+            raise ConfigError("edge band fractions must lie in [0, 0.5)")
 
         theta_star = _floats(parser.get("synth", "theta_star", fallback=""))
         if len(theta_star) != k:
@@ -304,16 +311,59 @@ def cmd_run_synth(cfg: ExperimentConfig, seed: int | None = None, threads: int =
 
 
 def _load_ensemble(cfg: ExperimentConfig) -> RunEnsemble:
-    """The design's runs, as listed in the runs manifest, on the shared locations."""
+    """The design's runs, as listed in the runs manifest, on the shared locations.
+
+    The run matrix is kept in ``out/ensemble.npy`` under a key that hashes
+    the package version, the design and runs manifest bytes, every listed
+    run grid's bytes and the location coordinates.  When the key and the
+    matrix's own checksum match, the matrix is loaded instead of parsing and
+    interpolating the grids again; anything else rebuilds and rewrites it.
+    """
     design = _load_design(cfg)
-    manifest = read_manifest(_require(cfg.runs_dir / "runs.manifest.json", "runs manifest"))
-    grids = {}
-    for entry in manifest["runs"]:
-        grids[entry["row"]] = read_ascii_grid(_require(cfg.runs_dir / entry["file"], "model run"))
+    manifest_path = _require(cfg.runs_dir / "runs.manifest.json", "runs manifest")
+    run_paths = {
+        entry["row"]: _require(cfg.runs_dir / entry["file"], "model run")
+        for entry in read_manifest(manifest_path)["runs"]
+    }
+    locations = shared_locations(cfg.synth)
+    digest = hashlib.sha256(__version__.encode())
+    for path in (cfg.out_dir / "design.csv", manifest_path, *run_paths.values()):
+        digest.update(hashlib.sha256(path.read_bytes()).digest())  # one file in memory at a time
+    digest.update(hashlib.sha256(np.ascontiguousarray(locations.coords)).digest())
+    key = digest.hexdigest()
+    depths = _cached_depths(cfg.out_dir, key, (len(design.points), len(locations)))
+    if depths is not None:
+        return RunEnsemble(depths, design, locations)
+
+    grids = {row: read_ascii_grid(path) for row, path in run_paths.items()}
     rows = range(len(design.points))
     exp_grids = [grids[i] for i in rows if design.fidelity[i] == EXPENSIVE]
     cheap_grids = [grids[i] for i in rows if design.fidelity[i] == CHEAP]
-    return build_ensemble(exp_grids, cheap_grids, design, shared_locations(cfg.synth))
+    ensemble = build_ensemble(exp_grids, cheap_grids, design, locations)
+    # matrix first: a manifest left over from an earlier build then fails the checksum
+    tmp = cfg.out_dir / "ensemble.npy.tmp"
+    with open(tmp, "wb") as fh:
+        np.save(fh, ensemble.depths)
+    os.replace(tmp, cfg.out_dir / "ensemble.npy")
+    tmp = cfg.out_dir / "ensemble.manifest.json.tmp"
+    write_manifest(tmp, {"key": key, "sha256": hashlib.sha256(ensemble.depths).hexdigest()})
+    os.replace(tmp, cfg.out_dir / "ensemble.manifest.json")
+    return ensemble
+
+
+def _cached_depths(out_dir: Path, key: str, shape: tuple) -> np.ndarray | None:
+    """The cached run matrix if it was built under ``key`` and is intact, else None."""
+    try:
+        meta = read_manifest(out_dir / "ensemble.manifest.json")
+        if meta["key"] != key:
+            return None
+        depths = np.load(out_dir / "ensemble.npy", allow_pickle=False)
+        intact = (isinstance(depths, np.ndarray) and depths.shape == shape
+                  and depths.dtype == np.float64 and depths.flags.c_contiguous
+                  and hashlib.sha256(depths).hexdigest() == meta["sha256"])
+    except (OSError, EOFError, ValueError, KeyError, TypeError):
+        return None
+    return depths if intact else None
 
 
 def cmd_emulate(cfg: ExperimentConfig, seed: int | None = None, threads: int = 1) -> None:
@@ -452,6 +502,12 @@ def cmd_diagnose(
 
 def _train_test_split(design: Design, ensemble: RunEnsemble, held_exp_idx: np.ndarray):
     """The ensemble without the given expensive rows, and those rows' depths and settings."""
+    n_left = design.n_expensive - len(held_exp_idx)
+    if n_left < 2:
+        raise AllExpensiveRemoved(
+            f"holding out {len(held_exp_idx)} of {design.n_expensive} expensive runs leaves "
+            f"{n_left}; the emulators need at least 2"
+        )
     if len(held_exp_idx) == 0:  # no copy of the depth matrix when nothing is held out
         return ensemble, ensemble.depths[:0], design.points[:0]
     held_rows = np.zeros(len(design.points), dtype=bool)

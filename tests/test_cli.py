@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 import floodcal
+import floodcal.cli as cli
 from floodcal.cli import main
+from floodcal.design import Design, read_design_csv, write_design_csv
+from floodcal.grid import Grid, read_ascii_grid, write_ascii_grid
+from floodcal.reduce import build_ensemble
+from floodcal.synthmodel import shared_locations
 
 CONFIG_TEMPLATE = """\
 [space]
@@ -65,8 +70,10 @@ class TestPipeline:
             "design.csv", "design.manifest.json", "emulate.manifest.json",
             "chain_mr.csv", "projection_mr.asc", "metrics.json", "metrics.txt",
             "uspe_mr.csv", "uspe_hr.csv", "crossval.json", "crossval.txt",
+            "ensemble.npy", "ensemble.manifest.json",
         ):
             assert (out / name).exists(), name
+        assert not list(out.rglob("*.tmp"))
         assert (pipeline / "runs" / "observation.asc").exists()
         assert (out / "basis" / "basis.json").exists()
         assert (out / "emulator_mr" / "params.csv").exists()
@@ -107,6 +114,7 @@ class TestPipeline:
             "out/diagnose.manifest.json": common | {"flood_threshold", "held_out_rows",
                                                      "uspe_files"},
             "out/crossval.json": common | {"label", "cross_validation", "edge_case"},
+            "out/ensemble.manifest.json": {"key", "sha256"},
         }
         for name, keys in expected.items():
             assert set(json.loads((pipeline / name).read_text())) == keys, name
@@ -207,6 +215,28 @@ class TestExitCodes:
         assert main(["calibrate", "--config", str(root / "experiment.ini")]) == 3
         assert "emulator_mr" in capsys.readouterr().err
 
+    def test_invalid_edge_band_fraction(self, tmp_path, capsys):
+        config = tmp_path / "experiment.ini"
+        config.write_text(CONFIG_TEMPLATE.replace("edge_low_fractions = 0.10, 0.0",
+                                                  "edge_low_fractions = 0.6, 0.0"))
+        for stage in ("design", "crossval"):
+            assert main([stage, "--config", str(config)]) == 2
+            assert "edge band fractions must lie in [0, 0.5)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["emulate", "crossval"])
+    def test_edge_holdout_emptying_expensive_set(self, pipeline, tmp_path, capsys, stage):
+        root = tmp_path / "edges"
+        shutil.copytree(pipeline, root)
+        config = root / "experiment.ini"
+        config.write_text(
+            CONFIG_TEMPLATE
+            .replace("edge_low_fractions = 0.10, 0.0", "edge_low_fractions = 0.49, 0.49")
+            .replace("edge_high_fractions = 0.0, 0.05", "edge_high_fractions = 0.49, 0.49")
+            .replace("n_starts = 3", "n_starts = 3\napply_edge_bands = true")
+        )
+        assert main([stage, "--config", str(config)]) == 4
+        assert "the emulators need at least 2" in capsys.readouterr().err
+
     def test_threads_only_where_used(self, pipeline, tmp_path, capsys):
         config = str(pipeline / "experiment.ini")
         for stage in ("design", "calibrate", "diagnose"):
@@ -234,6 +264,109 @@ class TestExitCodes:
         a = (tmp_path / "runs" / "run_0000_expensive.asc").read_bytes()
         b = (serial / "runs" / "run_0000_expensive.asc").read_bytes()
         assert a == b
+
+
+def _fresh_depths(cfg) -> np.ndarray:
+    """The run matrix built from freshly read grids, without the CLI's cache."""
+    design = read_design_csv(cfg.out_dir / "design.csv", cfg.space)
+    manifest = json.loads((cfg.runs_dir / "runs.manifest.json").read_text())
+    grids = {e["row"]: read_ascii_grid(cfg.runs_dir / e["file"]) for e in manifest["runs"]}
+    by_fidelity = {tag: [grids[i] for i, f in enumerate(design.fidelity) if f == tag]
+                   for tag in ("expensive", "cheap")}
+    return build_ensemble(by_fidelity["expensive"], by_fidelity["cheap"], design,
+                          shared_locations(cfg.synth)).depths
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Replace ``floodcal.cli.<name>`` by a wrapper that records its first argument."""
+    calls, original = [], getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def _change_run_grid(root: Path) -> None:
+    path = root / "runs" / "run_0000_expensive.asc"
+    grid = read_ascii_grid(path)
+    values = grid.values.copy()
+    values[16, 16] += 0.5  # an interior cell, so a shared location
+    write_ascii_grid(Grid(grid.origin_x, grid.origin_y, grid.cell_size, values), path)
+
+
+def _change_design(root: Path) -> None:
+    path = root / "out" / "design.csv"
+    design = read_design_csv(path, cli.load_config(root / "experiment.ini").space)
+    points = design.points.copy()
+    points[-1, 0] = 0.06  # the last row is a cheap-only setting, so nesting holds
+    write_design_csv(Design(points, design.fidelity, design.space), path)
+
+
+def _truncate_matrix(root: Path) -> None:
+    path = root / "out" / "ensemble.npy"
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _edit_manifest(root: Path) -> None:
+    path = root / "out" / "ensemble.manifest.json"
+    meta = json.loads(path.read_text())
+    meta["sha256"] = "0" * 64
+    path.write_text(json.dumps(meta))
+
+
+class TestEnsembleCache:
+    def test_warm_load_equals_cold_and_fresh_builds(self, pipeline, tmp_path, monkeypatch):
+        root = tmp_path / "cache"
+        shutil.copytree(pipeline, root)
+        cfg = cli.load_config(root / "experiment.ini")
+        builds = _counting(monkeypatch, "build_ensemble")
+        warm = cli._load_ensemble(cfg).depths
+        assert builds == []
+        (cfg.out_dir / "ensemble.npy").unlink()
+        cold = cli._load_ensemble(cfg).depths
+        assert len(builds) == 1
+        assert warm.tobytes() == cold.tobytes() == _fresh_depths(cfg).tobytes()
+
+    def test_warm_diagnose_and_crossval_parse_no_run_grid(self, pipeline, tmp_path, monkeypatch):
+        root = tmp_path / "warm"
+        shutil.copytree(pipeline, root)
+        reads = _counting(monkeypatch, "read_ascii_grid")
+        builds = _counting(monkeypatch, "build_ensemble")
+        for stage in ("diagnose", "crossval"):
+            assert main([stage, "--config", str(root / "experiment.ini")]) == 0
+        assert [Path(p).name for p in reads if Path(p).name.startswith("run_")] == []
+        assert builds == []
+        for name in ("diagnose.manifest.json", "uspe_mr.csv", "uspe_hr.csv", "crossval.json"):
+            assert (root / "out" / name).read_bytes() == (pipeline / "out" / name).read_bytes()
+
+    @pytest.mark.parametrize("change", [
+        _change_run_grid,
+        _change_design,
+        _truncate_matrix,
+        _edit_manifest,
+        lambda root: (root / "out" / "ensemble.npy").unlink(),
+        lambda root: (root / "out" / "ensemble.manifest.json").unlink(),
+    ], ids=["run-grid", "design", "truncated-matrix", "edited-manifest",
+            "deleted-matrix", "deleted-manifest"])
+    def test_stale_or_damaged_cache_is_rebuilt(self, pipeline, tmp_path, monkeypatch, change):
+        root = tmp_path / "stale"
+        shutil.copytree(pipeline, root)
+        cfg = cli.load_config(root / "experiment.ini")
+        before = np.load(root / "out" / "ensemble.npy")
+        change(root)
+        builds = _counting(monkeypatch, "build_ensemble")
+        depths = cli._load_ensemble(cfg).depths
+        assert len(builds) == 1
+        assert depths.tobytes() == _fresh_depths(cfg).tobytes()
+        if change is _change_run_grid:
+            assert np.count_nonzero(depths != before) == 1
+        # the rewritten cache serves the next load, and no temporary file is left
+        assert cli._load_ensemble(cfg).depths.tobytes() == depths.tobytes()
+        assert len(builds) == 1
+        assert sorted(p.name for p in (root / "out").rglob("*.tmp")) == []
 
 
 class TestStartup:
