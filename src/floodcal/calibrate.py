@@ -18,15 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
-from .emulator import predict_scaled, _invgamma_logpdf
+from .emulator import predict_scaled, thread_map, _invgamma_logpdf
 from .errors import (
     ChainTooShort,
     DimensionMismatch,
+    MalformedArtifact,
     ModelRunFailed,
     NotPositiveDefinite,
     SingularBasis,
 )
 from .grid import Grid, LocationSet
+from .manifest import read_csv
 from .reduce import ReducedBasis, project
 
 DEFAULT_BURN_IN_FRACTION = 0.2
@@ -480,21 +482,24 @@ def thin(chain: PosteriorChain, m: int, seed: int) -> np.ndarray:
     return chain.samples[idx, :n_theta]
 
 
-def calibrated_projection(theta_samples: np.ndarray, model) -> Grid:
+def calibrated_projection(theta_samples: np.ndarray, model, threads: int = 1) -> Grid:
     """Cellwise mean of model runs at the given parameter samples.
 
     ``model`` maps a native-unit theta vector to a Grid; a failing run
-    raises ModelRunFailed carrying the offending theta.
+    raises ModelRunFailed carrying the offending theta.  With ``threads``
+    above 1 the runs share a pool of that many workers.
     """
     theta_samples = np.atleast_2d(np.asarray(theta_samples, dtype=float))
     if theta_samples.shape[0] == 0:
         raise ValueError("need at least one parameter sample")
-    grids = []
-    for theta in theta_samples:
+
+    def run(theta):
         try:
-            grids.append(model(theta))
+            return model(theta)
         except Exception as err:
             raise ModelRunFailed(tuple(theta), err) from err
+
+    grids = thread_map(run, theta_samples, threads)
     first = grids[0]
     for g in grids[1:]:
         if not first.same_geometry(g):
@@ -531,10 +536,12 @@ def save_chain(chain: PosteriorChain, path) -> None:
 
 
 def load_chain_samples(path) -> tuple[np.ndarray, list]:
-    """Samples matrix and column names from a chain CSV."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        names = [h.removeprefix("theta_") for h in header[1:-2]]
-        rows = [[float(v) for v in row[1:-2]] for row in reader]
-    return np.array(rows), names
+    """Samples matrix and column names from a chain CSV.
+
+    Raises MalformedArtifact if :func:`read_csv` rejects the file or it holds
+    no samples.
+    """
+    header, rows, samples = read_csv(path, slice(1, -2))
+    if not rows:
+        raise MalformedArtifact(f"{path}: no samples")
+    return np.array(samples), [h.removeprefix("theta_") for h in header[1:-2]]

@@ -20,7 +20,6 @@ import configparser
 import hashlib
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,6 +59,7 @@ from .emulator import (
     predict_joint,
     predict_many,
     save_emulator,
+    thread_map,
 )
 from .errors import (
     AllExpensiveRemoved,
@@ -276,13 +276,7 @@ def cmd_run_synth(cfg: ExperimentConfig, seed: int | None = None, threads: int =
         except Exception as err:
             raise ModelRunFailed(tuple(theta), f"design row {i}: {err}") from err
 
-    indices = range(len(design.points))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            grids = list(pool.map(run_row, indices))
-    else:
-        grids = [run_row(i) for i in indices]
-
+    grids = thread_map(run_row, range(len(design.points)), threads)
     files = []
     for i, grid in enumerate(grids):
         name = f"run_{i:04d}_{design.fidelity[i]}.asc"
@@ -321,10 +315,14 @@ def _load_ensemble(cfg: ExperimentConfig) -> RunEnsemble:
     """
     design = _load_design(cfg)
     manifest_path = _require(cfg.runs_dir / "runs.manifest.json", "runs manifest")
-    run_paths = {
-        entry["row"]: _require(cfg.runs_dir / entry["file"], "model run")
-        for entry in read_manifest(manifest_path)["runs"]
-    }
+    try:
+        run_paths = {entry["row"]: _require(cfg.runs_dir / entry["file"], "model run")
+                     for entry in read_manifest(manifest_path)["runs"]}
+    except (KeyError, TypeError, ValueError) as err:
+        raise MalformedArtifact(f"{manifest_path}: unreadable runs manifest: {err!r}") from err
+    unlisted = sorted(set(range(len(design.points))) - set(run_paths))
+    if unlisted:
+        raise MalformedArtifact(f"{manifest_path} lists no run for design rows {unlisted}")
     locations = shared_locations(cfg.synth)
     digest = hashlib.sha256(__version__.encode())
     for path in (cfg.out_dir / "design.csv", manifest_path, *run_paths.values()):
@@ -438,14 +436,7 @@ def cmd_project(cfg: ExperimentConfig, seed: int | None = None, threads: int = 1
         iterations=len(samples),
     )
     thetas = thin(chain, min(cfg.n_thinned, chain.n_kept), seed)
-    model = expensive_model_adapter(cfg.synth)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            grids = iter(list(pool.map(model, thetas)))
-        projection = calibrated_projection(thetas, lambda _theta: next(grids))
-    else:
-        projection = calibrated_projection(thetas, model)
+    projection = calibrated_projection(thetas, expensive_model_adapter(cfg.synth), threads)
     write_ascii_grid(projection, cfg.out_dir / f"projection_{cfg.approach}.asc")
     _finish(cfg, "project", cfg.out_dir / f"projection_{cfg.approach}.manifest.json",
             f"project[{cfg.approach}]: mean of {len(thetas)} thinned projections written",

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllExpensiveRemoved
+from .errors import AllExpensiveRemoved, MalformedArtifact
+from .manifest import read_csv
 
 EXPENSIVE = "expensive"
 CHEAP = "cheap"
@@ -256,15 +257,17 @@ def write_design_csv(design: Design, path) -> None:
 
 
 def read_design_csv(path, space: ParameterSpace) -> Design:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = [f"theta_{n}" for n in space.names] + ["fidelity"]
-        if header != expected:
-            raise ValueError(f"unexpected design header {header}, expected {expected}")
-        points = []
-        fidelity = []
-        for row in reader:
-            points.append([float(v) for v in row[:-1]])
-            fidelity.append(row[-1])
-    return Design(np.array(points), np.array(fidelity, dtype=object), space)
+    """Read a design written by :func:`write_design_csv`.
+
+    Raises MalformedArtifact if the header does not name the space's
+    dimensions, :func:`read_csv` rejects the file, or the rows do not form a
+    valid :class:`Design` over ``space``.
+    """
+    header, rows, points = read_csv(path, slice(None, -1))
+    expected = [f"theta_{n}" for n in space.names] + ["fidelity"]
+    if header != expected:
+        raise MalformedArtifact(f"{path}: design header {header}, expected {expected}")
+    try:
+        return Design(np.array(points), np.array([row[-1] for row in rows], dtype=object), space)
+    except ValueError as err:
+        raise MalformedArtifact(f"{path}: {err}") from err

@@ -10,7 +10,6 @@ covariance) are retained to explain the target variance fraction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from scipy.linalg import eigh
 from .design import Design
 from .errors import DegenerateEnsemble, DimensionMismatch, MalformedArtifact
 from .grid import Grid, LocationSet, bilinear_interpolate, bilinear_stencil, flatten
+from .manifest import read_manifest, write_manifest
 
 CENTERING_DIVISOR = "p-1"  # sample covariance convention used for eigenvalues
 
@@ -200,16 +200,13 @@ def save_basis(basis: ReducedBasis, directory) -> None:
     np.save(directory / "column_mean.npy", basis.column_mean)
     np.save(directory / "components.npy", basis.components)
     np.save(directory / "eigenvalues.npy", basis.eigenvalues)
-    manifest = {
+    write_manifest(directory / "basis.json", {
         "n_components": basis.n_components,
         "target_fraction": basis.target_fraction,
         "variance_fraction": basis.variance_fraction,
         "total_variance": basis.total_variance,
         "centering_divisor": CENTERING_DIVISOR,
-    }
-    with open(directory / "basis.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_basis(directory) -> ReducedBasis:
@@ -224,15 +221,14 @@ def load_basis(directory) -> ReducedBasis:
     """
     directory = Path(directory)
     try:
-        with open(directory / "basis.json") as fh:
-            manifest = json.load(fh)
+        manifest = read_manifest(directory / "basis.json")
         n_components = manifest["n_components"]
         summary = {key: manifest[key]
                      for key in ("variance_fraction", "total_variance", "target_fraction")}
         mean = np.load(directory / "column_mean.npy")
         components = np.load(directory / "components.npy")
         eigenvalues = np.load(directory / "eigenvalues.npy")
-    except (EOFError, KeyError, ValueError) as err:
+    except (EOFError, KeyError, TypeError, ValueError) as err:
         raise MalformedArtifact(f"{directory}: unreadable basis archive: {err!r}") from err
     if components.ndim != 2 or mean.shape != components.shape[:1]:
         raise MalformedArtifact(

@@ -581,9 +581,16 @@ class TestCalibratedProjection:
         def bad_model(theta):
             raise RuntimeError("solver diverged")
 
-        with pytest.raises(ModelRunFailed) as info:
-            calibrated_projection(np.array([[0.1, 0.9]]), bad_model)
-        assert info.value.theta == (0.1, 0.9)
+        for threads in (1, 2):
+            with pytest.raises(ModelRunFailed) as info:
+                calibrated_projection(np.array([[0.1, 0.9]]), bad_model, threads)
+            assert info.value.theta == (0.1, 0.9)
+
+    def test_threads_do_not_change_the_mean(self):
+        thetas = np.linspace(0.0, 1.0, 7)[:, None]
+        serial = calibrated_projection(thetas, lambda t: self.grid_for(t[0]))
+        pooled = calibrated_projection(thetas, lambda t: self.grid_for(t[0]), threads=3)
+        assert serial.values.tobytes() == pooled.values.tobytes()
 
 
 class TestEndToEndRecoverySmall:

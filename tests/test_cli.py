@@ -215,6 +215,74 @@ class TestExitCodes:
         assert main(["calibrate", "--config", str(root / "experiment.ini")]) == 3
         assert "emulator_mr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("theta_n_ch", "theta_manning", 1),
+        lambda text: text.replace("\n", "\nabc,1.0,expensive\n", 1),
+        lambda text: text.replace(",expensive\n", ",1.0,expensive\n", 1),
+        lambda text: text.replace(",expensive\n", ",deluxe\n", 1),
+        lambda text: text.replace("\n", "\n0.5,1.0,expensive\n", 1),
+    ], ids=["header", "non-numeric", "column-count", "fidelity", "out-of-space"])
+    def test_malformed_design(self, pipeline, tmp_path, capsys, edit):
+        root = tmp_path / "malformed"
+        shutil.copytree(pipeline, root)
+        design = root / "out" / "design.csv"
+        design.write_text(edit(design.read_text()))
+        assert main(["emulate", "--config", str(root / "experiment.ini")]) == 3
+        assert "design.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text[: len(text) // 2],
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "runs"}),
+        lambda text: json.dumps({**json.loads(text), "runs": [
+            {k: v for k, v in e.items() if k != "file"} for e in json.loads(text)["runs"]]}),
+        lambda text: json.dumps({**json.loads(text), "runs": json.loads(text)["runs"][:-1]}),
+    ], ids=["not-json", "no-runs", "no-file", "unlisted-row"])
+    def test_malformed_runs_manifest(self, pipeline, tmp_path, capsys, edit):
+        root = tmp_path / "malformed"
+        shutil.copytree(pipeline, root)
+        manifest = root / "runs" / "runs.manifest.json"
+        manifest.write_text(edit(manifest.read_text()))
+        assert main(["emulate", "--config", str(root / "experiment.ini")]) == 3
+        assert "runs.manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: [],
+        lambda lines: lines[:1],
+        lambda lines: lines[:3] + [lines[3].replace(",", ",abc", 1)] + lines[4:],
+        lambda lines: lines[:3] + [lines[3] + ",0"] + lines[4:],
+        lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:],
+    ], ids=["empty", "header-only", "non-numeric", "extra-column", "missing-column"])
+    def test_malformed_chain(self, pipeline, tmp_path, capsys, edit):
+        root = tmp_path / "malformed"
+        shutil.copytree(pipeline, root)
+        chain = root / "out" / "chain_mr.csv"
+        chain.write_text("".join(line + "\n" for line in edit(chain.read_text().splitlines())))
+        assert main(["project", "--config", str(root / "experiment.ini")]) == 3
+        assert "chain_mr.csv" in capsys.readouterr().err
+
+    def test_emulator_archive_missing_a_hyperprior(self, pipeline, tmp_path, capsys):
+        root = tmp_path / "malformed"
+        shutil.copytree(pipeline, root)
+        path = root / "out" / "emulator_mr" / "emulator.json"
+        manifest = json.loads(path.read_text())
+        del manifest["hyperpriors"]["rho_var"]
+        path.write_text(json.dumps(manifest))
+        assert main(["calibrate", "--config", str(root / "experiment.ini")]) == 3
+        assert "rho_var" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_projection_run(self, pipeline, tmp_path, capsys, threads):
+        root = tmp_path / "failing"
+        shutil.copytree(pipeline, root)
+        chain = root / "out" / "chain_mr.csv"
+        lines = chain.read_text().splitlines()
+        # n_ch = 0.5 lies outside the space, where the synthetic model refuses to run
+        lines[1:] = [",".join([row.split(",")[0], "0.5", *row.split(",")[2:]]) for row in lines[1:]]
+        chain.write_text("\n".join(lines) + "\n")
+        assert main(["project", "--config", str(root / "experiment.ini"),
+                     "--threads", threads]) == 4
+        assert "model run failed" in capsys.readouterr().err
+
     def test_invalid_edge_band_fraction(self, tmp_path, capsys):
         config = tmp_path / "experiment.ini"
         config.write_text(CONFIG_TEMPLATE.replace("edge_low_fractions = 0.10, 0.0",
@@ -264,6 +332,13 @@ class TestExitCodes:
         a = (tmp_path / "runs" / "run_0000_expensive.asc").read_bytes()
         b = (serial / "runs" / "run_0000_expensive.asc").read_bytes()
         assert a == b
+
+    def test_threads_do_not_change_the_projection(self, pipeline, tmp_path):
+        root = tmp_path / "threads"
+        shutil.copytree(pipeline, root)
+        assert main(["project", "--config", str(root / "experiment.ini"), "--threads", "2"]) == 0
+        for name in ("projection_mr.asc", "projection_mr.manifest.json"):
+            assert (root / "out" / name).read_bytes() == (pipeline / "out" / name).read_bytes()
 
 
 def _fresh_depths(cfg) -> np.ndarray:

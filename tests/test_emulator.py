@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from floodcal.emulator import (
     predict_joint,
     predict_many,
     save_emulator,
+    singleres_emulator,
+    thread_map,
 )
 from floodcal.errors import ExtrapolationWarning, MalformedArtifact
 
@@ -558,6 +562,53 @@ class TestSingleRes:
         assert rmse_for(20) < rmse_for(5)
 
 
+class TestFitSingleres:
+    def test_is_the_multires_fit_with_rho_zero(self, gp_setup):
+        emu = gp_setup["emu_hr"]
+        assert emu.theta_cheap.shape == (0, emu.space.k)
+        for p in emu.params_list:
+            assert p.rho == 0.0
+            assert p.var_cheap == 1.0 and p.nugget_cheap == 1.0
+            assert np.all(p.range_cheap == 1.0)
+        k = emu.space.k
+        rebuilt = singleres_emulator(
+            emu.space, emu.theta_exp, emu.scores_exp,
+            [HrParams(p.var_exp, p.nugget_exp, p.range_exp) for p in emu.params_list],
+            np.zeros(k + 1), np.eye(k + 1), emu.hyperpriors, emu.seed, emu.n_starts,
+        )
+        thetas = np.random.default_rng(95).random((6, k))
+        for a, b in zip(predict_many(emu, thetas), predict_many(rebuilt, thetas)):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestThreadMap:
+    def test_one_thread_runs_in_the_caller(self):
+        caller = threading.get_ident()
+        out = thread_map(lambda x: (x, threading.get_ident()), range(5), 1)
+        assert out == [(x, caller) for x in range(5)]
+
+    def test_pool_keeps_order(self):
+        def late_first(x):
+            time.sleep(0.002 * (6 - x))  # early items finish last
+            return x * x, threading.get_ident()
+
+        out = thread_map(late_first, range(6), 3)
+        assert [v for v, _ in out] == [x * x for x in range(6)]
+        assert threading.get_ident() not in {ident for _, ident in out}
+
+    def test_pool_reraises_the_worker_exception(self):
+        err = ValueError("boom")
+
+        def fail_at_three(x):
+            if x == 3:
+                raise err
+            return x
+
+        with pytest.raises(ValueError) as info:
+            thread_map(fail_at_three, range(8), 3)
+        assert info.value is err
+
+
 class TestFitMultires:
     def test_threads_do_not_change_results(self, unit_space):
         from floodcal.emulator import fit_multires
@@ -615,12 +666,19 @@ def random_params(rng, k, rho):
     )
 
 
+_positive = st.floats(0.05, 20.0)
+_shape_rate = st.tuples(_positive, _positive)
+_hyperpriors = st.builds(HyperPriors, _shape_rate, _shape_rate, _shape_rate, _shape_rate,
+                         _shape_rate, _shape_rate, st.floats(-3.0, 3.0), _positive)
+
+
 class TestArchiveProperty:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(["mr", "latent_cheap", "hr"]), st.integers(1, 3),
-           st.integers(2, 6), st.integers(2, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
+           st.integers(2, 6), st.integers(2, 8), st.integers(1, 3), st.integers(0, 2**32 - 1),
+           _hyperpriors)
     def test_roundtrip_bitwise_predictions(self, tmp_path_factory, kind, k, p_e, p_c, n_comp,
-                                           seed):
+                                           seed, hyperpriors):
         rng = np.random.default_rng(seed)
         space = ParameterSpace(tuple((f"x{d}", -1.0 - d, 2.0 + d) for d in range(k)))
         theta_e = rng.random((p_e, k))
@@ -634,9 +692,11 @@ class TestArchiveProperty:
             emu = build_mr(space, rng.random((p_c, k)), theta_e,
                            rng.standard_normal((p_c, n_comp)), rng.standard_normal((p_e, n_comp)),
                            [random_params(rng, k, rng.uniform(0.1, 1.5)) for _ in range(n_comp)])
+        emu.hyperpriors = hyperpriors
         directory = tmp_path_factory.mktemp("emulator")
         save_emulator(emu, directory)
         back = load_emulator(directory)
+        assert back.hyperpriors == hyperpriors
         thetas = space.unscale(rng.random((5, k)))
         for before, after in zip(predict_many(emu, thetas), predict_many(back, thetas)):
             assert before.tobytes() == after.tobytes()
@@ -682,6 +742,8 @@ MR_CORRUPTIONS = {
     "manifest-garbage": _garbage("emulator.json"),
     "manifest-key": _edit_manifest(lambda m: m.pop("seed")),
     "unknown-type": _edit_manifest(lambda m: m.update(type="quadres")),
+    "hyperprior-unknown": _edit_manifest(lambda m: m["hyperpriors"].update(rho_sd=1.0)),
+    "hyperprior-shape": _edit_manifest(lambda m: m["hyperpriors"].update(var_exp=[1.0])),
     "space-dims": _edit_manifest(lambda m: m.update(space=m["space"][:1])),
     "exp-rows": _edit_array("scores_exp", lambda a: a[:-1]),
     "cheap-rows": _edit_array("theta_cheap", lambda a: a[:-1]),
