@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
+from . import kernels
 from .emulator import predict_scaled, thread_map, _invgamma_logpdf
 from .errors import (
     ChainTooShort,
@@ -224,11 +225,7 @@ def log_likelihood_reduced(
         prediction = predict_scaled(emulator, theta0)
     mean, var = prediction
     if disc is None:
-        total_var = var + sigma2_eps * (1.0 / basis.eigenvalues)
-        resid = z_r.values - mean
-        return float(
-            -0.5 * np.sum(np.log(2 * math.pi * total_var) + resid**2 / total_var)
-        )
+        return _diag_log_likelihood(z_r.values, mean, var, sigma2_eps * (1.0 / basis.eigenvalues))
     if kappa_d is None:
         raise ValueError("kappa_d required on the discrepancy path")
     if gram_inv is None:
@@ -248,6 +245,12 @@ def log_likelihood_reduced(
         -0.5 * (dim * math.log(2 * math.pi) + white @ white)
         - np.sum(np.log(np.diag(chol)))
     )
+
+
+def _diag_log_likelihood(z, mean, var, noise_var) -> float:
+    """Gaussian log density of ``z``, coordinates independent, variances ``var + noise_var``."""
+    total_var = var + noise_var
+    return float(-0.5 * (np.log(2 * math.pi * total_var) + (z - mean) ** 2 / total_var).sum())
 
 
 # --- generic variable-at-a-time sampler --------------------------------------
@@ -282,11 +285,11 @@ def random_walk_metropolis(
     rng = np.random.default_rng(seed)
     x = np.array(initial, dtype=float)
     n = x.shape[0]
-    bounds = np.asarray(bounds, dtype=float)
+    lower, upper = np.asarray(bounds, dtype=float).T.tolist()
     lp = log_target(x)
     if not np.isfinite(lp):
         raise ValueError("log target not finite at the initial state")
-    log_sds = np.log(np.asarray(proposal_sds, dtype=float))
+    log_sds = np.log(np.asarray(proposal_sds, dtype=float)).tolist()
 
     n_keep = iterations - burn_in
     samples = np.empty((max(n_keep, 0), n))
@@ -302,7 +305,7 @@ def random_walk_metropolis(
             step = math.exp(log_sds[i]) * rng.standard_normal()
             proposal = x[i] + step
             accepted = False
-            if bounds[i, 0] <= proposal <= bounds[i, 1]:
+            if lower[i] <= proposal <= upper[i]:
                 old = x[i]
                 x[i] = proposal
                 lp_new = log_target(x)
@@ -324,7 +327,7 @@ def random_walk_metropolis(
             masks[kept] = mask
 
     rates = accept_counts / max(n_keep, 1)
-    return samples, log_post, masks, rates, np.exp(log_sds)
+    return samples, log_post, masks, rates, np.exp(np.array(log_sds))
 
 
 def effective_sample_size(values: np.ndarray) -> float:
@@ -401,32 +404,37 @@ def run_mh(
     bounds[k:, 1] = np.inf
 
     gram_inv = None if disc is None else _combined_gram_inverse(basis, disc)
+    lower, span = space.lower, space.upper - space.lower
+    inv_eig = 1.0 / basis.eigenvalues
 
     # Keyed on theta's bytes.  The current theta is the sweep-start state or
     # the last accepted theta proposal, so k + 1 entries always hold it when
     # a noise move asks.  The arrays are shared between calls: read-only.
+    # kernels.predict_scores is read off the module per call: a wrapper set there sees each.
     @functools.lru_cache(maxsize=k + 1)
     def predict_at(theta_bytes):
-        prediction = predict_scaled(emulator, space.scale(np.frombuffer(theta_bytes)))
+        prediction = kernels.predict_scores((np.frombuffer(theta_bytes) - lower) / span,
+                                            emulator._packed)
         for arr in prediction:
             arr.flags.writeable = False
         return prediction
 
     def log_post(state):
-        theta = state[:k]
         log_sig2 = state[k]
         sig2 = math.exp(log_sig2)
-        kappa = math.exp(state[k + 1]) if disc is not None else None
+        mean, var = predict_at(state[:k].tobytes())
+        if disc is None:
+            ll = _diag_log_likelihood(z_r.values, mean, var, sig2 * inv_eig)
+            return float(ll + _invgamma_logpdf(sig2, priors.noise_shape, priors.noise_rate)
+                         + log_sig2)
+        kappa = math.exp(state[k + 1])
         try:
-            ll = log_likelihood_reduced(
-                theta, sig2, z_r, emulator, basis, disc, kappa,
-                prediction=predict_at(theta.tobytes()), gram_inv=gram_inv,
-            )
+            ll = log_likelihood_reduced(state[:k], sig2, z_r, emulator, basis, disc, kappa,
+                                        prediction=(mean, var), gram_inv=gram_inv)
         except NotPositiveDefinite:
             return -np.inf
         lp = ll + _invgamma_logpdf(sig2, priors.noise_shape, priors.noise_rate) + log_sig2
-        if disc is not None:
-            lp += _invgamma_logpdf(kappa, disc.kappa_shape, disc.kappa_rate) + state[k + 1]
+        lp += _invgamma_logpdf(kappa, disc.kappa_shape, disc.kappa_rate) + state[k + 1]
         return float(lp)
 
     initial = np.empty(n)
@@ -522,17 +530,16 @@ def calibrated_projection(theta_samples: np.ndarray, model, threads: int = 1) ->
 
 def save_chain(chain: PosteriorChain, path) -> None:
     """CSV with header iter,theta_<name>...,sigma2_eps[,kappa_d],log_post,accepted_mask."""
+    theta_names = chain.names[: len(chain.names) - (2 if "kappa_d" in chain.names else 1)]
+    extra = chain.names[len(theta_names):]
+    # the rows a csv.writer gives for these fields: no number needs quoting
+    row = "%d," + "%.17g," * (chain.samples.shape[1] + 1) + "%d\r\n"
+    rows = zip(chain.samples.tolist(), chain.log_posterior.tolist(), chain.accepted_mask.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        theta_names = chain.names[: len(chain.names) - (2 if "kappa_d" in chain.names else 1)]
-        extra = chain.names[len(theta_names):]
-        writer.writerow(["iter"] + [f"theta_{n}" for n in theta_names] + extra
-                        + ["log_post", "accepted_mask"])
-        for i in range(chain.n_kept):
-            row = [chain.burn_in + i]
-            row += [f"{v:.17g}" for v in chain.samples[i]]
-            row += [f"{chain.log_posterior[i]:.17g}", int(chain.accepted_mask[i])]
-            writer.writerow(row)
+        csv.writer(fh).writerow(["iter"] + [f"theta_{n}" for n in theta_names] + extra
+                                + ["log_post", "accepted_mask"])
+        fh.writelines(row % (chain.burn_in + i, *sample, lp, mask)
+                      for i, (sample, lp, mask) in enumerate(rows))
 
 
 def load_chain_samples(path) -> tuple[np.ndarray, list]:

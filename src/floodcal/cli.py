@@ -425,6 +425,9 @@ def cmd_project(cfg: ExperimentConfig, seed: int | None = None, threads: int = 1
     seed = cfg.seeds["thin"] if seed is None else seed
     chain_path = _require(cfg.out_dir / f"chain_{cfg.approach}.csv", "posterior chain")
     samples, names = load_chain_samples(chain_path)
+    if names[: len(names) - (2 if "kappa_d" in names else 1)] != list(cfg.space.names):
+        raise MalformedArtifact(f"{chain_path}: columns {names} do not match the parameters "
+                                f"{list(cfg.space.names)}")
     chain = PosteriorChain(
         samples=samples,
         log_posterior=np.zeros(len(samples)),

@@ -760,11 +760,11 @@ def predict_joint(emulator, thetas: np.ndarray) -> list[tuple[np.ndarray, np.nda
     block_cov = emulator.trend_prior.block_cov
     out = []
     for j in range(emulator.n_components):
-        kern = (p.rho[j], p.var_c[j], p.var_e[j], p.inv_range_c[j], p.inv_range_e[j])
         a0 = np.hstack([p.rho[j] * basis, basis])
-        cross = kernels.gp_cov(d2_train, 0, p.n_cheap, *kern) + a0 @ p.trend_w[j]
+        cross = kernels.cross_cov(d2_train, p, j) + a0 @ p.trend_w[j]
         mean = a0 @ p.trend_mean + cross @ p.alpha[j]
-        prior = kernels.gp_cov(d2_test, 0, 0, *kern) + a0 @ block_cov @ a0.T
+        prior = kernels.gp_cov(d2_test, 0, 0, p.rho[j], p.var_c[j], p.var_e[j],
+                               p.inv_range_c[j], p.inv_range_e[j]) + a0 @ block_cov @ a0.T
         prior[np.diag_indices_from(prior)] += p.nug_e[j]
         white = solve_triangular(p.chol[j], cross.T, lower=True)
         cov = prior - white.T @ white

@@ -15,7 +15,8 @@ arrays.  Point sets are stacked cheap rows first, expensive rows after.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -79,7 +80,7 @@ class Packed:
     ``inv_range_c, inv_range_e`` ``(J, k)``; ``trend_w`` ``(J, 2(k+1), n)``
     is the trend-prior cross block ``B H^T``; ``chol`` ``(J, n, n)`` the
     lower Cholesky factors of the joint gram and ``alpha`` ``(J, n)`` the
-    gram-solved centred training scores.
+    gram-solved centred training scores.  The rest is derived once, here.
     """
 
     theta: np.ndarray
@@ -96,6 +97,26 @@ class Packed:
     trend_w: np.ndarray
     chol: np.ndarray
     alpha: np.ndarray
+    cross_coef: np.ndarray = field(init=False)  # gp_cov's test-row var_c (rho amp), (J, n)
+    prior_var: list = field(init=False)  # floats rho^2 var_c + var_e + nug_e, in that order
+    chol_t: list = field(init=False)  # the factors' transposed (Fortran-ordered) views
+
+    def __post_init__(self):
+        amp = np.ones((len(self.rho), self.theta.shape[0]))
+        amp[:, self.n_cheap:] = self.rho[:, None]
+        self.cross_coef = self.var_c[:, None] * (self.rho[:, None] * amp)
+        self.prior_var = [float(r**2 * vc + ve + ne) for r, vc, ve, ne
+                          in zip(self.rho, self.var_c, self.var_e, self.nug_e)]
+        self.chol_t = [c.T for c in self.chol]
+
+
+def cross_cov(d2: np.ndarray, packed: Packed, j: int) -> np.ndarray:
+    """``gp_cov(d2, 0, n_cheap, ...)`` of component ``j`` for the
+    ``(k, m, n)`` distances ``d2`` of m test settings to the training runs."""
+    p = packed
+    v = p.cross_coef[j] * sq_exp_corr(d2, p.inv_range_c[j])
+    v[:, p.n_cheap:] += p.var_e[j] * sq_exp_corr(d2[:, :, p.n_cheap:], p.inv_range_e[j])
+    return v
 
 
 def predict_scores(theta0: np.ndarray, packed: Packed) -> tuple[np.ndarray, np.ndarray]:
@@ -111,37 +132,25 @@ def predict_scores(theta0: np.ndarray, packed: Packed) -> tuple[np.ndarray, np.n
     makes, with bitwise identical results.  The factors are finite by
     construction, so only ``theta0`` is checked.
     """
-    if not np.isfinite(theta0).all():
+    if not all(map(math.isfinite, theta0.tolist())):
         raise ValueError("array must not contain infs or NaNs")
     p = packed
-    n_comp = p.rho.shape[0]
     k1 = theta0.shape[0] + 1
     h0 = np.concatenate(([1.0], theta0))
-    quad_c = h0 @ p.trend_cov_c @ h0
-    quad_e = h0 @ p.trend_cov_e @ h0
-    trend_c = h0 @ p.trend_mean[:k1]
-    trend_e = h0 @ p.trend_mean[k1:]
+    quad_c = float(h0 @ p.trend_cov_c @ h0)
+    quad_e = float(h0 @ p.trend_cov_e @ h0)
+    trend_c = float(h0 @ p.trend_mean[:k1])
+    trend_e = float(h0 @ p.trend_mean[k1:])
     d2 = sq_dists(theta0[None, :], p.theta)
 
-    means = np.empty(n_comp)
-    variances = np.empty(n_comp)
-    for j in range(n_comp):
-        rho = p.rho[j]
-        cross = gp_cov(d2, 0, p.n_cheap, rho, p.var_c[j], p.var_e[j],
-                       p.inv_range_c[j], p.inv_range_e[j])[0]
-        a0 = np.concatenate((rho * h0, h0))
-        cross = cross + a0 @ p.trend_w[j]
+    means = np.empty(p.rho.shape[0])
+    variances = np.empty_like(means)
+    for j, rho in enumerate(p.rho.tolist()):
+        cross = cross_cov(d2, p, j)[0] + np.concatenate((rho * h0, h0)) @ p.trend_w[j]
         means[j] = rho * trend_c + trend_e + cross @ p.alpha[j]
-        white, info = dtrtrs(p.chol[j].T, cross, lower=0, trans=1)
+        white, info = dtrtrs(p.chol_t[j], cross, lower=0, trans=1)
         if info != 0:
             raise LinAlgError(f"triangular solve failed (trtrs info {info})")
-        var = (
-            rho**2 * p.var_c[j]
-            + p.var_e[j]
-            + p.nug_e[j]
-            + rho**2 * quad_c
-            + quad_e
-            - white @ white
-        )
+        var = p.prior_var[j] + p.rho[j]**2 * quad_c + quad_e - white @ white
         variances[j] = var if var > p.nug_e[j] else p.nug_e[j]
     return means, variances

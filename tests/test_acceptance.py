@@ -65,7 +65,7 @@ def flood_space():
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels(unit_space):
-    """Compile the numba kernels once so timed criteria measure math only."""
+    """Make one prediction first, so timed criteria do not pay first-call costs."""
     rng = np.random.default_rng(0)
     theta_e = rng.random((2, 2))
     theta_c = np.vstack([theta_e, rng.random((2, 2))])

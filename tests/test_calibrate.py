@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -425,13 +427,12 @@ class TestRunMh:
                                                     synthetic_basis(n_comp=1)))
 
 
-def _mh_problem(gp_setup, with_disc):
+def _mh_problem(emu, with_disc):
     """Reduced observation, basis and discrepancy block (or None) for run_mh."""
     from floodcal.calibrate import ReducedObservation
 
-    emu = gp_setup["emu_mr"]
     basis = synthetic_basis(n=40, n_comp=emu.n_components, seed=32)
-    mean = predict(emu, np.array([0.4, 0.6])).mean
+    mean = predict(emu, emu.space.unscale(np.linspace(0.4, 0.6, emu.space.k))).mean
     if not with_disc:
         return ReducedObservation(mean.copy(), emu.n_components, 0), basis, None
     disc = DiscrepancyBlock(np.random.default_rng(33).standard_normal((40, 2)))
@@ -439,43 +440,82 @@ def _mh_problem(gp_setup, with_disc):
     return z_r, basis, disc
 
 
+@pytest.fixture(scope="module")
+def emu_k3():
+    """A two-component MR emulator on three parameters with non-unit ranges."""
+    from floodcal.design import ParameterSpace
+    from floodcal.emulator import EmulatorParams
+
+    space = ParameterSpace((("a", 0.0, 1.0), ("b", 0.02, 0.1), ("c", 2.0, 5.0)))
+    rng = np.random.default_rng(36)
+    theta_e = rng.random((6, 3))
+    theta_c = np.vstack([theta_e, rng.random((8, 3))])
+    params = [EmulatorParams(rho=0.8 - 0.3 * j, var_cheap=1.2, var_exp=0.5, nugget_cheap=0.03,
+                             nugget_exp=0.05, range_cheap=[0.5, 0.6, 0.7],
+                             range_exp=[0.4, 0.5, 0.6]) for j in range(2)]
+    return build_mr(space, theta_c, theta_e, rng.standard_normal((14, 2)),
+                    rng.standard_normal((6, 2)), params)
+
+
 @pytest.mark.parametrize("with_disc", [False, True], ids=["plain", "disc"])
 class TestRunMhHotPath:
     """run_mh reuses the current theta's prediction and the gram inverse."""
 
-    def test_chain_matches_uncached_target(self, gp_setup, with_disc):
+    def test_chain_matches_uncached_target(self, gp_setup, emu_k3, with_disc):
         from floodcal.emulator import _invgamma_logpdf
 
+        # MR and HR (no cheap rows, rho = 0) on two parameters, MR on three
+        for emu in (gp_setup["emu_mr"], gp_setup["emu_hr"], emu_k3):
+            space, k = emu.space, emu.space.k
+            z_r, basis, disc = _mh_problem(emu, with_disc)
+            priors = CalibrationPriors(0.1)
+            noise = [math.log(0.1**2), math.log(2.0)][: 2 if with_disc else 1]
+            config = McmcConfig(iterations=600, seed=34, burn_in=150, proposal_sds=np.concatenate(
+                [0.05 * (space.upper - space.lower), [0.3] * len(noise)]))
+            chain = run_mh(z_r, emu, basis, priors, config, disc=disc)
+
+            def uncached(state):
+                # a fresh prediction and gram inverse on every call
+                sig2 = math.exp(state[k])
+                kappa = math.exp(state[k + 1]) if disc is not None else None
+                lp = (log_likelihood_reduced(state[:k], sig2, z_r, emu, basis, disc, kappa)
+                      + _invgamma_logpdf(sig2, priors.noise_shape, priors.noise_rate)
+                      + state[k])
+                if disc is not None:
+                    lp += (_invgamma_logpdf(kappa, disc.kappa_shape, disc.kappa_rate)
+                           + state[k + 1])
+                return float(lp)
+
+            initial = np.concatenate([0.5 * (space.lower + space.upper), noise])
+            bounds = np.vstack([np.column_stack([space.lower, space.upper]),
+                                [[-np.inf, np.inf]] * len(noise)])
+            samples, log_post, masks, _, final_sds = random_walk_metropolis(
+                uncached, initial, bounds, config.proposal_sds,
+                config.iterations, config.seed, burn_in=config.burn_in,
+            )
+            samples[:, k:] = np.exp(samples[:, k:])
+            assert np.array_equal(chain.samples, samples)
+            assert np.array_equal(chain.log_posterior, log_post)
+            assert np.array_equal(chain.accepted_mask, masks)
+            assert np.array_equal(chain.proposal_sds, final_sds)
+            assert not np.array_equal(chain.proposal_sds, config.proposal_sds)  # adapted
+
+    def test_save_chain_matches_csv_writer(self, gp_setup, with_disc, tmp_path):
         emu = gp_setup["emu_mr"]
-        z_r, basis, disc = _mh_problem(gp_setup, with_disc)
-        priors = CalibrationPriors(0.1)
-        n = 4 if with_disc else 3
-        config = McmcConfig(iterations=600, seed=34, burn_in=150,
-                            proposal_sds=np.array([0.05, 0.05, 0.3, 0.3][:n]))
-        chain = run_mh(z_r, emu, basis, priors, config, disc=disc)
+        z_r, basis, disc = _mh_problem(emu, with_disc)
+        chain = run_mh(z_r, emu, basis, CalibrationPriors(0.1),
+                       McmcConfig(iterations=300, seed=37, burn_in=100), disc=disc)
+        save_chain(chain, tmp_path / "chain.csv")
 
-        def uncached(state):
-            # a fresh prediction and gram inverse on every call
-            sig2 = math.exp(state[2])
-            kappa = math.exp(state[3]) if disc is not None else None
-            lp = (log_likelihood_reduced(state[:2], sig2, z_r, emu, basis, disc, kappa)
-                  + _invgamma_logpdf(sig2, priors.noise_shape, priors.noise_rate) + state[2])
-            if disc is not None:
-                lp += _invgamma_logpdf(kappa, disc.kappa_shape, disc.kappa_rate) + state[3]
-            return float(lp)
-
-        initial = [0.5, 0.5, math.log(0.1**2), math.log(2.0)][:n]
-        bounds = np.array([[0.0, 1.0], [0.0, 1.0]] + [[-np.inf, np.inf]] * (n - 2))
-        samples, log_post, masks, _, final_sds = random_walk_metropolis(
-            uncached, np.array(initial), bounds, config.proposal_sds,
-            config.iterations, config.seed, burn_in=config.burn_in,
-        )
-        samples[:, 2:] = np.exp(samples[:, 2:])
-        assert np.array_equal(chain.samples, samples)
-        assert np.array_equal(chain.log_posterior, log_post)
-        assert np.array_equal(chain.accepted_mask, masks)
-        assert np.array_equal(chain.proposal_sds, final_sds)
-        assert not np.array_equal(chain.proposal_sds, config.proposal_sds)  # adapted
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        k = emu.space.k
+        writer.writerow(["iter"] + [f"theta_{n}" for n in chain.names[:k]] + chain.names[k:]
+                        + ["log_post", "accepted_mask"])
+        for i in range(chain.n_kept):
+            writer.writerow([chain.burn_in + i] + [f"{v:.17g}" for v in chain.samples[i]]
+                            + [f"{chain.log_posterior[i]:.17g}", int(chain.accepted_mask[i])])
+        assert (tmp_path / "chain.csv").read_bytes() == reference.getvalue().encode()
 
     def test_noise_moves_skip_the_emulator(self, gp_setup, with_disc, monkeypatch):
         import floodcal.calibrate as calibrate
@@ -496,7 +536,7 @@ class TestRunMhHotPath:
 
             return real_sampler(target, *args, **kwargs)
 
-        z_r, basis, disc = _mh_problem(gp_setup, with_disc)
+        z_r, basis, disc = _mh_problem(gp_setup["emu_mr"], with_disc)
         monkeypatch.setattr(kernels, "predict_scores", counting_predict)
         monkeypatch.setattr(calibrate, "random_walk_metropolis", counting_sampler)
         iterations = 300

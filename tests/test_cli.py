@@ -251,7 +251,10 @@ class TestExitCodes:
         lambda lines: lines[:3] + [lines[3].replace(",", ",abc", 1)] + lines[4:],
         lambda lines: lines[:3] + [lines[3] + ",0"] + lines[4:],
         lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:],
-    ], ids=["empty", "header-only", "non-numeric", "extra-column", "missing-column"])
+        lambda lines: [",".join(line.split(",")[:2] + line.split(",")[3:]) for line in lines],
+        lambda lines: [lines[0].replace("theta_rwe", "theta_manning")] + lines[1:],
+    ], ids=["empty", "header-only", "non-numeric", "extra-column", "missing-column",
+            "missing-theta", "renamed-theta"])
     def test_malformed_chain(self, pipeline, tmp_path, capsys, edit):
         root = tmp_path / "malformed"
         shutil.copytree(pipeline, root)
