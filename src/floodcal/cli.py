@@ -258,8 +258,16 @@ def cmd_design(cfg: ExperimentConfig, seed: int | None = None) -> None:
 
 
 def _load_design(cfg: ExperimentConfig) -> Design:
+    """The nested design: expensive rows first, each with a cheap twin."""
     path = _require(cfg.out_dir / "design.csv", "design")
-    return read_design_csv(path, cfg.space)
+    design = read_design_csv(path, cfg.space)
+    try:
+        if np.any(design.fidelity[: design.n_expensive] != EXPENSIVE):
+            raise ValueError("a cheap row comes before the last expensive row")
+        design.validate_nesting()
+    except ValueError as err:
+        raise MalformedArtifact(f"{path}: {err}") from err
+    return design
 
 
 def cmd_run_synth(cfg: ExperimentConfig, seed: int | None = None, threads: int = 1) -> None:

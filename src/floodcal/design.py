@@ -89,8 +89,8 @@ class Design:
         if bad:
             raise ValueError(f"unknown fidelity tags: {bad}")
         lo, hi = self.space.lower, self.space.upper
-        if points.size and (np.any(points < lo) or np.any(points > hi)):
-            raise ValueError("design points outside parameter space bounds")
+        if not np.all((points >= lo) & (points <= hi)):  # False for NaN too
+            raise ValueError("design points outside parameter space bounds or not numbers")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "fidelity", fidelity)
 

@@ -30,7 +30,7 @@ from scipy.optimize import minimize
 
 from .design import EXPENSIVE, Design, ParameterSpace
 from .errors import AllStartsFailed, ExtrapolationWarning, MalformedArtifact, NotPositiveDefinite
-from .manifest import read_csv, read_manifest, write_manifest
+from .manifest import load_array, read_csv, read_manifest, write_manifest
 from . import kernels
 
 JITTER_START = 1e-10  # relative to trace(M)/dim, escalates x10
@@ -775,49 +775,41 @@ def predict_joint(emulator, thetas: np.ndarray) -> list[tuple[np.ndarray, np.nda
 # --- archive --------------------------------------------------------------
 
 
+_ARCHIVE_ARRAYS = ("theta_cheap", "theta_exp", "scores_cheap", "scores_exp",
+                   "trend_mean", "trend_cov_cheap", "trend_cov_exp")
+
+
 def save_emulator(emulator, directory) -> None:
-    """Persist the fitted emulator; reloading reproduces predictions exactly."""
+    """Persist the fitted emulator; reloading reproduces predictions exactly.
+
+    Every emulator writes the same files.  The single-resolution baseline is
+    the case with zero-row cheap arrays, rho = 0 and cheap parameters at 1.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    is_mr = emulator.uses_cheap
     write_manifest(directory / "emulator.json", {
-        "type": "multires" if is_mr else "singleres",
+        "type": "multires",
         "space": emulator.space.dims,
         "seed": emulator.seed,
         "n_starts": emulator.n_starts,
         "hyperpriors": asdict(emulator.hyperpriors),
         "input_scaling": "unit-hypercube",
     })
-    np.save(directory / "theta_exp.npy", emulator.theta_exp)
-    np.save(directory / "scores_exp.npy", emulator.scores_exp)
-    trend = emulator.trend_prior
-    np.save(directory / "trend_cov_exp.npy", trend.cov_exp)
-    if is_mr:
-        np.save(directory / "theta_cheap.npy", emulator.theta_cheap)
-        np.save(directory / "scores_cheap.npy", emulator.scores_cheap)
-        np.save(directory / "trend_mean.npy", trend.mean)
-        np.save(directory / "trend_cov_cheap.npy", trend.cov_cheap)
-    else:
-        np.save(directory / "trend_mean.npy", trend.mean[trend.cov_exp.shape[0] :])
+    for name in _ARCHIVE_ARRAYS:  # trend_mean is emulator.trend_prior.mean, and so on
+        owner = emulator.trend_prior if name.startswith("trend_") else emulator
+        np.save(directory / f"{name}.npy", getattr(owner, name.removeprefix("trend_")))
 
     k = emulator.theta_exp.shape[1]
     with open(directory / "params.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        if is_mr:
-            header = ["component", "rho", "var_cheap", "var_exp", "nugget_cheap", "nugget_exp"]
-            header += [f"range_cheap_{d}" for d in range(k)]
-            header += [f"range_exp_{d}" for d in range(k)]
-            writer.writerow(header)
-            for j, prm in enumerate(emulator.params_list):
-                row = [j, prm.rho, prm.var_cheap, prm.var_exp, prm.nugget_cheap, prm.nugget_exp]
-                row += list(prm.range_cheap) + list(prm.range_exp)
-                writer.writerow([row[0]] + [f"{v:.17g}" for v in row[1:]])
-        else:
-            header = ["component", "var", "nugget"] + [f"range_{d}" for d in range(k)]
-            writer.writerow(header)
-            for j, prm in enumerate(emulator.params_list):
-                row = [prm.var_exp, prm.nugget_exp] + list(prm.range_exp)
-                writer.writerow([j] + [f"{v:.17g}" for v in row])
+        header = ["component", "rho", "var_cheap", "var_exp", "nugget_cheap", "nugget_exp"]
+        header += [f"range_cheap_{d}" for d in range(k)]
+        header += [f"range_exp_{d}" for d in range(k)]
+        writer.writerow(header)
+        for j, prm in enumerate(emulator.params_list):
+            row = [prm.rho, prm.var_cheap, prm.var_exp, prm.nugget_cheap, prm.nugget_exp]
+            row += list(prm.range_cheap) + list(prm.range_exp)
+            writer.writerow([j] + [f"{v:.17g}" for v in row])
 
 
 def load_emulator(directory) -> MultiResEmulator:
@@ -826,17 +818,19 @@ def load_emulator(directory) -> MultiResEmulator:
     Raises
     ------
     MalformedArtifact
-        If a file is unreadable or lacks a manifest key, the hyperpriors lack
-        a key or have an unknown one, the type is unknown,
-        a settings array and its scores disagree in row count, the parameter
-        rows disagree with the score columns or the space's dimension count,
-        a trend array is not sized for ``k + 1`` coefficients, or a parameter
-        is not positive.
+        If a file is unreadable or lacks a manifest key, the type is not
+        ``multires``, the hyperpriors lack a key or have an unknown one, an
+        array or parameter is not finite, a settings array and its scores
+        disagree in row count, the parameter rows disagree with the score
+        columns or the space's dimension count, a trend array is not sized
+        for ``k + 1`` coefficients, or a parameter is not positive.
     """
     directory = Path(directory)
     try:
         manifest = read_manifest(directory / "emulator.json")
         kind, seed, n_starts = manifest["type"], manifest["seed"], manifest["n_starts"]
+        if kind != "multires":
+            raise MalformedArtifact(f"{directory}: emulator type {kind!r}, expected 'multires'")
         space = ParameterSpace(tuple((n, lo, hi) for n, lo, hi in manifest["space"]))
         hp_raw, hp_names = manifest["hyperpriors"], sorted(f.name for f in fields(HyperPriors))
         if sorted(hp_raw) != hp_names:
@@ -844,19 +838,13 @@ def load_emulator(directory) -> MultiResEmulator:
                                     f"expected {hp_names}")
         hyperpriors = HyperPriors(**{name: tuple(v) if isinstance(v, list) else v
                                      for name, v in hp_raw.items()})
-        if kind not in ("multires", "singleres"):
-            raise MalformedArtifact(f"{directory}: unknown emulator type {kind!r}")
-        is_mr = kind == "multires"
-        names = ["theta_exp", "scores_exp", "trend_mean", "trend_cov_exp"]
-        if is_mr:
-            names += ["theta_cheap", "scores_cheap", "trend_cov_cheap"]
-        arrays = {name: np.load(directory / f"{name}.npy") for name in names}
+        arrays = {name: load_array(directory / f"{name}.npy") for name in _ARCHIVE_ARRAYS}
         rows = read_csv(directory / "params.csv", slice(1, None))[2]
     except (EOFError, KeyError, TypeError, ValueError) as err:
         raise MalformedArtifact(f"{directory}: unreadable emulator archive: {err!r}") from err
 
     k = space.k
-    for fidelity in ("exp", "cheap") if is_mr else ("exp",):
+    for fidelity in ("exp", "cheap"):
         theta, scores = arrays[f"theta_{fidelity}"], arrays[f"scores_{fidelity}"]
         if theta.ndim != 2 or scores.ndim != 2 or theta.shape != (len(scores), k):
             raise MalformedArtifact(
@@ -868,44 +856,32 @@ def load_emulator(directory) -> MultiResEmulator:
                 f"{directory}: scores_{fidelity} has {scores.shape[1]} columns, "
                 f"params.csv {len(rows)} rows"
             )
-    n_values = 5 + 2 * k if is_mr else 2 + k
-    if any(len(r) != n_values for r in rows):
+    if any(len(r) != 5 + 2 * k for r in rows):
         raise MalformedArtifact(
-            f"{directory}: params.csv rows need {n_values} values for {k} dimensions"
+            f"{directory}: params.csv rows need {5 + 2 * k} values for {k} dimensions"
         )
     k1 = k + 1
-    trend_shapes = {"trend_mean": ((2 if is_mr else 1) * k1,), "trend_cov_exp": (k1, k1)}
-    if is_mr:
-        trend_shapes["trend_cov_cheap"] = (k1, k1)
-    for name, shape in trend_shapes.items():
+    for name, shape in (("trend_mean", (2 * k1,)), ("trend_cov_cheap", (k1, k1)),
+                        ("trend_cov_exp", (k1, k1))):
         if arrays[name].shape != shape:
             raise MalformedArtifact(
                 f"{directory}: {name} has shape {arrays[name].shape}, expected {shape}"
             )
 
     try:
-        if is_mr:
-            params_list = [
-                EmulatorParams(
-                    rho=r[0], var_cheap=r[1], var_exp=r[2], nugget_cheap=r[3],
-                    nugget_exp=r[4], range_cheap=np.array(r[5 : 5 + k]),
-                    range_exp=np.array(r[5 + k :]),
-                )
-                for r in rows
-            ]
-        else:
-            params_list = [HrParams(var=r[0], nugget=r[1], range_=np.array(r[2:])) for r in rows]
+        params_list = [
+            EmulatorParams(
+                rho=r[0], var_cheap=r[1], var_exp=r[2], nugget_cheap=r[3],
+                nugget_exp=r[4], range_cheap=np.array(r[5 : 5 + k]),
+                range_exp=np.array(r[5 + k :]),
+            )
+            for r in rows
+        ]
     except ValueError as err:
         raise MalformedArtifact(f"{directory}: params.csv: {err}") from err
-    if is_mr:
-        trend_prior = TrendPrior(
-            arrays["trend_mean"], arrays["trend_cov_cheap"], arrays["trend_cov_exp"]
-        )
-        return MultiResEmulator(
-            space, arrays["theta_cheap"], arrays["theta_exp"], arrays["scores_cheap"],
-            arrays["scores_exp"], params_list, trend_prior, hyperpriors, seed, n_starts,
-        )
-    return singleres_emulator(
-        space, arrays["theta_exp"], arrays["scores_exp"], params_list,
-        arrays["trend_mean"], arrays["trend_cov_exp"], hyperpriors, seed, n_starts,
+    trend_prior = TrendPrior(arrays["trend_mean"], arrays["trend_cov_cheap"],
+                             arrays["trend_cov_exp"])
+    return MultiResEmulator(
+        space, arrays["theta_cheap"], arrays["theta_exp"], arrays["scores_cheap"],
+        arrays["scores_exp"], params_list, trend_prior, hyperpriors, seed, n_starts,
     )

@@ -1,4 +1,4 @@
-"""Deterministic JSON manifests, and the CSV reader, for pipeline artifacts.
+"""Deterministic JSON manifests, and the CSV and array readers, for pipeline artifacts.
 
 Every stage writes a manifest carrying the config digest and the seeds it
 consumed; no timestamps or environment data, so reruns are byte-identical.
@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,8 @@ def read_csv(path, float_columns: slice) -> tuple[list, list, list]:
     """Header, rows, and each row's ``float_columns`` as floats, of a CSV artifact.
 
     Raises MalformedArtifact naming ``path`` for an empty file, a row not as
-    wide as the header, or a cell in ``float_columns`` that is not a number.
+    wide as the header, or a cell in ``float_columns`` that is not a finite
+    number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -62,6 +64,18 @@ def read_csv(path, float_columns: slice) -> tuple[list, list, list]:
             raise MalformedArtifact(f"{path}: line {line} has {len(row)} columns, "
                                     f"the header {len(header)}")
     try:
-        return header, rows, [[float(v) for v in row[float_columns]] for row in rows]
+        values = [[float(v) for v in row[float_columns]] for row in rows]
     except ValueError as err:
         raise MalformedArtifact(f"{path}: {err}") from err
+    for line, row in enumerate(values, start=2):
+        if not all(map(math.isfinite, row)):
+            raise MalformedArtifact(f"{path}: line {line} holds a value that is not finite")
+    return header, rows, values
+
+
+def load_array(path) -> np.ndarray:
+    """An array saved by ``np.save``; MalformedArtifact naming ``path`` if a value is not finite."""
+    array = np.load(path, allow_pickle=False)
+    if not np.all(np.isfinite(array)):
+        raise MalformedArtifact(f"{path}: holds values that are not finite")
+    return array

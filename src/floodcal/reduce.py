@@ -19,7 +19,7 @@ from scipy.linalg import eigh
 from .design import Design
 from .errors import DegenerateEnsemble, DimensionMismatch, MalformedArtifact
 from .grid import Grid, LocationSet, bilinear_interpolate, bilinear_stencil, flatten
-from .manifest import read_manifest, write_manifest
+from .manifest import load_array, read_manifest, write_manifest
 
 CENTERING_DIVISOR = "p-1"  # sample covariance convention used for eigenvalues
 
@@ -216,8 +216,8 @@ def load_basis(directory) -> ReducedBasis:
     ------
     MalformedArtifact
         If a file is unreadable or lacks a manifest key, the arrays disagree
-        in shape with each other or with the manifest's component count, or
-        an eigenvalue is not finite and > 0.
+        in shape with each other or with the manifest's component count, an
+        array holds a value that is not finite, or an eigenvalue is not > 0.
     """
     directory = Path(directory)
     try:
@@ -225,9 +225,9 @@ def load_basis(directory) -> ReducedBasis:
         n_components = manifest["n_components"]
         summary = {key: manifest[key]
                      for key in ("variance_fraction", "total_variance", "target_fraction")}
-        mean = np.load(directory / "column_mean.npy")
-        components = np.load(directory / "components.npy")
-        eigenvalues = np.load(directory / "eigenvalues.npy")
+        mean = load_array(directory / "column_mean.npy")
+        components = load_array(directory / "components.npy")
+        eigenvalues = load_array(directory / "eigenvalues.npy")
     except (EOFError, KeyError, TypeError, ValueError) as err:
         raise MalformedArtifact(f"{directory}: unreadable basis archive: {err!r}") from err
     if components.ndim != 2 or mean.shape != components.shape[:1]:
@@ -240,7 +240,7 @@ def load_basis(directory) -> ReducedBasis:
             f"{directory}: eigenvalues have shape {eigenvalues.shape}, components "
             f"{components.shape}, the manifest says {n_components} components"
         )
-    if not np.all((eigenvalues > 0) & (eigenvalues < np.inf)):
+    if not np.all(eigenvalues > 0):
         raise MalformedArtifact(f"{directory}: eigenvalues must be finite and > 0")
     return ReducedBasis(column_mean=mean, components=components, eigenvalues=eigenvalues,
                         **summary)

@@ -8,8 +8,11 @@ digests taken at the default thread count would depend on the core count.
 ``digests.json`` holds the sha256 of every file under ``runs/`` and ``out/``
 per approach, and the numpy, scipy and BLAS that produced them.
 
-    PYTHONPATH=src python tests/golden/digests.py           # compare, print the differences
+    PYTHONPATH=src python tests/golden/digests.py           # name the files that differ
     PYTHONPATH=src python tests/golden/digests.py --bless   # rewrite digests.json
+
+``tests/test_golden.py`` runs the same comparison and also gives the largest
+relative difference of each changed numeric file.
 
 A digest may change only with a CHANGES.md entry that lists the files that
 changed, why, and the largest numeric difference; never re-bless to hide a
@@ -23,7 +26,6 @@ import hashlib
 import json
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -143,30 +145,19 @@ def differences(golden: dict, actual: dict, reference: dict | None = None,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--bless", action="store_true", help="rewrite digests.json")
-    parser.add_argument("--keep", type=Path, default=None,
-                        help="run into this new directory and keep it (default: a temporary one)")
-    parser.add_argument("--reference", type=Path, default=None,
-                        help="a --keep directory of an earlier run: report the largest "
-                             "relative difference of each changed numeric file against it")
     args = parser.parse_args(argv)
-    workdir = args.keep or Path(tempfile.mkdtemp(prefix="floodcal-golden-"))
-    try:
-        roots = run_pipelines(workdir)
+    with tempfile.TemporaryDirectory(prefix="floodcal-golden-") as workdir:
+        roots = run_pipelines(Path(workdir))
         actual = {"environment": environment_stamp(),
                   **{approach: tree_digests(root) for approach, root in roots.items()}}
-        golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-        if golden.get("environment") != actual["environment"]:
-            print(f"environment: golden {golden.get('environment')}, "
-                  f"this run {actual['environment']}")
-        reference = ({a: args.reference / a for a in APPROACHES} if args.reference else None)
-        for line in differences(golden, actual, reference, roots):
-            print(line)
-        if args.bless:
-            GOLDEN.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n")
-            print(f"wrote {GOLDEN}")
-    finally:
-        if args.keep is None:
-            shutil.rmtree(workdir)
+    golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    if golden.get("environment") != actual["environment"]:
+        print(f"environment: golden {golden.get('environment')}, this run {actual['environment']}")
+    for line in differences(golden, actual):
+        print(line)
+    if args.bless:
+        GOLDEN.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {GOLDEN}")
     return 0
 
 

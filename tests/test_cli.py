@@ -157,6 +157,20 @@ class TestRerunDeterminism:
         assert before == after
 
 
+def _edit_design_cell(text: str, row: int, edit) -> str:
+    """``design.csv`` text with the first setting of data row ``row`` replaced by ``edit(value)``."""
+    lines = text.splitlines(keepends=True)
+    value, rest = lines[1 + row].split(",", 1)
+    lines[1 + row] = f"{edit(value)},{rest}"
+    return "".join(lines)
+
+
+def _move_last_row_first(text: str) -> str:
+    """``design.csv`` text with its last row, a cheap-only one, above the expensive block."""
+    lines = text.splitlines(keepends=True)
+    return "".join([lines[0], lines[-1], *lines[1:-1]])
+
+
 class TestExitCodes:
     def test_config_error(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -221,7 +235,12 @@ class TestExitCodes:
         lambda text: text.replace(",expensive\n", ",1.0,expensive\n", 1),
         lambda text: text.replace(",expensive\n", ",deluxe\n", 1),
         lambda text: text.replace("\n", "\n0.5,1.0,expensive\n", 1),
-    ], ids=["header", "non-numeric", "column-count", "fidelity", "out-of-space"])
+        lambda text: _edit_design_cell(text, 0, lambda v: "nan"),
+        # row 10 is the cheap twin of expensive row 0
+        lambda text: _edit_design_cell(text, 10, lambda v: repr(float(v) * (1 + 1e-12))),
+        _move_last_row_first,
+    ], ids=["header", "non-numeric", "column-count", "fidelity", "out-of-space", "nan",
+            "cheap-twin", "cheap-row-first"])
     def test_malformed_design(self, pipeline, tmp_path, capsys, edit):
         root = tmp_path / "malformed"
         shutil.copytree(pipeline, root)
@@ -253,8 +272,10 @@ class TestExitCodes:
         lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:],
         lambda lines: [",".join(line.split(",")[:2] + line.split(",")[3:]) for line in lines],
         lambda lines: [lines[0].replace("theta_rwe", "theta_manning")] + lines[1:],
+        lambda lines: lines[:1] + [",".join([line.split(",")[0], "nan", *line.split(",")[2:]])
+                                   for line in lines[1:]],
     ], ids=["empty", "header-only", "non-numeric", "extra-column", "missing-column",
-            "missing-theta", "renamed-theta"])
+            "missing-theta", "renamed-theta", "nan-theta"])
     def test_malformed_chain(self, pipeline, tmp_path, capsys, edit):
         root = tmp_path / "malformed"
         shutil.copytree(pipeline, root)
@@ -262,6 +283,17 @@ class TestExitCodes:
         chain.write_text("".join(line + "\n" for line in edit(chain.read_text().splitlines())))
         assert main(["project", "--config", str(root / "experiment.ini")]) == 3
         assert "chain_mr.csv" in capsys.readouterr().err
+
+    def test_singleres_archive_rejected(self, pipeline, tmp_path, capsys):
+        # the type of the separate single-resolution layout older versions wrote
+        root = tmp_path / "singleres"
+        shutil.copytree(pipeline, root)
+        path = root / "out" / "emulator_hr" / "emulator.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "type": "singleres"}))
+        config = root / "experiment.ini"
+        config.write_text(CONFIG_TEMPLATE.replace("[mcmc]\n", "[mcmc]\napproach = hr\n"))
+        assert main(["calibrate", "--config", str(config)]) == 3
+        assert "emulator type 'singleres', expected 'multires'" in capsys.readouterr().err
 
     def test_emulator_archive_missing_a_hyperprior(self, pipeline, tmp_path, capsys):
         root = tmp_path / "malformed"

@@ -178,3 +178,7 @@ class TestDesignIO:
     def test_out_of_bounds_points_rejected(self, flood_space):
         with pytest.raises(ValueError):
             Design(np.array([[0.2, 1.0]]), np.array(["expensive"], dtype=object), flood_space)
+
+    def test_nan_points_rejected(self, flood_space):
+        with pytest.raises(ValueError):
+            Design(np.array([[0.05, np.nan]]), np.array(["expensive"], dtype=object), flood_space)

@@ -640,16 +640,18 @@ class TestArchive:
             assert np.array_equal(m0, m1)
             assert np.array_equal(v0, v1)
 
-    def test_singleres_archive_format(self, gp_setup, tmp_path):
-        save_emulator(gp_setup["emu_hr"], tmp_path)
-        assert json.loads((tmp_path / "emulator.json").read_text())["type"] == "singleres"
-        header = (tmp_path / "params.csv").read_text().splitlines()[0]
-        assert header == "component,var,nugget,range_0,range_1"
-        assert sorted(f.name for f in tmp_path.iterdir()) == [
-            "emulator.json", "params.csv", "scores_exp.npy", "theta_exp.npy",
-            "trend_cov_exp.npy", "trend_mean.npy",
-        ]
-        assert np.load(tmp_path / "trend_mean.npy").shape == (3,)
+    def test_singleres_archive_has_the_multires_layout(self, gp_setup, tmp_path):
+        save_emulator(gp_setup["emu_mr"], tmp_path / "mr")
+        save_emulator(gp_setup["emu_hr"], tmp_path / "hr")
+        assert json.loads((tmp_path / "hr" / "emulator.json").read_text())["type"] == "multires"
+        assert sorted(f.name for f in (tmp_path / "hr").iterdir()) == sorted(
+            f.name for f in (tmp_path / "mr").iterdir())
+        mr_lines = (tmp_path / "mr" / "params.csv").read_text().splitlines()
+        hr_lines = (tmp_path / "hr" / "params.csv").read_text().splitlines()
+        assert hr_lines[0] == mr_lines[0]
+        assert all(line.split(",")[1] == "0" for line in hr_lines[1:])  # rho
+        assert np.load(tmp_path / "hr" / "theta_cheap.npy").shape == (0, 2)
+        assert np.load(tmp_path / "hr" / "trend_mean.npy").shape == (6,)
 
     def test_archive_deterministic(self, gp_setup, tmp_path):
         save_emulator(gp_setup["emu_mr"], tmp_path / "a")
@@ -716,6 +718,13 @@ def _edit_array(name, edit):
     return corrupt
 
 
+def _first_to(value):
+    def edit(array):
+        array.flat[0] = value
+        return array
+    return edit
+
+
 def _edit_params(edit):
     def corrupt(directory):
         lines = (directory / "params.csv").read_text().splitlines()
@@ -755,6 +764,13 @@ MR_CORRUPTIONS = {
     "trend-cov-exp": _edit_array("trend_cov_exp", lambda a: np.pad(a, ((0, 1), (0, 1)))),
     "var-negative": _set_param(3, "-1"),
     "range-zero": _set_param(-1, "0"),
+    "rho-nan": _set_param(1, "nan"),
+    "rho-inf": _set_param(1, "inf"),
+    "range-nan": _set_param(-1, "nan"),
+    "theta-exp-nan": _edit_array("theta_exp", _first_to(np.nan)),
+    "scores-exp-nan": _edit_array("scores_exp", _first_to(np.nan)),
+    "trend-mean-nan": _edit_array("trend_mean", _first_to(np.nan)),
+    "trend-cov-cheap-inf": _edit_array("trend_cov_cheap", _first_to(np.inf)),
 }
 
 HR_CORRUPTIONS = {
@@ -762,7 +778,8 @@ HR_CORRUPTIONS = {
     "score-columns": _edit_array("scores_exp", lambda a: a[:, :-1]),
     "range-count": _edit_params(lambda lines: [l + ",1" for l in lines]),
     "trend-mean": _edit_array("trend_mean", lambda a: np.append(a, 0.0)),
-    "nugget-zero": _set_param(2, "0"),
+    "nugget-zero": _set_param(5, "0"),
+    "singleres-type": _edit_manifest(lambda m: m.update(type="singleres")),
 }
 
 

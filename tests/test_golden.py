@@ -10,8 +10,8 @@ import shutil
 
 import pytest
 
-from golden.digests import APPROACHES, GOLDEN, differences, environment_stamp, run_pipelines, \
-    tree_digests
+from golden.digests import (APPROACHES, GOLDEN, differences, environment_stamp,
+                            run_pipelines, tree_digests)
 
 
 def test_artifacts_match_the_golden_digests(tmp_path, request):
@@ -19,7 +19,7 @@ def test_artifacts_match_the_golden_digests(tmp_path, request):
     stamp = environment_stamp()
     assert golden["environment"] == stamp, (
         f"the golden digests were made with {golden['environment']}, this environment has "
-        f"{stamp}; re-bless them here before comparing artifacts")
+        f"{stamp}: digests from another environment do not apply here")
     roots = run_pipelines(tmp_path)
     actual = {approach: tree_digests(root) for approach, root in roots.items()}
     # the last run that matched is kept, so a mismatch can report numeric differences
@@ -37,6 +37,6 @@ def test_artifacts_match_the_golden_digests(tmp_path, request):
         reference = {a: kept / a for a in APPROACHES}
     note = "" if reference else (
         "\n(no kept run matches the golden digests, so no numeric differences: run this test "
-        "once on code that matches them, or compare with tests/golden/digests.py --reference)")
+        "once on code that matches them)")
     pytest.fail("artifacts differ from the golden digests:\n"
                 + "\n".join(differences(golden, actual, reference, roots)) + note)

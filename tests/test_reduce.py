@@ -296,14 +296,23 @@ def set_eigenvalue(value):
     return corrupt
 
 
+def set_nan(name):
+    def corrupt(directory):
+        array = np.load(directory / name)
+        array.flat[0] = np.nan
+        np.save(directory / name, array)
+    return corrupt
+
+
 class TestBasisArchiveValidation:
     @pytest.mark.parametrize("corrupt", [
         corrupt_mean, corrupt_eigenvalue_count, corrupt_component_count, corrupt_manifest_count,
         corrupt_npy, drop_manifest_key,
         set_eigenvalue(0.0), set_eigenvalue(-1.0), set_eigenvalue(np.nan), set_eigenvalue(np.inf),
+        set_nan("components.npy"), set_nan("column_mean.npy"),
     ], ids=["mean-rows", "eigenvalue-count", "component-count", "manifest-count", "npy-garbage",
             "manifest-key", "eigenvalue-zero", "eigenvalue-negative", "eigenvalue-nan",
-            "eigenvalue-inf"])
+            "eigenvalue-inf", "components-nan", "mean-nan"])
     def test_inconsistent_archive_rejected(self, random_ensemble, tmp_path, corrupt):
         basis = fit_basis(random_ensemble)
         assert basis.n_components > 1
