@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from . import kernels
-from .emulator import predict_scaled, thread_map, _invgamma_logpdf
+from .emulator import thread_map, _invgamma_logpdf
 from .errors import (
     ChainTooShort,
     DimensionMismatch,
@@ -147,6 +147,11 @@ class PosteriorChain:
     def n_kept(self) -> int:
         return self.samples.shape[0]
 
+    @property
+    def theta_names(self) -> list:
+        """The leading ``names``: every column but sigma2_eps (and kappa_d)."""
+        return self.names[: len(self.names) - (2 if "kappa_d" in self.names else 1)]
+
 
 # --- reduced observation and likelihood -------------------------------------
 
@@ -221,8 +226,8 @@ def log_likelihood_reduced(
     """
     _check_component_counts(z_r, emulator, basis)
     if prediction is None:
-        theta0 = emulator.space.scale(np.asarray(theta, dtype=float))
-        prediction = predict_scaled(emulator, theta0)
+        theta0 = emulator.space.scale(np.atleast_1d(theta))
+        prediction = kernels.predict_scores(theta0, emulator)
     mean, var = prediction
     if disc is None:
         return _diag_log_likelihood(z_r.values, mean, var, sigma2_eps * (1.0 / basis.eigenvalues))
@@ -413,8 +418,7 @@ def run_mh(
     # kernels.predict_scores is read off the module per call: a wrapper set there sees each.
     @functools.lru_cache(maxsize=k + 1)
     def predict_at(theta_bytes):
-        prediction = kernels.predict_scores((np.frombuffer(theta_bytes) - lower) / span,
-                                            emulator._packed)
+        prediction = kernels.predict_scores((np.frombuffer(theta_bytes) - lower) / span, emulator)
         for arr in prediction:
             arr.flags.writeable = False
         return prediction
@@ -486,8 +490,7 @@ def thin(chain: PosteriorChain, m: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     offset = int(rng.integers(0, stride)) if stride > 1 else 0
     idx = offset + stride * np.arange(m)
-    n_theta = len(chain.names) - (2 if "kappa_d" in chain.names else 1)
-    return chain.samples[idx, :n_theta]
+    return chain.samples[idx, : len(chain.theta_names)]
 
 
 def calibrated_projection(theta_samples: np.ndarray, model, threads: int = 1) -> Grid:
@@ -530,7 +533,7 @@ def calibrated_projection(theta_samples: np.ndarray, model, threads: int = 1) ->
 
 def save_chain(chain: PosteriorChain, path) -> None:
     """CSV with header iter,theta_<name>...,sigma2_eps[,kappa_d],log_post,accepted_mask."""
-    theta_names = chain.names[: len(chain.names) - (2 if "kappa_d" in chain.names else 1)]
+    theta_names = chain.theta_names
     extra = chain.names[len(theta_names):]
     # the rows a csv.writer gives for these fields: no number needs quoting
     row = "%d," + "%.17g," * (chain.samples.shape[1] + 1) + "%d\r\n"

@@ -50,7 +50,7 @@ from .design import (
     read_design_csv,
     write_design_csv,
 )
-from .diagnostics import extent_metrics, format_d_table, rmse, summarize_d, uspe
+from .diagnostics import d_mr_hr, extent_metrics, format_d_table, rmse, summarize_d, uspe
 from .emulator import (
     child_seeds,
     fit_multires,
@@ -161,21 +161,22 @@ def load_config(path) -> ExperimentConfig:
         theta_star = _floats(parser.get("synth", "theta_star", fallback=""))
         if len(theta_star) != k:
             raise ConfigError("synth.theta_star must give one value per dimension")
+        default = SynthConfig(space=space)
         synth = SynthConfig(
             fine_shape=(
-                parser.getint("synth", "fine_rows", fallback=32),
-                parser.getint("synth", "fine_cols", fallback=32),
+                parser.getint("synth", "fine_rows", fallback=default.fine_shape[0]),
+                parser.getint("synth", "fine_cols", fallback=default.fine_shape[1]),
             ),
-            fine_cell=parser.getfloat("synth", "fine_cell", fallback=1.0),
+            fine_cell=parser.getfloat("synth", "fine_cell", fallback=default.fine_cell),
             coarse_shape=(
-                parser.getint("synth", "coarse_rows", fallback=8),
-                parser.getint("synth", "coarse_cols", fallback=8),
+                parser.getint("synth", "coarse_rows", fallback=default.coarse_shape[0]),
+                parser.getint("synth", "coarse_cols", fallback=default.coarse_shape[1]),
             ),
-            coarse_cell=parser.getfloat("synth", "coarse_cell", fallback=4.0),
+            coarse_cell=parser.getfloat("synth", "coarse_cell", fallback=default.coarse_cell),
             space=space,
-            noise_sd=parser.getfloat("synth", "noise_sd", fallback=0.03),
-            rho_true=parser.getfloat("synth", "rho_true", fallback=0.9),
-            cheap_bias=parser.getfloat("synth", "cheap_bias", fallback=0.1),
+            noise_sd=parser.getfloat("synth", "noise_sd", fallback=default.noise_sd),
+            rho_true=parser.getfloat("synth", "rho_true", fallback=default.rho_true),
+            cheap_bias=parser.getfloat("synth", "cheap_bias", fallback=default.cheap_bias),
         )
         if theta_star and not space.contains(np.array(theta_star)):
             raise ConfigError(f"theta_star {theta_star} outside the parameter space")
@@ -433,9 +434,6 @@ def cmd_project(cfg: ExperimentConfig, seed: int | None = None, threads: int = 1
     seed = cfg.seeds["thin"] if seed is None else seed
     chain_path = _require(cfg.out_dir / f"chain_{cfg.approach}.csv", "posterior chain")
     samples, names = load_chain_samples(chain_path)
-    if names[: len(names) - (2 if "kappa_d" in names else 1)] != list(cfg.space.names):
-        raise MalformedArtifact(f"{chain_path}: columns {names} do not match the parameters "
-                                f"{list(cfg.space.names)}")
     chain = PosteriorChain(
         samples=samples,
         log_posterior=np.zeros(len(samples)),
@@ -446,6 +444,9 @@ def cmd_project(cfg: ExperimentConfig, seed: int | None = None, threads: int = 1
         burn_in=0,
         iterations=len(samples),
     )
+    if chain.theta_names != list(cfg.space.names):
+        raise MalformedArtifact(f"{chain_path}: columns {names} do not match the parameters "
+                                f"{list(cfg.space.names)}")
     thetas = thin(chain, min(cfg.n_thinned, chain.n_kept), seed)
     projection = calibrated_projection(thetas, expensive_model_adapter(cfg.synth), threads)
     write_ascii_grid(projection, cfg.out_dir / f"projection_{cfg.approach}.asc")
@@ -455,19 +456,16 @@ def cmd_project(cfg: ExperimentConfig, seed: int | None = None, threads: int = 1
             thetas=[list(t) for t in thetas])
 
 
-def cmd_diagnose(
-    cfg: ExperimentConfig, seed: int | None = None, flood_threshold: float | None = None
-) -> None:
+def cmd_diagnose(cfg: ExperimentConfig, seed: int | None = None) -> None:
     seed = cfg.seeds["diagnose"] if seed is None else seed
-    threshold = cfg.flood_threshold if flood_threshold is None else flood_threshold
 
     projection = read_ascii_grid(
         _require(cfg.out_dir / f"projection_{cfg.approach}.asc", "calibrated projection")
     )
     obs_grid = read_ascii_grid(_require(cfg.runs_dir / "observation.asc", "observation"))
-    report = extent_metrics(projection, obs_grid, threshold)
+    report = extent_metrics(projection, obs_grid, cfg.flood_threshold)
 
-    metrics = {"approach": cfg.approach, "flood_threshold": threshold}
+    metrics = {"approach": cfg.approach, "flood_threshold": cfg.flood_threshold}
     metrics.update(report.to_dict())
     write_manifest(cfg.out_dir / "metrics.json", metrics)
     with open(cfg.out_dir / "metrics.txt", "w") as fh:
@@ -498,7 +496,7 @@ def cmd_diagnose(
             f"diagnose[{cfg.approach}]: rmse {report.rmse:.4f} m, bias "
             f"{report.percent_bias:.2f}%, fit {report.fit:.3f}, "
             f"correctness {report.correctness:.3f}",
-            seed=seed, flood_threshold=threshold,
+            seed=seed, flood_threshold=cfg.flood_threshold,
             held_out_rows=[int(i) for i in held_idx], uspe_files=uspe_written)
 
 
@@ -625,7 +623,7 @@ def _holdout_d_values(cfg, design, ensemble, held_idx, seed, threads=1) -> list:
     )
     pred_mr, pred_hr = (reconstruct(basis, predict_many(emu, test_thetas)[0])
                         for emu in emulators.values())
-    return [rmse(mr, depths) - rmse(hr, depths)
+    return [d_mr_hr(rmse(mr, depths), rmse(hr, depths))
             for mr, hr, depths in zip(pred_mr, pred_hr, test_depths)]
 
 
@@ -643,9 +641,7 @@ STAGES = {
     "emulate": (cmd_emulate, "reduce dimensions and fit the MR and HR emulators", _THREADS),
     "calibrate": (cmd_calibrate, "sample the posterior over (theta, sigma2_eps)", {}),
     "project": (cmd_project, "average model runs at thinned posterior samples", _THREADS),
-    "diagnose": (cmd_diagnose, "projection metrics and emulator validation",
-                 {"--flood-threshold": dict(type=float, default=None,
-                                            help="depth (m) above which a cell counts as flooded")}),
+    "diagnose": (cmd_diagnose, "projection metrics and emulator validation", {}),
     "crossval": (cmd_crossval, "cross-validation and edge-case D(MR-HR) tables", _THREADS),
 }
 

@@ -529,6 +529,14 @@ class MultiResEmulator:
 
     With no cheap rows and rho = 0 it is the single-resolution baseline;
     :func:`singleres_emulator` builds that case.
+
+    Construction also sets the arrays :mod:`.kernels` predicts from, over
+    the J components: the ``n`` stacked training settings ``theta``
+    (``n_cheap`` cheap rows first); ``rho, var_c, var_e, nug_e, inv_range_c,
+    inv_range_e``; the trend-prior cross blocks ``trend_w`` (``B H^T``); the
+    lower gram factors ``chol``, their transposes ``chol_t`` and the
+    gram-solved centred scores ``alpha``; ``cross_coef``, a test row's
+    rho-scaled ``var_c``; and ``prior_var``, ``rho^2 var_c + var_e + nug_e``.
     """
 
     def __init__(self, space, theta_cheap, theta_exp, scores_cheap, scores_exp,
@@ -552,22 +560,23 @@ class MultiResEmulator:
             chols.append(chol_m)
             alphas.append(cho_solve((chol_m, True), t - h @ trend_prior.mean))
         p = self.params_list
-        self._packed = kernels.Packed(
-            theta=np.vstack([self.theta_cheap, self.theta_exp]),
-            n_cheap=self.theta_cheap.shape[0],
-            rho=np.array([q.rho for q in p]),
-            var_c=np.array([q.var_cheap for q in p]),
-            var_e=np.array([q.var_exp for q in p]),
-            nug_e=np.array([q.nugget_exp for q in p]),
-            inv_range_c=np.array([1.0 / q.range_cheap for q in p]),
-            inv_range_e=np.array([1.0 / q.range_exp for q in p]),
-            trend_mean=trend_prior.mean,
-            trend_cov_c=trend_prior.cov_cheap,
-            trend_cov_e=trend_prior.cov_exp,
-            trend_w=np.array(trend_w),
-            chol=np.array(chols),
-            alpha=np.array(alphas),
-        )
+        self.theta = np.vstack([self.theta_cheap, self.theta_exp])
+        self.n_cheap = self.theta_cheap.shape[0]
+        self.rho = np.array([q.rho for q in p])
+        self.var_c = np.array([q.var_cheap for q in p])
+        self.var_e = np.array([q.var_exp for q in p])
+        self.nug_e = np.array([q.nugget_exp for q in p])
+        self.inv_range_c = np.array([1.0 / q.range_cheap for q in p])
+        self.inv_range_e = np.array([1.0 / q.range_exp for q in p])
+        self.trend_w = np.array(trend_w)
+        self.chol = np.array(chols)
+        self.alpha = np.array(alphas)
+        amp = np.ones((len(self.rho), self.theta.shape[0]))
+        amp[:, self.n_cheap:] = self.rho[:, None]
+        self.cross_coef = self.var_c[:, None] * (self.rho[:, None] * amp)
+        self.prior_var = [float(r**2 * vc + ve + ne) for r, vc, ve, ne
+                          in zip(self.rho, self.var_c, self.var_e, self.nug_e)]
+        self.chol_t = [c.T for c in self.chol]
 
     @property
     def uses_cheap(self) -> bool:
@@ -705,12 +714,6 @@ def fit_singleres(
 # --- prediction ---------------------------------------------------------------
 
 
-def predict_scaled(emulator, theta0_scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel call on already unit-scaled coordinates."""
-    theta0 = np.ascontiguousarray(np.atleast_1d(theta0_scaled), dtype=float)
-    return kernels.predict_scores(theta0, emulator._packed)
-
-
 def predict(emulator, theta0: np.ndarray) -> PredictiveDistribution:
     """Predictive distribution of the expensive scores at ``theta0``.
 
@@ -725,7 +728,7 @@ def predict(emulator, theta0: np.ndarray) -> PredictiveDistribution:
             ExtrapolationWarning,
             stacklevel=2,
         )
-    mean, var = predict_scaled(emulator, emulator.space.scale(theta0))
+    mean, var = kernels.predict_scores(emulator.space.scale(theta0), emulator)
     return PredictiveDistribution(mean=mean, variance=var, extrapolated=extrapolated)
 
 
@@ -741,7 +744,7 @@ def predict_many(emulator, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     variances = np.empty_like(means)
     scaled = emulator.space.scale(thetas)
     for i in range(thetas.shape[0]):
-        means[i], variances[i] = predict_scaled(emulator, scaled[i])
+        means[i], variances[i] = kernels.predict_scores(scaled[i], emulator)
     return means, variances
 
 
@@ -753,20 +756,20 @@ def predict_joint(emulator, thetas: np.ndarray) -> list[tuple[np.ndarray, np.nda
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     scaled = emulator.space.scale(thetas)
-    p = emulator._packed
-    d2_train = kernels.sq_dists(scaled, p.theta)
+    e = emulator
+    d2_train = kernels.sq_dists(scaled, e.theta)
     d2_test = kernels.sq_dists(scaled, scaled)
     basis = _mean_basis(scaled)
-    block_cov = emulator.trend_prior.block_cov
+    block_cov = e.trend_prior.block_cov
     out = []
-    for j in range(emulator.n_components):
-        a0 = np.hstack([p.rho[j] * basis, basis])
-        cross = kernels.cross_cov(d2_train, p, j) + a0 @ p.trend_w[j]
-        mean = a0 @ p.trend_mean + cross @ p.alpha[j]
-        prior = kernels.gp_cov(d2_test, 0, 0, p.rho[j], p.var_c[j], p.var_e[j],
-                               p.inv_range_c[j], p.inv_range_e[j]) + a0 @ block_cov @ a0.T
-        prior[np.diag_indices_from(prior)] += p.nug_e[j]
-        white = solve_triangular(p.chol[j], cross.T, lower=True)
+    for j in range(e.n_components):
+        a0 = np.hstack([e.rho[j] * basis, basis])
+        cross = kernels.cross_cov(d2_train, e, j) + a0 @ e.trend_w[j]
+        mean = a0 @ e.trend_prior.mean + cross @ e.alpha[j]
+        prior = kernels.gp_cov(d2_test, 0, 0, e.rho[j], e.var_c[j], e.var_e[j],
+                               e.inv_range_c[j], e.inv_range_e[j]) + a0 @ block_cov @ a0.T
+        prior[np.diag_indices_from(prior)] += e.nug_e[j]
+        white = solve_triangular(e.chol[j], cross.T, lower=True)
         cov = prior - white.T @ white
         out.append((mean, 0.5 * (cov + cov.T)))
     return out

@@ -6,8 +6,8 @@ two-fidelity covariance built from it, serving the MAP objective and its
 gradient, emulator construction, :func:`predict_scores` and joint
 prediction alike.  The predictive distribution is evaluated once per
 Metropolis-Hastings proposal, i.e. hundreds of thousands of times per
-calibration run, so :func:`predict_scores` works on arrays packed once per
-emulator.
+calibration run, so :func:`predict_scores` reads arrays that a
+:class:`~floodcal.emulator.MultiResEmulator` computes once, when built.
 
 All kernels work in unit-scaled parameter coordinates and use float64
 arrays.  Point sets are stacked cheap rows first, expensive rows after.
@@ -16,7 +16,6 @@ arrays.  Point sets are stacked cheap rows first, expensive rows after.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -71,56 +70,18 @@ def gp_cov(d2, n_cheap_rows, n_cheap_cols, rho, var_c, var_e, inv_range_c, inv_r
     return gp_cov_from_corr(corr_c, corr_e, n_cheap_rows, n_cheap_cols, rho, var_c, var_e)
 
 
-@dataclass
-class Packed:
-    """Per-component arrays of a fitted emulator, stacked over J components.
-
-    ``theta`` holds the ``n`` training settings, ``n_cheap`` cheap rows
-    first; ``rho, var_c, var_e, nug_e`` have shape ``(J,)``,
-    ``inv_range_c, inv_range_e`` ``(J, k)``; ``trend_w`` ``(J, 2(k+1), n)``
-    is the trend-prior cross block ``B H^T``; ``chol`` ``(J, n, n)`` the
-    lower Cholesky factors of the joint gram and ``alpha`` ``(J, n)`` the
-    gram-solved centred training scores.  The rest is derived once, here.
-    """
-
-    theta: np.ndarray
-    n_cheap: int
-    rho: np.ndarray
-    var_c: np.ndarray
-    var_e: np.ndarray
-    nug_e: np.ndarray
-    inv_range_c: np.ndarray
-    inv_range_e: np.ndarray
-    trend_mean: np.ndarray
-    trend_cov_c: np.ndarray
-    trend_cov_e: np.ndarray
-    trend_w: np.ndarray
-    chol: np.ndarray
-    alpha: np.ndarray
-    cross_coef: np.ndarray = field(init=False)  # gp_cov's test-row var_c (rho amp), (J, n)
-    prior_var: list = field(init=False)  # floats rho^2 var_c + var_e + nug_e, in that order
-    chol_t: list = field(init=False)  # the factors' transposed (Fortran-ordered) views
-
-    def __post_init__(self):
-        amp = np.ones((len(self.rho), self.theta.shape[0]))
-        amp[:, self.n_cheap:] = self.rho[:, None]
-        self.cross_coef = self.var_c[:, None] * (self.rho[:, None] * amp)
-        self.prior_var = [float(r**2 * vc + ve + ne) for r, vc, ve, ne
-                          in zip(self.rho, self.var_c, self.var_e, self.nug_e)]
-        self.chol_t = [c.T for c in self.chol]
-
-
-def cross_cov(d2: np.ndarray, packed: Packed, j: int) -> np.ndarray:
-    """``gp_cov(d2, 0, n_cheap, ...)`` of component ``j`` for the
-    ``(k, m, n)`` distances ``d2`` of m test settings to the training runs."""
-    p = packed
-    v = p.cross_coef[j] * sq_exp_corr(d2, p.inv_range_c[j])
-    v[:, p.n_cheap:] += p.var_e[j] * sq_exp_corr(d2[:, :, p.n_cheap:], p.inv_range_e[j])
+def cross_cov(d2: np.ndarray, emulator, j: int) -> np.ndarray:
+    """``gp_cov(d2, 0, n_cheap, ...)`` of the emulator's component ``j`` for
+    the ``(k, m, n)`` distances ``d2`` of m test settings to its training runs."""
+    e = emulator
+    v = e.cross_coef[j] * sq_exp_corr(d2, e.inv_range_c[j])
+    v[:, e.n_cheap:] += e.var_e[j] * sq_exp_corr(d2[:, :, e.n_cheap:], e.inv_range_e[j])
     return v
 
 
-def predict_scores(theta0: np.ndarray, packed: Packed) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component predictive mean and variance at one parameter setting.
+def predict_scores(theta0: np.ndarray, emulator) -> tuple[np.ndarray, np.ndarray]:
+    """Per-component predictive mean and variance of a fitted
+    :class:`~floodcal.emulator.MultiResEmulator` at one unit-scaled setting.
 
     Returns ``(means, variances)`` of shape ``(J,)`` each.  The variance is
     floored at the expensive nugget, which it dominates exactly in exact
@@ -134,23 +95,24 @@ def predict_scores(theta0: np.ndarray, packed: Packed) -> tuple[np.ndarray, np.n
     """
     if not all(map(math.isfinite, theta0.tolist())):
         raise ValueError("array must not contain infs or NaNs")
-    p = packed
+    e = emulator
+    trend = e.trend_prior
     k1 = theta0.shape[0] + 1
     h0 = np.concatenate(([1.0], theta0))
-    quad_c = float(h0 @ p.trend_cov_c @ h0)
-    quad_e = float(h0 @ p.trend_cov_e @ h0)
-    trend_c = float(h0 @ p.trend_mean[:k1])
-    trend_e = float(h0 @ p.trend_mean[k1:])
-    d2 = sq_dists(theta0[None, :], p.theta)
+    quad_c = float(h0 @ trend.cov_cheap @ h0)
+    quad_e = float(h0 @ trend.cov_exp @ h0)
+    trend_c = float(h0 @ trend.mean[:k1])
+    trend_e = float(h0 @ trend.mean[k1:])
+    d2 = sq_dists(theta0[None, :], e.theta)
 
-    means = np.empty(p.rho.shape[0])
+    means = np.empty(e.rho.shape[0])
     variances = np.empty_like(means)
-    for j, rho in enumerate(p.rho.tolist()):
-        cross = cross_cov(d2, p, j)[0] + np.concatenate((rho * h0, h0)) @ p.trend_w[j]
-        means[j] = rho * trend_c + trend_e + cross @ p.alpha[j]
-        white, info = dtrtrs(p.chol_t[j], cross, lower=0, trans=1)
+    for j, rho in enumerate(e.rho.tolist()):
+        cross = cross_cov(d2, e, j)[0] + np.concatenate((rho * h0, h0)) @ e.trend_w[j]
+        means[j] = rho * trend_c + trend_e + cross @ e.alpha[j]
+        white, info = dtrtrs(e.chol_t[j], cross, lower=0, trans=1)
         if info != 0:
             raise LinAlgError(f"triangular solve failed (trtrs info {info})")
-        var = p.prior_var[j] + p.rho[j]**2 * quad_c + quad_e - white @ white
-        variances[j] = var if var > p.nug_e[j] else p.nug_e[j]
+        var = e.prior_var[j] + e.rho[j]**2 * quad_c + quad_e - white @ white
+        variances[j] = var if var > e.nug_e[j] else e.nug_e[j]
     return means, variances

@@ -1,5 +1,14 @@
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread in this process, as in the golden runs' child processes:
+# stages rerun here are compared byte for byte with theirs, and 1 versus 2
+# OpenBLAS threads changes MAP hyperparameters in the last bits.  OpenBLAS
+# reads these when numpy first loads it, so they are set before that.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from floodcal.design import Design, ParameterSpace
 from floodcal.emulator import (
@@ -11,6 +20,17 @@ from floodcal.emulator import (
     fit_singleres,
     singleres_emulator,
 )
+from golden.digests import run_pipelines, tree_digests
+
+
+@pytest.fixture(scope="session")
+def golden_runs(tmp_path_factory):
+    """The seven CLI stages for every approach, run once per session by
+    ``golden.digests.run_pipelines``: the run roots keyed by approach, and
+    their ``tree_digests`` taken right after the run.  Copy a root before
+    writing to it."""
+    roots = run_pipelines(tmp_path_factory.mktemp("golden"))
+    return roots, {approach: tree_digests(root) for approach, root in roots.items()}
 
 
 @pytest.fixture(scope="session")

@@ -525,9 +525,9 @@ class TestRunMhHotPath:
         real_predict = kernels.predict_scores
         real_sampler = calibrate.random_walk_metropolis
 
-        def counting_predict(theta0, packed):
+        def counting_predict(theta0, emulator):
             counts["predict"] += 1
-            return real_predict(theta0, packed)
+            return real_predict(theta0, emulator)
 
         def counting_sampler(log_target, *args, **kwargs):
             def target(x):
@@ -549,6 +549,32 @@ class TestRunMhHotPath:
         theta_calls = counts["target"] - noise_moves
         assert theta_calls > iterations // 4  # the chain does move in theta
         assert counts["predict"] == theta_calls
+
+
+def test_every_prediction_entry_point_calls_the_module_kernel(gp_setup, monkeypatch):
+    # the benchmark's kernels.predict span wraps kernels.predict_scores on the module
+    import floodcal.kernels as kernels
+    from floodcal.emulator import predict_hr, predict_many
+
+    emu_mr, emu_hr = gp_setup["emu_mr"], gp_setup["emu_hr"]
+    z_r, basis, _ = _mh_problem(emu_mr, False)
+    calls = []
+    real_predict = kernels.predict_scores
+
+    def counting_predict(theta0, emulator):
+        calls.append(emulator)
+        return real_predict(theta0, emulator)
+
+    monkeypatch.setattr(kernels, "predict_scores", counting_predict)
+    theta = np.array([0.3, 0.6])
+    predict(emu_mr, theta)
+    assert calls == [emu_mr]
+    predict_hr(emu_hr, theta)
+    assert calls[1:] == [emu_hr]
+    predict_many(emu_mr, np.random.default_rng(38).random((5, 2)))
+    assert calls[2:] == [emu_mr] * 5
+    log_likelihood_reduced(theta, 0.01, z_r, emu_mr, basis)
+    assert calls[7:] == [emu_mr]
 
 
 class TestThin:
@@ -596,6 +622,14 @@ class TestThin:
     def test_chain_too_short(self):
         with pytest.raises(ChainTooShort):
             thin(self.fake_chain(10), 11, seed=0)
+
+    def test_theta_names_leave_out_the_variances(self):
+        chain = self.fake_chain(4)
+        assert chain.theta_names == ["x"]
+        chain.names = ["x", "y", "sigma2_eps", "kappa_d"]
+        chain.samples = np.arange(16.0).reshape(4, 4)
+        assert chain.theta_names == ["x", "y"]
+        assert np.array_equal(thin(chain, 4, seed=0), chain.samples[:, :2])
 
 
 class TestCalibratedProjection:

@@ -14,7 +14,7 @@ from floodcal.cli import main
 from floodcal.design import Design, read_design_csv, write_design_csv
 from floodcal.grid import Grid, read_ascii_grid, write_ascii_grid
 from floodcal.reduce import build_ensemble
-from floodcal.synthmodel import shared_locations
+from floodcal.synthmodel import SynthConfig, shared_locations
 
 CONFIG_TEMPLATE = """\
 [space]
@@ -52,14 +52,11 @@ out_dir = out
 
 
 @pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """Run every stage once into a module-scoped workspace."""
+def pipeline(golden_runs, tmp_path_factory):
+    """A module-scoped copy of the session's mr run, every stage done; tests
+    that write into it leave the run ``test_golden`` hashed untouched."""
     root = tmp_path_factory.mktemp("pipeline")
-    config = root / "experiment.ini"
-    config.write_text(CONFIG_TEMPLATE)
-    for stage in ("design", "run-synth", "emulate", "calibrate", "project",
-                  "diagnose", "crossval"):
-        assert main([stage, "--config", str(config)]) == 0, stage
+    shutil.copytree(golden_runs[0]["mr"], root, dirs_exist_ok=True)
     return root
 
 
@@ -146,6 +143,18 @@ class TestPipeline:
         assert metrics["percent_bias"] == 0.0
         assert metrics["fit"] == 1.0
         assert metrics["correctness"] == 1.0
+
+
+class TestLoadConfig:
+    @pytest.mark.parametrize("synth, expected", [
+        ("", {}),
+        ("noise_sd = 0.05\ncoarse_cell = 8.0\n", {"noise_sd": 0.05, "coarse_cell": 8.0}),
+    ], ids=["defaults", "overrides"])
+    def test_synth_keys_left_out_take_synthconfig_defaults(self, tmp_path, synth, expected):
+        config = tmp_path / "experiment.ini"
+        config.write_text(CONFIG_TEMPLATE.replace("[synth]\n", f"[synth]\n{synth}"))
+        cfg = cli.load_config(config)
+        assert cfg.synth == SynthConfig(space=cfg.space, **expected)
 
 
 class TestRerunDeterminism:
@@ -342,11 +351,12 @@ class TestExitCodes:
 
     def test_threads_only_where_used(self, pipeline, tmp_path, capsys):
         config = str(pipeline / "experiment.ini")
-        for stage in ("design", "calibrate", "diagnose"):
+        for stage, flag in (("design", "--threads"), ("calibrate", "--threads"),
+                            ("diagnose", "--threads"), ("diagnose", "--flood-threshold")):
             with pytest.raises(SystemExit) as exit_info:
-                main([stage, "--config", config, "--threads", "2"])
+                main([stage, "--config", config, flag, "2"])
             assert exit_info.value.code == 2
-            assert "unrecognized arguments: --threads" in capsys.readouterr().err
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         root = tmp_path / "threads"
         shutil.copytree(pipeline, root)
         assert main(["emulate", "--config", str(root / "experiment.ini"), "--threads", "2"]) == 0

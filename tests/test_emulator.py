@@ -504,7 +504,7 @@ class TestPredict:
 
     def test_cached_factor_reproduces_gram(self, gp_setup):
         for emu in (gp_setup["emu_mr"], gp_setup["emu_hr"]):
-            for chol, params in zip(emu._packed.chol, emu.params_list):
+            for chol, params in zip(emu.chol, emu.params_list):
                 _, m = joint_gram(emu.theta_cheap, emu.theta_exp, params, emu.trend_prior)
                 err = np.linalg.norm(chol @ chol.T - m)
                 assert err <= 5 * np.finfo(float).eps * np.linalg.norm(m) * m.shape[0]

@@ -10,18 +10,16 @@ import shutil
 
 import pytest
 
-from golden.digests import (APPROACHES, GOLDEN, differences, environment_stamp,
-                            run_pipelines, tree_digests)
+from golden.digests import APPROACHES, GOLDEN, differences, environment_stamp, tree_digests
 
 
-def test_artifacts_match_the_golden_digests(tmp_path, request):
+def test_artifacts_match_the_golden_digests(golden_runs, request):
     golden = json.loads(GOLDEN.read_text())
     stamp = environment_stamp()
     assert golden["environment"] == stamp, (
         f"the golden digests were made with {golden['environment']}, this environment has "
         f"{stamp}: digests from another environment do not apply here")
-    roots = run_pipelines(tmp_path)
-    actual = {approach: tree_digests(root) for approach, root in roots.items()}
+    roots, actual = golden_runs
     # the last run that matched is kept, so a mismatch can report numeric differences
     cache = getattr(request.config, "cache", None)
     kept = cache.mkdir("floodcal-golden-runs") if cache is not None else None

@@ -76,26 +76,27 @@ def test_gram_with_repeated_settings_matches_oracle():
     assert np.max(np.abs(m - m_o)) <= 1e-13 * np.max(np.abs(m_o))
 
 
-def _reference_predict(theta0, p):
+def _reference_predict(theta0, e):
     """predict_scores written out per call: the cross block from gp_cov, the
-    constants from the packed parameters and the solve from scipy's checked
-    solve_triangular on the C-ordered factor."""
+    constants from the emulator's parameters and the solve from scipy's
+    checked solve_triangular on the C-ordered factor."""
     k1 = theta0.shape[0] + 1
     h0 = np.concatenate(([1.0], theta0))
-    d2 = kernels.sq_dists(theta0[None, :], p.theta)
+    trend = e.trend_prior
+    d2 = kernels.sq_dists(theta0[None, :], e.theta)
     means, variances = [], []
-    for j in range(len(p.rho)):
-        rho = p.rho[j]
-        cross = kernels.gp_cov(d2, 0, p.n_cheap, rho, p.var_c[j], p.var_e[j],
-                               p.inv_range_c[j], p.inv_range_e[j])[0]
-        cross = cross + np.concatenate((rho * h0, h0)) @ p.trend_w[j]
-        means.append(rho * (h0 @ p.trend_mean[:k1]) + h0 @ p.trend_mean[k1:]
-                     + cross @ p.alpha[j])
-        white = solve_triangular(p.chol[j], cross, lower=True)
-        var = (rho**2 * p.var_c[j] + p.var_e[j] + p.nug_e[j]
-               + rho**2 * (h0 @ p.trend_cov_c @ h0) + h0 @ p.trend_cov_e @ h0
+    for j in range(len(e.rho)):
+        rho = e.rho[j]
+        cross = kernels.gp_cov(d2, 0, e.n_cheap, rho, e.var_c[j], e.var_e[j],
+                               e.inv_range_c[j], e.inv_range_e[j])[0]
+        cross = cross + np.concatenate((rho * h0, h0)) @ e.trend_w[j]
+        means.append(rho * (h0 @ trend.mean[:k1]) + h0 @ trend.mean[k1:]
+                     + cross @ e.alpha[j])
+        white = solve_triangular(e.chol[j], cross, lower=True)
+        var = (rho**2 * e.var_c[j] + e.var_e[j] + e.nug_e[j]
+               + rho**2 * (h0 @ trend.cov_cheap @ h0) + h0 @ trend.cov_exp @ h0
                - white @ white)
-        variances.append(var if var > p.nug_e[j] else p.nug_e[j])
+        variances.append(var if var > e.nug_e[j] else e.nug_e[j])
     return np.array(means), np.array(variances)
 
 
@@ -104,18 +105,18 @@ def _reference_predict(theta0, p):
 def test_predict_matches_solve_triangular_reference(layout, k):
     rng = np.random.default_rng(40 + k)
     space = ParameterSpace(tuple((f"x{i}", 0.0, 1.0) for i in range(k)))
-    packed = _emulator(layout, space, rng, n_comp=2)._packed
+    emu = _emulator(layout, space, rng, n_comp=2)
     # training settings (variance at the nugget floor) and fresh settings
-    points = np.vstack([packed.theta[0], packed.theta[-1], rng.random((6, k))])
+    points = np.vstack([emu.theta[0], emu.theta[-1], rng.random((6, k))])
     for x in points:
-        mean, var = kernels.predict_scores(x, packed)
-        ref_mean, ref_var = _reference_predict(x, packed)
+        mean, var = kernels.predict_scores(x, emu)
+        ref_mean, ref_var = _reference_predict(x, emu)
         assert np.array_equal(mean, ref_mean)
         assert np.array_equal(var, ref_var)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_predict_rejects_non_finite_theta(unit_space, bad):
-    packed = _emulator("mr", unit_space, np.random.default_rng(44))._packed
+    emu = _emulator("mr", unit_space, np.random.default_rng(44))
     with pytest.raises(ValueError, match="infs or NaNs"):
-        kernels.predict_scores(np.array([0.5, bad]), packed)
+        kernels.predict_scores(np.array([0.5, bad]), emu)
