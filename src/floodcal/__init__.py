@@ -1,6 +1,15 @@
 """Multiresolution Gaussian-process emulation and Bayesian calibration
 of spatial flood models."""
 
+import os
+
+# One BLAS thread unless the user chose otherwise: a multi-threaded BLAS sums
+# in a thread-count-dependent order, so artifacts would depend on the machine.
+# This only takes effect if numpy is not imported yet.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 __version__ = "0.1.0"
 
 from .design import Design, ParameterSpace, augment_cheap, edge_filter, maximin_lhs

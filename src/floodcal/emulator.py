@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotri
-from scipy.optimize import minimize
+from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 
 from .design import EXPENSIVE, Design, ParameterSpace
 from .errors import AllStartsFailed, ExtrapolationWarning, MalformedArtifact, NotPositiveDefinite
@@ -38,6 +38,16 @@ JITTER_MAX = 1e-6
 LOG_BOUNDS = (-16.0, 10.0)
 RHO_BOUNDS = (-10.0, 10.0)
 FTOL = 1e-12  # L-BFGS-B stops once a step lowers -log posterior by less than this, relatively
+
+
+def __getattr__(name):
+    # scipy.optimize costs about 0.2 s of import; only stages that fit load it
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        globals()["minimize"] = minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -158,86 +168,109 @@ def _mean_basis(theta: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((theta.shape[0], 1)), theta])
 
 
+def cholesky(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """LAPACK ``potrf``: M's lower factor, upper triangle zeroed, and ``info``.
+
+    ``info`` > 0 means M is not positive definite.  This is the call
+    ``scipy.linalg.cholesky(m, lower=True)`` makes, without its finiteness
+    scan and shape checks; the factor is Fortran-ordered.
+    """
+    return dpotrf(m, lower=1, clean=1)
+
+
 def _chol_with_jitter(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factor, escalating diagonal jitter on failure.
 
     Returns (chol, possibly-jittered matrix); raises NotPositiveDefinite
     once the jitter cap is reached.
     """
-    try:
-        return cholesky(m, lower=True), m
-    except np.linalg.LinAlgError:
-        pass
+    chol, info = cholesky(m)
+    if not info:
+        return chol, m
     base = np.trace(m) / m.shape[0]
     jitter = JITTER_START
     while jitter <= JITTER_MAX * (1 + 1e-12):
         mj = m + jitter * base * np.eye(m.shape[0])
-        try:
-            return cholesky(mj, lower=True), mj
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
+        chol, info = cholesky(mj)
+        if not info:
+            return chol, mj
+        jitter *= 10.0
     raise NotPositiveDefinite(
         f"gram matrix not positive definite after jitter escalation to {JITTER_MAX}"
     )
 
 
+def _positives(params: EmulatorParams) -> np.ndarray:
+    """The positive parameters in :func:`_params_to_x` order, unlogged."""
+    return np.concatenate([[params.var_cheap, params.var_exp, params.nugget_cheap,
+                            params.nugget_exp], params.range_cheap, params.range_exp])
+
+
 class _FitWorkspace:
     """Design-fixed pieces of one emulator's training gram.
 
-    The squared-distance tensor and the trend basis depend on the design
-    only; each gram then costs two dense exponentials.  A nugget is
-    independent per-run noise: it sits on the diagonal only, so two runs of
-    one fidelity at the same setting are two noisy looks at one value.
+    The squared-distance tensors, the trend basis, the trend prior's blocks
+    and the diagonal's layout depend on the design only; each gram then
+    costs two dense exponentials.  A nugget is independent per-run noise: it
+    sits on the diagonal only, so two runs of one fidelity at the same
+    setting are two noisy looks at one value.
     """
 
     def __init__(self, theta_cheap, theta_exp, trend_prior: TrendPrior):
         theta_cheap = np.atleast_2d(np.asarray(theta_cheap, dtype=float))
         theta_exp = np.atleast_2d(np.asarray(theta_exp, dtype=float))
         self.trend = trend_prior
-        self.p_c = theta_cheap.shape[0]
+        self.p_c = p_c = theta_cheap.shape[0]
         stacked = np.vstack([theta_cheap, theta_exp])
+        n = stacked.shape[0]
+        self.k = theta_exp.shape[1]
         self.d2 = kernels.sq_dists(stacked, stacked)
+        # a C-ordered copy of the expensive block, or d2 itself when there are no
+        # cheap rows: BLAS rounds the two layouts differently, and fitted
+        # parameters are pinned to these (tests/golden)
+        self.d2_exp = np.ascontiguousarray(self.d2[:, p_c:, p_c:]) if p_c else self.d2
+        self.diag = np.diag_indices(n)
+        self.cheap_row = np.arange(n) < p_c
+        self.b = trend_prior.block_cov
+        self.b_sym = self.b + self.b.T
 
-        k1 = theta_exp.shape[1] + 1
+        k1 = self.k + 1
         he = _mean_basis(theta_exp)
-        h0 = np.zeros((stacked.shape[0], 2 * k1))
-        h0[: self.p_c, :k1] = _mean_basis(theta_cheap)
-        h0[self.p_c :, k1:] = he
+        h0 = np.zeros((n, 2 * k1))
+        h0[:p_c, :k1] = _mean_basis(theta_cheap)
+        h0[p_c:, k1:] = he
         h1 = np.zeros_like(h0)
-        h1[self.p_c :, :k1] = he
+        h1[p_c:, :k1] = he
         self.h0 = h0
         self.h1 = h1
 
-    def trend_matrix(self, rho: float) -> np.ndarray:
-        """Block matrix H = [[h(theta_c), 0], [rho h(theta_e), h(theta_e)]]."""
-        return self.h0 + rho * self.h1
-
-    def _assemble(self, params: EmulatorParams):
+    def _assemble(self, pos: np.ndarray, rho: float):
         """H, the cheap and expensive correlation matrices, and M = V + H B H^T.
 
+        ``pos`` holds the positive parameters in :func:`_params_to_x` order.
         The one place M is formed, symmetrized and before any jitter: the
         MAP objective, its gradient and emulator construction share it.
         """
-        p_c = self.p_c
-        corr_c = kernels.sq_exp_corr(self.d2, 1.0 / params.range_cheap)
-        corr_e = kernels.sq_exp_corr(self.d2[:, p_c:, p_c:], 1.0 / params.range_exp)
-        m = kernels.gp_cov_from_corr(corr_c, corr_e, p_c, p_c, params.rho,
-                                     params.var_cheap, params.var_exp)
-        m[np.diag_indices_from(m)] += np.where(np.arange(len(m)) < p_c,
-                                               params.nugget_cheap, params.nugget_exp)
-        h = self.trend_matrix(params.rho)
-        m += h @ self.trend.block_cov @ h.T
+        k, p_c = self.k, self.p_c
+        var_c, var_e, nug_c, nug_e = pos[:4].tolist()
+        corr_c = kernels.sq_exp_corr(self.d2, 1.0 / pos[4 : 4 + k])
+        corr_e = kernels.sq_exp_corr(self.d2_exp, 1.0 / pos[4 + k :])
+        m = kernels.gp_cov_from_corr(corr_c, corr_e, p_c, p_c, rho, var_c, var_e)
+        m[self.diag] += np.where(self.cheap_row, nug_c, nug_e)
+        h = self.h0 + rho * self.h1  # [[h(theta_c), 0], [rho h(theta_e), h(theta_e)]]
+        m += h @ self.b @ h.T
         return h, corr_c, corr_e, 0.5 * (m + m.T)
 
     def factored(self, params: EmulatorParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """H, M = V + H B H^T with any jitter it needed, and M's Cholesky factor."""
-        h, _, _, m = self._assemble(params)
+        h, _, _, m = self._assemble(_positives(params), params.rho)
         chol, m = _chol_with_jitter(m)
         return h, m, chol
 
-    def neg_log_posterior_and_grad(self, params: EmulatorParams, scores: np.ndarray,
+    def neg_log_posterior_and_grad(self, x: np.ndarray, scores: np.ndarray,
                                    hp: HyperPriors) -> tuple[float, np.ndarray]:
-        """-log posterior and its exact gradient in :func:`_params_to_x` coordinates.
+        """-log posterior and its exact gradient at ``x``, in :func:`_params_to_x`
+        coordinates.
 
         With r = t - H m, alpha = M^-1 r and W = alpha alpha^T - M^-1, the
         log-likelihood derivative along any coordinate is
@@ -246,51 +279,54 @@ class _FitWorkspace:
         add counts as a constant.  Raises NotPositiveDefinite when no jitter
         makes M factorable.
         """
-        p_c = self.p_c
-        k = self.d2.shape[0]
-        h, corr_c, corr_e, m = self._assemble(params)
+        k, p_c = self.k, self.p_c
+        pos = np.exp(x[: 4 + 2 * k])  # the slice and the call _x_to_params makes
+        rho = float(x[-1])
+        var_c, var_e, nug_c, nug_e = pos[:4].tolist()
+        range_c, range_e = pos[4 : 4 + k], pos[4 + k :]
+        h, corr_c, corr_e, m = self._assemble(pos, rho)
         chol = _chol_with_jitter(m)[0]
         del m
         resid = scores - h @ self.trend.mean
-        log_post = _gauss_loglik(chol, resid) + _log_hyperprior(params, hp)
-        alpha = cho_solve((chol, True), resid)
+        # the factor's diagonal is positive, so neither solve can fail
+        white = dtrtrs(chol, resid, lower=1)[0]
+        log_post = (-0.5 * (len(resid) * math.log(2 * math.pi) + white @ white)
+                    - np.sum(np.log(np.diag(chol))) + _log_hyperprior(pos, rho, hp))
+        alpha = dpotrs(chol, resid, lower=1)[0]
 
         # W in place of the factor: dpotri leaves M^-1 in its lower triangle
         w, info = dpotri(chol, lower=1, overwrite_c=1)
         if info:
             raise NotPositiveDefinite("gram factor is singular")
         w += w.T  # the upper triangle was zero
-        w[np.diag_indices_from(w)] *= 0.5
+        w[self.diag] *= 0.5
         np.subtract(np.outer(alpha, alpha), w, out=w)
 
         # cheap kernel var_c (a a^T) o C_c, with a = 1 on cheap rows and rho on
         # expensive ones: d(a a^T)/drho = e a^T + a e^T, e the expensive indicator;
         # dC/dlog range_d = C o d2_d / range_d, so one dot gives all k traces
         amp = np.ones(len(resid))
-        amp[p_c:] = params.rho
+        amp[p_c:] = rho
         wc = np.multiply(corr_c, w, out=corr_c)
         u = wc @ amp
-        g_var_c = 0.5 * params.var_cheap * (amp @ u)
-        g_rho = params.var_cheap * np.sum(u[p_c:])
+        g_var_c = 0.5 * var_c * (amp @ u)
+        g_rho = var_c * np.sum(u[p_c:])
         wc *= amp[:, None]
         wc *= amp
-        g_range_c = (0.5 * params.var_cheap / params.range_cheap
-                     * np.dot(self.d2.reshape(k, -1), wc.ravel()))
+        g_range_c = 0.5 * var_c / range_c * np.dot(self.d2.reshape(k, -1), wc.ravel())
         # expensive kernel var_e C_e on the expensive block
         we = np.multiply(corr_e, w[p_c:, p_c:], out=corr_e)
-        g_var_e = 0.5 * params.var_exp * np.sum(we)
-        g_range_e = (0.5 * params.var_exp / params.range_exp
-                     * np.dot(self.d2[:, p_c:, p_c:].reshape(k, -1), we.ravel()))
+        g_var_e = 0.5 * var_e * np.sum(we)
+        g_range_e = 0.5 * var_e / range_e * np.dot(self.d2_exp.reshape(k, -1), we.ravel())
         # nuggets sit on the diagonal: dM/dlog nugget is nugget times I on its block
-        g_nug_c = 0.5 * params.nugget_cheap * np.trace(w[:p_c, :p_c])
-        g_nug_e = 0.5 * params.nugget_exp * np.trace(w[p_c:, p_c:])
+        g_nug_c = 0.5 * nug_c * np.trace(w[:p_c, :p_c])
+        g_nug_e = 0.5 * nug_e * np.trace(w[p_c:, p_c:])
         # d(H B H^T)/drho = h1 B H^T + H B h1^T, and the trend-mean term
-        b = self.trend.block_cov
-        g_rho += 0.5 * np.sum((h.T @ (w @ self.h1)) * (b + b.T))
+        g_rho += 0.5 * np.sum((h.T @ (w @ self.h1)) * self.b_sym)
         g_rho += alpha @ (self.h1 @ self.trend.mean)
 
         grad = np.concatenate([[g_var_c, g_var_e, g_nug_c, g_nug_e], g_range_c, g_range_e, [g_rho]])
-        return -log_post, -(grad + _log_hyperprior_grad(params, hp))
+        return -log_post, -(grad + _log_hyperprior_grad(pos, rho, hp))
 
 
 def joint_gram(
@@ -323,18 +359,21 @@ def _normal_logpdf(x: float, mean: float, var: float) -> float:
     return -0.5 * (math.log(2 * math.pi * var) + (x - mean) ** 2 / var)
 
 
-def _log_hyperprior(params: EmulatorParams, hp: HyperPriors) -> float:
-    out = _invgamma_logpdf(params.var_cheap, *hp.var_cheap)
-    out += _invgamma_logpdf(params.var_exp, *hp.var_exp)
-    out += _invgamma_logpdf(params.nugget_cheap, *hp.nugget_cheap)
-    out += _invgamma_logpdf(params.nugget_exp, *hp.nugget_exp)
-    out += sum(_gamma_logpdf(v, *hp.range_cheap) for v in params.range_cheap)
-    out += sum(_gamma_logpdf(v, *hp.range_exp) for v in params.range_exp)
-    out += _normal_logpdf(params.rho, hp.rho_mean, hp.rho_var)
+def _log_hyperprior(pos: np.ndarray, rho: float, hp: HyperPriors) -> float:
+    """Log hyperprior density; ``pos`` as in :meth:`_FitWorkspace._assemble`."""
+    k = (len(pos) - 4) // 2
+    var_c, var_e, nug_c, nug_e = pos[:4].tolist()
+    out = _invgamma_logpdf(var_c, *hp.var_cheap)
+    out += _invgamma_logpdf(var_e, *hp.var_exp)
+    out += _invgamma_logpdf(nug_c, *hp.nugget_cheap)
+    out += _invgamma_logpdf(nug_e, *hp.nugget_exp)
+    out += sum(_gamma_logpdf(v, *hp.range_cheap) for v in pos[4 : 4 + k].tolist())
+    out += sum(_gamma_logpdf(v, *hp.range_exp) for v in pos[4 + k :].tolist())
+    out += _normal_logpdf(rho, hp.rho_mean, hp.rho_var)
     return out
 
 
-def _log_hyperprior_grad(params: EmulatorParams, hp: HyperPriors) -> np.ndarray:
+def _log_hyperprior_grad(pos: np.ndarray, rho: float, hp: HyperPriors) -> np.ndarray:
     """Gradient of :func:`_log_hyperprior` in :func:`_params_to_x` coordinates."""
 
     def invgamma(x, shape_rate):
@@ -345,19 +384,15 @@ def _log_hyperprior_grad(params: EmulatorParams, hp: HyperPriors) -> np.ndarray:
         shape, rate = shape_rate
         return (shape - 1) - rate * x
 
+    k = (len(pos) - 4) // 2
+    var_c, var_e, nug_c, nug_e = pos[:4].tolist()
     return np.concatenate([
-        [invgamma(params.var_cheap, hp.var_cheap), invgamma(params.var_exp, hp.var_exp),
-         invgamma(params.nugget_cheap, hp.nugget_cheap), invgamma(params.nugget_exp, hp.nugget_exp)],
-        gamma(params.range_cheap, hp.range_cheap),
-        gamma(params.range_exp, hp.range_exp),
-        [(hp.rho_mean - params.rho) / hp.rho_var],
+        [invgamma(var_c, hp.var_cheap), invgamma(var_e, hp.var_exp),
+         invgamma(nug_c, hp.nugget_cheap), invgamma(nug_e, hp.nugget_exp)],
+        gamma(pos[4 : 4 + k], hp.range_cheap),
+        gamma(pos[4 + k :], hp.range_exp),
+        [(hp.rho_mean - rho) / hp.rho_var],
     ])
-
-
-def _gauss_loglik(chol_m: np.ndarray, resid: np.ndarray) -> float:
-    white = solve_triangular(chol_m, resid, lower=True)
-    n = resid.shape[0]
-    return -0.5 * (n * math.log(2 * math.pi) + white @ white) - np.sum(np.log(np.diag(chol_m)))
 
 
 def log_posterior(
@@ -368,16 +403,18 @@ def log_posterior(
     theta_exp: np.ndarray,
     trend_prior: TrendPrior,
 ) -> float:
-    """Marginal log posterior of one component's hyperparameters.
+    """Marginal log posterior of one component's hyperparameters: minus the
+    MAP objective at ``params``.
 
     Non-positive-definite grams count as rejected points (-inf).
     """
+    ws = _FitWorkspace(theta_cheap, theta_exp, trend_prior)
     try:
-        h, _, chol_m = _FitWorkspace(theta_cheap, theta_exp, trend_prior).factored(params)
+        val, _ = ws.neg_log_posterior_and_grad(_params_to_x(params),
+                                               np.asarray(scores, dtype=float), hyperpriors)
     except NotPositiveDefinite:
         return -np.inf
-    resid = np.asarray(scores, dtype=float) - h @ trend_prior.mean
-    return _gauss_loglik(chol_m, resid) + _log_hyperprior(params, hyperpriors)
+    return -val
 
 
 # --- MAP fitting -------------------------------------------------------------
@@ -445,12 +482,16 @@ def fit(
     ``extra_starts``) over log-transformed positive parameters and raw rho;
     the best end point wins and is never worse than any probed start.  Each
     step evaluates -log posterior and its closed-form gradient together
-    (``jac=True``), one Cholesky factorization and one ``dpotri`` inverse
-    per evaluation.  A run stops when a step lowers the objective by less
-    than ``FTOL`` relatively, when the largest projected gradient falls
-    below 1e-5, or after 200 iterations.  A gram that stays non-positive-
-    definite after jitter returns the value 1e12 with a zero gradient, so
-    the line search backs off from it.
+    (``jac=True``) straight from the x vector, with one LAPACK Cholesky
+    factorization (``potrf``), two solves and one ``potri`` inverse per
+    evaluation.  A start is evaluated once: L-BFGS-B's first call, at the
+    start itself, reuses the value and gradient ``fit`` computed to rank
+    it.  A run stops when a step lowers the objective by less than ``FTOL``
+    relatively, when the largest projected gradient falls below 1e-5, or
+    after 200 iterations.  A gram that stays non-positive-definite after
+    jitter returns the value 1e12 with a zero gradient, so the line search
+    backs off from it.  ``minimize`` is looked up on this module at each
+    call, so a wrapper set there sees every run.
 
     An empty cheap block gives the single-resolution baseline: rho stays
     at 0, the cheap parameters at 1, and only the expensive variance,
@@ -474,20 +515,26 @@ def fit(
     free = np.arange(n_x) if ws.p_c else np.r_[1, 3, 4 + k : 4 + 2 * k]
     bounds = [all_bounds[i] for i in free]
 
-    def to_params(x):
+    def full_x(x):
         full = np.zeros(n_x)  # log 1 and rho = 0 for the parameters held fixed
         full[free] = x
-        return _x_to_params(full, k)
+        return full
 
-    def objective(x):
+    def evaluate(x):
         # a gram that stays non-PD is a wall L-BFGS-B backtracks from
         try:
-            val, grad = ws.neg_log_posterior_and_grad(to_params(x), scores, hyperpriors)
+            val, grad = ws.neg_log_posterior_and_grad(full_x(x), scores, hyperpriors)
         except NotPositiveDefinite:
             return 1e12, np.zeros(len(free))
         if not (np.isfinite(val) and np.all(np.isfinite(grad))):
             return 1e12, np.zeros(len(free))
         return val, grad[free]
+
+    start_eval = {}  # the current start's bytes -> its evaluation
+
+    def objective(x):
+        cached = start_eval.get(x.tobytes())
+        return evaluate(x) if cached is None else cached
 
     rng = np.random.default_rng(seed)
     starts = [_draw_start(hyperpriors, k, rng) for _ in range(n_starts)]
@@ -501,12 +548,14 @@ def fit(
             [b[0] for b in bounds],
             [b[1] for b in bounds],
         )
-        f0 = objective(x0)[0]
+        start_eval.clear()
+        start_eval[x0.tobytes()] = evaluation = evaluate(x0)
+        f0 = evaluation[0]
         if f0 < best_val:
             best_val, best_x = f0, x0
         if f0 >= 1e12:
             continue
-        res = minimize(
+        res = sys.modules[__name__].minimize(
             objective,
             x0,
             jac=True,
@@ -518,7 +567,7 @@ def fit(
             best_val, best_x = res.fun, res.x
     if best_x is None or best_val >= 1e12:
         raise AllStartsFailed("no optimizer start produced a finite posterior")
-    return to_params(best_x)
+    return _x_to_params(full_x(best_x), k)
 
 
 # --- fitted emulators --------------------------------------------------------

@@ -489,15 +489,43 @@ class TestEnsembleCache:
         assert sorted(p.name for p in (root / "out").rglob("*.tmp")) == []
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh_python(code, **env_changes):
+    """Standard output of ``code`` run by a fresh interpreter on this floodcal;
+    a value of None in ``env_changes`` removes that variable."""
+    src = str(Path(floodcal.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for name, value in env_changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    return result.stdout.strip()
+
+
+def _modules_after_cli_import(package):
+    return _fresh_python(f"import sys, floodcal.cli; print(sorted(m for m in sys.modules "
+                         f"if m == {package!r} or m.startswith({package + '.'!r})))")
+
+
 class TestStartup:
     def test_cli_import_loads_no_scipy_stats(self):
         # every stage is a fresh process; scipy.stats alone cost about half a
         # second and 20 MB of start-up per stage
-        src = str(Path(floodcal.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        probe = ("import sys, floodcal.cli; print(sorted(m for m in sys.modules "
-                 "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
-        result = subprocess.run([sys.executable, "-c", probe], env=env,
-                                capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "[]"
+        assert _modules_after_cli_import("scipy.stats") == "[]"
+
+    def test_cli_import_loads_no_scipy_optimize(self):
+        # only the stages that fit an emulator import it, on first use
+        assert _modules_after_cli_import("scipy.optimize") == "[]"
+
+    def test_import_pins_blas_threads_unless_set(self):
+        probe = ("import os, floodcal; "
+                 f"print(' '.join(os.environ[v] for v in {BLAS_THREAD_VARS!r}))")
+        unset = dict.fromkeys(BLAS_THREAD_VARS)
+        assert _fresh_python(probe, **unset) == "1 1 1"
+        assert _fresh_python(probe, **{**unset, "OPENBLAS_NUM_THREADS": "2"}) == "2 1 1"

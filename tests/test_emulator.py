@@ -6,10 +6,15 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dpotri
 
+import floodcal.emulator as emulator
+from floodcal import kernels
 from floodcal.design import ParameterSpace
 from floodcal.emulator import (
+    JITTER_START,
     LOG_BOUNDS,
     RHO_BOUNDS,
     EmulatorParams,
@@ -18,7 +23,12 @@ from floodcal.emulator import (
     TrendPrior,
     _FitWorkspace,
     _chol_with_jitter,
+    _gamma_logpdf,
+    _invgamma_logpdf,
+    _log_hyperprior,
+    _normal_logpdf,
     _params_to_x,
+    _positives,
     _x_to_params,
     default_trend_prior,
     fit,
@@ -33,7 +43,7 @@ from floodcal.emulator import (
     singleres_emulator,
     thread_map,
 )
-from floodcal.errors import ExtrapolationWarning, MalformedArtifact
+from floodcal.errors import ExtrapolationWarning, MalformedArtifact, NotPositiveDefinite
 
 from conftest import build_hr, build_mr, draw_scores, make_nested_design
 from oracles import cov_cc, cov_ce, cov_ee
@@ -180,9 +190,7 @@ class TestLogPosterior:
         hp = HyperPriors()
         val = log_posterior(p, hp, t, theta_c, theta_e, trend)
         _, logdet = np.linalg.slogdet(2 * math.pi * m)
-        from floodcal.emulator import _log_hyperprior
-
-        assert val - _log_hyperprior(p, hp) == pytest.approx(-0.5 * logdet, rel=1e-10)
+        assert val - _log_hyperprior(_positives(p), p.rho, hp) == pytest.approx(-0.5 * logdet, rel=1e-10)
 
     def test_perturbation_along_eigenvector_lowers_likelihood(self):
         rng = np.random.default_rng(2)
@@ -215,10 +223,8 @@ class TestLogPosterior:
             -0.5 * (math.log(2 * math.pi * var_c) + t[0] ** 2 / var_c)
             - 0.5 * (math.log(2 * math.pi * var_e) + t[1] ** 2 / var_e)
         )
-        from floodcal.emulator import _log_hyperprior
-
         val = log_posterior(p, HyperPriors(), t, theta_c, theta_e, trend)
-        assert val - _log_hyperprior(p, HyperPriors()) == pytest.approx(expected_ll, rel=1e-10)
+        assert val - _log_hyperprior(_positives(p), p.rho, HyperPriors()) == pytest.approx(expected_ll, rel=1e-10)
 
 
 class TestFit:
@@ -309,12 +315,58 @@ class TestFit:
         lo = np.array([LOG_BOUNDS[0]] * 8 + [RHO_BOUNDS[0]])
         hi = np.array([LOG_BOUNDS[1]] * 8 + [RHO_BOUNDS[1]])
         assert np.all((x > lo + 1e-6) & (x < hi - 1e-6)), x
-        m = _FitWorkspace(theta_c, theta_e, trend)._assemble(fitted)[3]
+        m = _FitWorkspace(theta_c, theta_e, trend)._assemble(_positives(fitted), fitted.rho)[3]
         assert _chol_with_jitter(m)[1] is m  # factored without jitter
 
     def test_preconditions(self, unit_space):
         with pytest.raises(ValueError):
             fit(np.zeros(2), np.zeros((1, 2)), np.zeros((1, 2)))
+
+    def test_each_start_is_factored_once(self, monkeypatch):
+        # L-BFGS-B's first call is at the start, which fit already evaluated
+        infos, nfevs = [], []
+        cholesky, minimize = emulator.cholesky, emulator.minimize
+
+        def counting_cholesky(m):
+            chol, info = cholesky(m)
+            infos.append(info)
+            return chol, info
+
+        def counting_minimize(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            nfevs.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(emulator, "cholesky", counting_cholesky)
+        monkeypatch.setattr(emulator, "minimize", counting_minimize)
+        rng = np.random.default_rng(0)
+        theta_e = rng.random((5, 2))
+        theta_c = np.vstack([theta_e, rng.random((5, 2))])
+        t = np.sin(3 * np.vstack([theta_c, theta_e]).sum(axis=1))
+        fit(t, theta_c, theta_e, n_starts=3, seed=1)
+        assert len(nfevs) == 3 and min(nfevs) > 1
+        assert not any(infos)  # no jitter, so one factorization per evaluation
+        assert len(infos) == sum(nfevs)
+
+
+class TestCholWithJitter:
+    def test_no_jitter_for_a_positive_definite_matrix(self):
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        chol, factored = _chol_with_jitter(m)
+        assert factored is m
+        assert np.array_equal(chol, np.linalg.cholesky(m))
+
+    def test_rank_deficient_matrix_gets_the_first_jitter(self):
+        m = np.ones((3, 3))  # positive semi-definite of rank 1: a zero pivot
+        chol, jittered = _chol_with_jitter(m)
+        assert jittered is not m
+        assert np.array_equal(jittered, m + JITTER_START * 1.0 * np.eye(3))
+        assert np.array_equal(chol, np.tril(chol))
+        np.testing.assert_allclose(chol @ chol.T, jittered, rtol=0, atol=1e-15)
+
+    def test_indefinite_matrix_raises(self):
+        with pytest.raises(NotPositiveDefinite):
+            _chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def _fd_gradient(f, x, step=1e-5):
@@ -331,12 +383,11 @@ def _fd_gradient(f, x, step=1e-5):
 def _objective(theta_c, theta_e, scores, trend, free, fixed):
     """fit's coordinates: x over ``free``, ``fixed`` elsewhere."""
     ws = _FitWorkspace(theta_c, theta_e, trend)
-    k = theta_e.shape[1]
 
     def value_and_grad(x):
         full = fixed.copy()
         full[free] = x
-        val, grad = ws.neg_log_posterior_and_grad(_x_to_params(full, k), scores, HyperPriors())
+        val, grad = ws.neg_log_posterior_and_grad(full, scores, HyperPriors())
         return val, grad[free]
 
     return value_and_grad
@@ -346,6 +397,87 @@ def _random_x(rng, k):
     """log var/nugget/range and rho around typical fitted values."""
     return np.concatenate([rng.normal(-1.0, 1.0, 4), rng.normal(-0.8, 0.5, 2 * k),
                            [rng.normal(0.8, 0.4)]])
+
+
+def _reference_objective(ws, x, scores, hp):
+    """The MAP objective as scipy's ``cholesky``, ``solve_triangular`` and
+    ``cho_solve`` and a per-evaluation :class:`EmulatorParams` computed it."""
+    k, p_c = ws.d2.shape[0], ws.p_c
+    p = _x_to_params(x, k)
+    corr_c = kernels.sq_exp_corr(ws.d2, 1.0 / p.range_cheap)
+    corr_e = kernels.sq_exp_corr(ws.d2[:, p_c:, p_c:], 1.0 / p.range_exp)
+    m = kernels.gp_cov_from_corr(corr_c, corr_e, p_c, p_c, p.rho, p.var_cheap, p.var_exp)
+    m[np.diag_indices_from(m)] += np.where(np.arange(len(m)) < p_c, p.nugget_cheap, p.nugget_exp)
+    h = ws.h0 + p.rho * ws.h1
+    m += h @ ws.trend.block_cov @ h.T
+    chol = scipy.linalg.cholesky(0.5 * (m + m.T), lower=True)
+    resid = scores - h @ ws.trend.mean
+    white = scipy.linalg.solve_triangular(chol, resid, lower=True)
+    log_post = (-0.5 * (len(resid) * math.log(2 * math.pi) + white @ white)
+                - np.sum(np.log(np.diag(chol))))
+    log_post += (_invgamma_logpdf(p.var_cheap, *hp.var_cheap)
+                 + _invgamma_logpdf(p.var_exp, *hp.var_exp)
+                 + _invgamma_logpdf(p.nugget_cheap, *hp.nugget_cheap)
+                 + _invgamma_logpdf(p.nugget_exp, *hp.nugget_exp)
+                 + sum(_gamma_logpdf(v, *hp.range_cheap) for v in p.range_cheap)
+                 + sum(_gamma_logpdf(v, *hp.range_exp) for v in p.range_exp)
+                 + _normal_logpdf(p.rho, hp.rho_mean, hp.rho_var))
+    alpha = scipy.linalg.cho_solve((chol, True), resid)
+    w = dpotri(chol, lower=1, overwrite_c=1)[0]
+    w += w.T
+    w[np.diag_indices_from(w)] *= 0.5
+    np.subtract(np.outer(alpha, alpha), w, out=w)
+    amp = np.ones(len(resid))
+    amp[p_c:] = p.rho
+    wc = np.multiply(corr_c, w, out=corr_c)
+    u = wc @ amp
+    g_var_c = 0.5 * p.var_cheap * (amp @ u)
+    g_rho = p.var_cheap * np.sum(u[p_c:])
+    wc *= amp[:, None]
+    wc *= amp
+    g_range_c = 0.5 * p.var_cheap / p.range_cheap * np.dot(ws.d2.reshape(k, -1), wc.ravel())
+    we = np.multiply(corr_e, w[p_c:, p_c:], out=corr_e)
+    g_var_e = 0.5 * p.var_exp * np.sum(we)
+    g_range_e = (0.5 * p.var_exp / p.range_exp
+                 * np.dot(ws.d2[:, p_c:, p_c:].reshape(k, -1), we.ravel()))
+    g_nug_c = 0.5 * p.nugget_cheap * np.trace(w[:p_c, :p_c])
+    g_nug_e = 0.5 * p.nugget_exp * np.trace(w[p_c:, p_c:])
+    b = ws.trend.block_cov
+    g_rho += 0.5 * np.sum((h.T @ (w @ ws.h1)) * (b + b.T))
+    g_rho += alpha @ (ws.h1 @ ws.trend.mean)
+    grad = np.concatenate([[g_var_c, g_var_e, g_nug_c, g_nug_e], g_range_c, g_range_e, [g_rho]])
+    prior_grad = np.concatenate([
+        [hp.var_cheap[1] / p.var_cheap - (hp.var_cheap[0] + 1),
+         hp.var_exp[1] / p.var_exp - (hp.var_exp[0] + 1),
+         hp.nugget_cheap[1] / p.nugget_cheap - (hp.nugget_cheap[0] + 1),
+         hp.nugget_exp[1] / p.nugget_exp - (hp.nugget_exp[0] + 1)],
+        (hp.range_cheap[0] - 1) - hp.range_cheap[1] * p.range_cheap,
+        (hp.range_exp[0] - 1) - hp.range_exp[1] * p.range_exp,
+        [(hp.rho_mean - p.rho) / hp.rho_var],
+    ])
+    return -log_post, -(grad + prior_grad)
+
+
+class TestObjectiveBitwise:
+    """The LAPACK-direct objective reproduces the scipy-wrapper formula bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("multires", [True, False])
+    def test_matches_the_scipy_formula(self, k, multires):
+        rng = np.random.default_rng(200 + k)
+        theta_e = rng.random((7, k))
+        theta_c = np.vstack([theta_e, rng.random((9, k))]) if multires else np.zeros((0, k))
+        t = rng.standard_normal(len(theta_c) + 7)
+        hp = HyperPriors()
+        ws = _FitWorkspace(theta_c, theta_e, default_trend_prior(k))
+        for _ in range(4):
+            x = _random_x(rng, k)
+            if not multires:  # as fit holds them without cheap rows
+                x[np.r_[0, 2, 4 : 4 + k, -1]] = 0.0
+            val, grad = ws.neg_log_posterior_and_grad(x, t, hp)
+            ref_val, ref_grad = _reference_objective(ws, x, t, hp)
+            assert val == ref_val
+            assert np.array_equal(grad, ref_grad)
 
 
 class TestGradient:
