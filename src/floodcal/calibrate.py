@@ -3,9 +3,7 @@
 The observation is projected onto the reduced basis and compared against
 the per-component emulator predictions under independent Gaussian
 observation noise; the posterior over (theta, sigma2_eps) is sampled with a
-variable-at-a-time random-walk Metropolis-Hastings sweep.  An optional
-discrepancy block appends user-supplied kernel-basis coordinates and a
-magnitude parameter kappa_d.
+variable-at-a-time random-walk Metropolis-Hastings sweep.
 """
 
 from __future__ import annotations
@@ -16,18 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from . import kernels
 from .emulator import thread_map, _invgamma_logpdf
-from .errors import (
-    ChainTooShort,
-    DimensionMismatch,
-    MalformedArtifact,
-    ModelRunFailed,
-    NotPositiveDefinite,
-    SingularBasis,
-)
+from .errors import ChainTooShort, DimensionMismatch, MalformedArtifact, ModelRunFailed
 from .grid import Grid, LocationSet
 from .manifest import read_csv
 from .reduce import ReducedBasis, project
@@ -56,37 +46,9 @@ class Observation:
 
 @dataclass(frozen=True)
 class ReducedObservation:
-    """Observation coordinates in the reduced basis (+ discrepancy block)."""
+    """Observation coordinates in the reduced basis, one per component."""
 
     values: np.ndarray
-    n_emulator: int
-    n_disc: int = 0
-
-
-@dataclass(frozen=True)
-class DiscrepancyBlock:
-    """User-supplied kernel basis for a systematic discrepancy term.
-
-    Construction of the basis itself is out of scope; any full-column-rank
-    n x J_d matrix works.  ``kappa`` is the inverse-gamma prior on the
-    discrepancy magnitude.
-    """
-
-    kernel_basis: np.ndarray
-    kappa_shape: float = 2.0
-    kappa_rate: float = 2.0
-
-    def __post_init__(self):
-        kb = np.asarray(self.kernel_basis, dtype=float)
-        if kb.ndim != 2 or kb.shape[1] >= kb.shape[0]:
-            raise ValueError("kernel basis must be n x J_d with J_d < n")
-        if np.linalg.matrix_rank(kb) < kb.shape[1]:
-            raise SingularBasis("discrepancy kernel basis is rank deficient")
-        object.__setattr__(self, "kernel_basis", kb)
-
-    @property
-    def n_disc(self) -> int:
-        return self.kernel_basis.shape[1]
 
 
 @dataclass(frozen=True)
@@ -126,7 +88,7 @@ class PosteriorChain:
     """Retained (post burn-in) MCMC samples with bookkeeping.
 
     ``samples`` columns are the native-unit theta coordinates followed by
-    sigma2_eps (and kappa_d on the discrepancy path).  ``proposal_sds`` are
+    sigma2_eps.  ``proposal_sds`` are
     the random-walk scales the chain ended with, after burn-in adaptation:
     native units for theta, log scale for the variances.  They are kept in
     memory only, never written with the chain.
@@ -149,54 +111,31 @@ class PosteriorChain:
 
     @property
     def theta_names(self) -> list:
-        """The leading ``names``: every column but sigma2_eps (and kappa_d)."""
-        return self.names[: len(self.names) - (2 if "kappa_d" in self.names else 1)]
+        """The leading ``names``: every column but the last, sigma2_eps."""
+        return self.names[:-1]
 
 
 # --- reduced observation and likelihood -------------------------------------
 
 
-def reduce_observation(
-    obs: Observation, basis: ReducedBasis, disc: DiscrepancyBlock | None = None
-) -> ReducedObservation:
-    """Project the centered observation onto the (possibly extended) basis."""
+def reduce_observation(obs: Observation, basis: ReducedBasis) -> ReducedObservation:
+    """Project the centered observation onto the basis."""
     z = obs.values
     if z.shape[0] != basis.n_locations:
         raise DimensionMismatch(
             f"observation has {z.shape[0]} locations, basis expects {basis.n_locations}"
         )
-    if disc is None:
-        return ReducedObservation(project(basis, z)[0], basis.n_components, 0)
-    if disc.kernel_basis.shape[0] != basis.n_locations:
-        raise DimensionMismatch("discrepancy basis rows must match locations")
-    combined, factor = _combined_gram_factor(basis, disc)
-    coords = cho_solve(factor, combined.T @ (z - basis.column_mean))
-    return ReducedObservation(coords, basis.n_components, disc.n_disc)
-
-
-def _combined_gram_factor(basis: ReducedBasis, disc: DiscrepancyBlock):
-    """The combined basis ``[components | kernel_basis]`` and the Cholesky
-    factor of its gram."""
-    combined = np.hstack([basis.components, disc.kernel_basis])
-    try:
-        return combined, cho_factor(combined.T @ combined)
-    except np.linalg.LinAlgError as err:
-        raise SingularBasis("combined basis is numerically singular") from err
-
-
-def _combined_gram_inverse(basis: ReducedBasis, disc: DiscrepancyBlock) -> np.ndarray:
-    combined, factor = _combined_gram_factor(basis, disc)
-    return cho_solve(factor, np.eye(combined.shape[1]))
+    return ReducedObservation(project(basis, z)[0])
 
 
 def _check_component_counts(z_r: ReducedObservation, emulator, basis: ReducedBasis) -> None:
     """Raise DimensionMismatch unless the emulator, the reduced observation
     and the basis agree on the number of components."""
     n_comp = emulator.n_components
-    if not (z_r.n_emulator == n_comp == len(basis.eigenvalues)):
+    if not (len(z_r.values) == n_comp == len(basis.eigenvalues)):
         raise DimensionMismatch(
             f"emulator has {n_comp} components, reduced observation "
-            f"{z_r.n_emulator} and basis {len(basis.eigenvalues)}"
+            f"{len(z_r.values)} and basis {len(basis.eigenvalues)}"
         )
 
 
@@ -206,50 +145,17 @@ def log_likelihood_reduced(
     z_r: ReducedObservation,
     emulator,
     basis: ReducedBasis,
-    disc: DiscrepancyBlock | None = None,
-    kappa_d: float | None = None,
-    *,
-    prediction: tuple[np.ndarray, np.ndarray] | None = None,
-    gram_inv: np.ndarray | None = None,
 ) -> float:
     """Gaussian log density of the reduced observation at ``theta``.
 
-    Without a discrepancy block the covariance is diagonal: per-component
-    predictive variance plus sigma2_eps over the basis eigenvalue.  With
-    one, the noise term couples the coordinates through the combined-basis
-    gram inverse.  Callers must keep ``theta`` inside the parameter space.
-
-    ``prediction`` is the emulator's ``(mean, var)`` at ``theta`` and
-    ``gram_inv`` the combined-basis gram inverse, when the caller already
-    has them; neither is modified.  Raises DimensionMismatch when the
+    The covariance is diagonal: per-component predictive variance plus
+    sigma2_eps over the basis eigenvalue.  Callers must keep ``theta``
+    inside the parameter space.  Raises DimensionMismatch when the
     emulator, ``z_r`` and ``basis`` disagree on the component count.
     """
     _check_component_counts(z_r, emulator, basis)
-    if prediction is None:
-        theta0 = emulator.space.scale(np.atleast_1d(theta))
-        prediction = kernels.predict_scores(theta0, emulator)
-    mean, var = prediction
-    if disc is None:
-        return _diag_log_likelihood(z_r.values, mean, var, sigma2_eps * (1.0 / basis.eigenvalues))
-    if kappa_d is None:
-        raise ValueError("kappa_d required on the discrepancy path")
-    if gram_inv is None:
-        gram_inv = _combined_gram_inverse(basis, disc)
-    dim = z_r.n_emulator + z_r.n_disc
-    cov = sigma2_eps * gram_inv
-    cov[np.diag_indices(z_r.n_emulator)] += var
-    idx = np.arange(z_r.n_emulator, dim)
-    cov[idx, idx] += kappa_d
-    full_mean = np.concatenate([mean, np.zeros(z_r.n_disc)])
-    try:
-        chol = cholesky(cov, lower=True)
-    except np.linalg.LinAlgError as err:
-        raise NotPositiveDefinite("reduced likelihood covariance not PD") from err
-    white = solve_triangular(chol, z_r.values - full_mean, lower=True)
-    return float(
-        -0.5 * (dim * math.log(2 * math.pi) + white @ white)
-        - np.sum(np.log(np.diag(chol)))
-    )
+    mean, var = kernels.predict_scores(emulator.space.scale(np.atleast_1d(theta)), emulator)
+    return _diag_log_likelihood(z_r.values, mean, var, sigma2_eps * (1.0 / basis.eigenvalues))
 
 
 def _diag_log_likelihood(z, mean, var, noise_var) -> float:
@@ -285,6 +191,8 @@ def random_walk_metropolis(
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
+    if burn_in < 0:
+        raise ValueError("burn-in must not be negative")
     if np.any(np.asarray(proposal_sds) <= 0):
         raise ValueError("proposal standard deviations must be positive")
     rng = np.random.default_rng(seed)
@@ -368,25 +276,22 @@ def run_mh(
     basis: ReducedBasis,
     priors: CalibrationPriors,
     config: McmcConfig,
-    disc: DiscrepancyBlock | None = None,
 ) -> PosteriorChain:
-    """Sample (theta, sigma2_eps[, kappa_d]) given the reduced observation.
+    """Sample (theta, sigma2_eps) given the reduced observation.
 
     Theta priors are uniform on the parameter space (out-of-bounds
     proposals are rejected), the noise variance is sampled on the log scale
     with its inverse-gamma prior, and the chain is deterministic for a
     given seed and configuration.
 
-    Noise moves (sigma2_eps, kappa_d) reuse the emulator prediction at the
-    current theta, and the discrepancy path factors the combined-basis
-    gram once per run; the chain is the one an uncached target gives.
+    The likelihood is :func:`log_likelihood_reduced`'s.  Noise moves reuse
+    the emulator prediction at the current theta; the chain is the one an
+    uncached target gives.
     """
     _check_component_counts(z_r, emulator, basis)
     space = emulator.space
     k = space.k
     names = list(space.names) + ["sigma2_eps"]
-    if disc is not None:
-        names.append("kappa_d")
     n = len(names)
 
     burn_in = config.resolved_burn_in()
@@ -408,7 +313,6 @@ def run_mh(
     bounds[k:, 0] = -np.inf
     bounds[k:, 1] = np.inf
 
-    gram_inv = None if disc is None else _combined_gram_inverse(basis, disc)
     lower, span = space.lower, space.upper - space.lower
     inv_eig = 1.0 / basis.eigenvalues
 
@@ -427,25 +331,13 @@ def run_mh(
         log_sig2 = state[k]
         sig2 = math.exp(log_sig2)
         mean, var = predict_at(state[:k].tobytes())
-        if disc is None:
-            ll = _diag_log_likelihood(z_r.values, mean, var, sig2 * inv_eig)
-            return float(ll + _invgamma_logpdf(sig2, priors.noise_shape, priors.noise_rate)
-                         + log_sig2)
-        kappa = math.exp(state[k + 1])
-        try:
-            ll = log_likelihood_reduced(state[:k], sig2, z_r, emulator, basis, disc, kappa,
-                                        prediction=(mean, var), gram_inv=gram_inv)
-        except NotPositiveDefinite:
-            return -np.inf
-        lp = ll + _invgamma_logpdf(sig2, priors.noise_shape, priors.noise_rate) + log_sig2
-        lp += _invgamma_logpdf(kappa, disc.kappa_shape, disc.kappa_rate) + state[k + 1]
-        return float(lp)
+        ll = _diag_log_likelihood(z_r.values, mean, var, sig2 * inv_eig)
+        return float(ll + _invgamma_logpdf(sig2, priors.noise_shape, priors.noise_rate)
+                     + log_sig2)
 
     initial = np.empty(n)
     initial[:k] = 0.5 * (space.lower + space.upper)
     initial[k] = math.log(priors.noise_guess**2)
-    if disc is not None:
-        initial[k + 1] = math.log(disc.kappa_rate / max(disc.kappa_shape - 1.0, 0.5))
 
     samples, log_trace, masks, rates, final_sds = random_walk_metropolis(
         log_post,
@@ -532,15 +424,13 @@ def calibrated_projection(theta_samples: np.ndarray, model, threads: int = 1) ->
 
 
 def save_chain(chain: PosteriorChain, path) -> None:
-    """CSV with header iter,theta_<name>...,sigma2_eps[,kappa_d],log_post,accepted_mask."""
-    theta_names = chain.theta_names
-    extra = chain.names[len(theta_names):]
+    """CSV with header iter,theta_<name>...,sigma2_eps,log_post,accepted_mask."""
     # the rows a csv.writer gives for these fields: no number needs quoting
     row = "%d," + "%.17g," * (chain.samples.shape[1] + 1) + "%d\r\n"
     rows = zip(chain.samples.tolist(), chain.log_posterior.tolist(), chain.accepted_mask.tolist())
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["iter"] + [f"theta_{n}" for n in theta_names] + extra
-                                + ["log_post", "accepted_mask"])
+        csv.writer(fh).writerow(["iter"] + [f"theta_{n}" for n in chain.theta_names]
+                                + chain.names[-1:] + ["log_post", "accepted_mask"])
         fh.writelines(row % (chain.burn_in + i, *sample, lp, mask)
                       for i, (sample, lp, mask) in enumerate(rows))
 
@@ -548,10 +438,10 @@ def save_chain(chain: PosteriorChain, path) -> None:
 def load_chain_samples(path) -> tuple[np.ndarray, list]:
     """Samples matrix and column names from a chain CSV.
 
-    Raises MalformedArtifact if :func:`read_csv` rejects the file or it holds
-    no samples.
+    Raises MalformedArtifact if :func:`read_csv` rejects the file, a
+    value after ``iter`` is not a finite number, or it holds no samples.
     """
-    header, rows, samples = read_csv(path, slice(1, -2))
+    header, rows, values = read_csv(path, slice(1, None))
     if not rows:
         raise MalformedArtifact(f"{path}: no samples")
-    return np.array(samples), [h.removeprefix("theta_") for h in header[1:-2]]
+    return np.array(values)[:, :-2], [h.removeprefix("theta_") for h in header[1:-2]]

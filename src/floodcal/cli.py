@@ -227,6 +227,14 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"invalid configuration: {err}") from err
     if cfg.approach not in ("mr", "hr"):
         raise ConfigError(f"unknown approach {cfg.approach!r}, expected mr or hr")
+    if cfg.iterations < 1:
+        raise ConfigError("mcmc.iterations must be at least 1")
+    if not 0 <= cfg.burn_in_fraction < 1:
+        raise ConfigError("mcmc.burn_in_fraction must lie in [0, 1)")
+    if not 0 < cfg.noise_guess < np.inf:
+        raise ConfigError("mcmc.noise_guess must be positive and finite")
+    if cfg.folds < 1:
+        raise ConfigError("crossval.folds must be at least 1")
     return cfg
 
 

@@ -40,10 +40,6 @@ class DimensionMismatch(FloodcalError):
     """Array shapes are inconsistent with the basis or emulator."""
 
 
-class SingularBasis(FloodcalError):
-    """Combined projection basis is rank deficient."""
-
-
 # --- emulator -----------------------------------------------------------
 
 class NotPositiveDefinite(FloodcalError):

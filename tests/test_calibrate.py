@@ -8,7 +8,6 @@ from scipy.stats import norm
 
 from floodcal.calibrate import (
     CalibrationPriors,
-    DiscrepancyBlock,
     McmcConfig,
     Observation,
     PosteriorChain,
@@ -84,18 +83,6 @@ class TestReduceObservation:
         with pytest.raises(DimensionMismatch):
             reduce_observation(Observation(np.zeros(10), locations_for(10)), basis)
 
-    def test_discrepancy_path_matches_joint_least_squares(self):
-        basis = synthetic_basis(seed=5)
-        rng = np.random.default_rng(6)
-        kernel = rng.standard_normal((40, 2))
-        disc = DiscrepancyBlock(kernel)
-        z = rng.uniform(0, 2, 40)
-        out = reduce_observation(Observation(z, locations_for(40)), basis, disc)
-        combined = np.hstack([basis.components, kernel])
-        oracle, *_ = np.linalg.lstsq(combined, z - basis.column_mean, rcond=None)
-        assert out.values.shape == (5,)
-        assert np.max(np.abs(out.values - oracle)) < 1e-9
-
 
 @pytest.fixture(scope="module")
 def likelihood_setup(gp_setup, unit_space):
@@ -121,7 +108,7 @@ class TestReducedLikelihood:
         z_r_val = np.array([0.37])
         from floodcal.calibrate import ReducedObservation
 
-        z_r = ReducedObservation(z_r_val, 1, 0)
+        z_r = ReducedObservation(z_r_val)
         theta = np.array([0.4, 0.6])
         sigma2 = 0.05
         out = predict(emu, theta)
@@ -146,10 +133,10 @@ class TestReducedLikelihood:
 
         theta = np.array([0.5, 0.5])
         out = predict(emu, theta)
-        center = ReducedObservation(out.mean.copy(), emu.n_components, 0)
+        center = ReducedObservation(out.mean.copy())
         base = log_likelihood_reduced(theta, 0.01, center, emu, basis)
         for shift in (0.5, -1.0):
-            moved = ReducedObservation(out.mean + shift, emu.n_components, 0)
+            moved = ReducedObservation(out.mean + shift)
             assert log_likelihood_reduced(theta, 0.01, moved, emu, basis) < base
 
     def test_invariant_to_component_permutation(self, unit_space, gp_setup):
@@ -172,62 +159,11 @@ class TestReducedLikelihood:
         )
         z = np.array([0.3, -0.8])
         theta = np.array([0.45, 0.55])
-        a = log_likelihood_reduced(theta, 0.02, ReducedObservation(z, 2, 0), emu, basis)
+        a = log_likelihood_reduced(theta, 0.02, ReducedObservation(z), emu, basis)
         b = log_likelihood_reduced(
-            theta, 0.02, ReducedObservation(z[perm], 2, 0), emu_perm, basis_perm
+            theta, 0.02, ReducedObservation(z[perm]), emu_perm, basis_perm
         )
         assert a == pytest.approx(b, rel=1e-10)
-
-
-class TestDiscrepancyPath:
-    def test_likelihood_matches_scipy_mvn_oracle(self, gp_setup):
-        from scipy.stats import multivariate_normal
-
-        emu = gp_setup["emu_mr"]
-        basis = synthetic_basis(n=40, n_comp=emu.n_components, seed=21)
-        rng = np.random.default_rng(22)
-        disc = DiscrepancyBlock(rng.standard_normal((40, 3)))
-        theta = np.array([0.4, 0.6])
-        sigma2, kappa = 0.05, 0.7
-        z = rng.standard_normal(emu.n_components + 3)
-        from floodcal.calibrate import ReducedObservation
-
-        z_r = ReducedObservation(z, emu.n_components, 3)
-        val = log_likelihood_reduced(theta, sigma2, z_r, emu, basis, disc, kappa)
-
-        out = predict(emu, theta)
-        combined = np.hstack([basis.components, disc.kernel_basis])
-        gram_inv = np.linalg.inv(combined.T @ combined)
-        cov = sigma2 * gram_inv
-        cov[: emu.n_components, : emu.n_components] += np.diag(out.variance)
-        idx = np.arange(emu.n_components, emu.n_components + 3)
-        cov[idx, idx] += kappa
-        mean = np.concatenate([out.mean, np.zeros(3)])
-        oracle = multivariate_normal.logpdf(z, mean, cov)
-        assert val == pytest.approx(oracle, rel=1e-10)
-
-    def test_run_mh_appends_kappa(self, gp_setup, tmp_path):
-        emu = gp_setup["emu_mr"]
-        basis = synthetic_basis(n=40, n_comp=emu.n_components, seed=23)
-        rng = np.random.default_rng(24)
-        disc = DiscrepancyBlock(rng.standard_normal((40, 2)))
-        out = predict(emu, np.array([0.5, 0.5]))
-        from floodcal.calibrate import ReducedObservation
-
-        z_r = ReducedObservation(
-            np.concatenate([out.mean, np.zeros(2)]), emu.n_components, 2
-        )
-        chain = run_mh(
-            z_r, emu, basis, CalibrationPriors(0.1),
-            McmcConfig(iterations=300, seed=25, burn_in=50), disc=disc,
-        )
-        assert chain.names == ["a", "b", "sigma2_eps", "kappa_d"]
-        assert chain.samples.shape == (250, 4)
-        assert np.all(chain.samples[:, 2:] > 0)
-        path = tmp_path / "chain.csv"
-        save_chain(chain, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "iter,theta_a,theta_b,sigma2_eps,kappa_d,log_post,accepted_mask"
 
 
 class TestSampler:
@@ -330,7 +266,7 @@ def small_chain(gp_setup):
     out = predict(emu, truth)
     from floodcal.calibrate import ReducedObservation
 
-    z_r = ReducedObservation(out.mean.copy(), emu.n_components, 0)
+    z_r = ReducedObservation(out.mean.copy())
     config = McmcConfig(iterations=3000, seed=13, burn_in=500)
     return run_mh(z_r, emu, basis, CalibrationPriors(0.1), config)
 
@@ -342,7 +278,7 @@ class TestRunMh:
         out = predict(emu, np.array([0.5, 0.5]))
         from floodcal.calibrate import ReducedObservation
 
-        z_r = ReducedObservation(out.mean.copy(), emu.n_components, 0)
+        z_r = ReducedObservation(out.mean.copy())
         chain = run_mh(
             z_r, emu, basis, CalibrationPriors(0.1),
             McmcConfig(iterations=1, seed=27, burn_in=0),
@@ -368,7 +304,7 @@ class TestRunMh:
         out = predict(emu, np.array([0.5, 0.5]))
         from floodcal.calibrate import ReducedObservation
 
-        z_r = ReducedObservation(out.mean.copy(), emu.n_components, 0)
+        z_r = ReducedObservation(out.mean.copy())
         config = McmcConfig(iterations=3000, seed=13, burn_in=500)
         again = run_mh(z_r, emu, basis, CalibrationPriors(0.1), config)
         assert np.array_equal(again.samples, small_chain.samples)
@@ -394,12 +330,20 @@ class TestRunMh:
         emu = build_mr(unit_space, theta_c, theta_e, rng.standard_normal(7),
                        rng.standard_normal(4), basic_params())
         config = McmcConfig(iterations=200, seed=31, burn_in=50)
-        z3 = ReducedObservation(rng.standard_normal(3), 3, 0)
+        z3 = ReducedObservation(rng.standard_normal(3))
         with pytest.raises(DimensionMismatch):
             run_mh(z3, emu, synthetic_basis(n_comp=3), CalibrationPriors(0.1), config)
-        z1 = ReducedObservation(rng.standard_normal(1), 1, 0)
+        z1 = ReducedObservation(rng.standard_normal(1))
         with pytest.raises(DimensionMismatch):
             run_mh(z1, emu, synthetic_basis(n_comp=3), CalibrationPriors(0.1), config)
+
+    def test_negative_burn_in_raises(self, gp_setup):
+        # a negative burn-in would return rows of the sample buffer never filled
+        emu = gp_setup["emu_mr"]
+        z_r, basis = _mh_problem(emu)
+        with pytest.raises(ValueError, match="burn-in must not be negative"):
+            run_mh(z_r, emu, basis, CalibrationPriors(0.1),
+                   McmcConfig(iterations=400, seed=39, burn_in=-1))
 
     def test_public_likelihood_rejects_component_count_mismatch(self, unit_space):
         # before the shared check, J = 1 against 3 coordinates returned a number
@@ -412,32 +356,23 @@ class TestRunMh:
         emu = build_mr(unit_space, theta_c, theta_e, rng.standard_normal(7),
                        rng.standard_normal(4), basic_params())
         theta = np.array([0.4, 0.6])
-        z3 = ReducedObservation(rng.standard_normal(3), 3, 0)
+        z3 = ReducedObservation(rng.standard_normal(3))
         with pytest.raises(DimensionMismatch):
             log_likelihood_reduced(theta, 0.1, z3, emu, synthetic_basis(n_comp=3))
-        z1 = ReducedObservation(rng.standard_normal(1), 1, 0)
+        z1 = ReducedObservation(rng.standard_normal(1))
         with pytest.raises(DimensionMismatch):
             log_likelihood_reduced(theta, 0.1, z1, emu, synthetic_basis(n_comp=3))
-        z1_disc = ReducedObservation(rng.standard_normal(3), 1, 2)
-        disc = DiscrepancyBlock(rng.standard_normal((40, 2)))
-        with pytest.raises(DimensionMismatch):
-            log_likelihood_reduced(theta, 0.1, z1_disc, emu, synthetic_basis(n_comp=3),
-                                   disc, 0.5)
         assert math.isfinite(log_likelihood_reduced(theta, 0.1, z1, emu,
                                                     synthetic_basis(n_comp=1)))
 
 
-def _mh_problem(emu, with_disc):
-    """Reduced observation, basis and discrepancy block (or None) for run_mh."""
+def _mh_problem(emu):
+    """Reduced observation and basis for run_mh."""
     from floodcal.calibrate import ReducedObservation
 
     basis = synthetic_basis(n=40, n_comp=emu.n_components, seed=32)
     mean = predict(emu, emu.space.unscale(np.linspace(0.4, 0.6, emu.space.k))).mean
-    if not with_disc:
-        return ReducedObservation(mean.copy(), emu.n_components, 0), basis, None
-    disc = DiscrepancyBlock(np.random.default_rng(33).standard_normal((40, 2)))
-    z_r = ReducedObservation(np.concatenate([mean, [0.1, -0.2]]), emu.n_components, 2)
-    return z_r, basis, disc
+    return ReducedObservation(mean.copy()), basis
 
 
 @pytest.fixture(scope="module")
@@ -457,38 +392,30 @@ def emu_k3():
                     rng.standard_normal((6, 2)), params)
 
 
-@pytest.mark.parametrize("with_disc", [False, True], ids=["plain", "disc"])
 class TestRunMhHotPath:
-    """run_mh reuses the current theta's prediction and the gram inverse."""
+    """run_mh reuses the current theta's prediction."""
 
-    def test_chain_matches_uncached_target(self, gp_setup, emu_k3, with_disc):
+    def test_chain_matches_uncached_target(self, gp_setup, emu_k3):
         from floodcal.emulator import _invgamma_logpdf
 
         # MR and HR (no cheap rows, rho = 0) on two parameters, MR on three
         for emu in (gp_setup["emu_mr"], gp_setup["emu_hr"], emu_k3):
             space, k = emu.space, emu.space.k
-            z_r, basis, disc = _mh_problem(emu, with_disc)
+            z_r, basis = _mh_problem(emu)
             priors = CalibrationPriors(0.1)
-            noise = [math.log(0.1**2), math.log(2.0)][: 2 if with_disc else 1]
             config = McmcConfig(iterations=600, seed=34, burn_in=150, proposal_sds=np.concatenate(
-                [0.05 * (space.upper - space.lower), [0.3] * len(noise)]))
-            chain = run_mh(z_r, emu, basis, priors, config, disc=disc)
+                [0.05 * (space.upper - space.lower), [0.3]]))
+            chain = run_mh(z_r, emu, basis, priors, config)
 
             def uncached(state):
-                # a fresh prediction and gram inverse on every call
+                # a fresh prediction on every call
                 sig2 = math.exp(state[k])
-                kappa = math.exp(state[k + 1]) if disc is not None else None
-                lp = (log_likelihood_reduced(state[:k], sig2, z_r, emu, basis, disc, kappa)
-                      + _invgamma_logpdf(sig2, priors.noise_shape, priors.noise_rate)
-                      + state[k])
-                if disc is not None:
-                    lp += (_invgamma_logpdf(kappa, disc.kappa_shape, disc.kappa_rate)
-                           + state[k + 1])
-                return float(lp)
+                return float(log_likelihood_reduced(state[:k], sig2, z_r, emu, basis)
+                             + _invgamma_logpdf(sig2, priors.noise_shape, priors.noise_rate)
+                             + state[k])
 
-            initial = np.concatenate([0.5 * (space.lower + space.upper), noise])
-            bounds = np.vstack([np.column_stack([space.lower, space.upper]),
-                                [[-np.inf, np.inf]] * len(noise)])
+            initial = np.concatenate([0.5 * (space.lower + space.upper), [math.log(0.1**2)]])
+            bounds = np.vstack([np.column_stack([space.lower, space.upper]), [[-np.inf, np.inf]]])
             samples, log_post, masks, _, final_sds = random_walk_metropolis(
                 uncached, initial, bounds, config.proposal_sds,
                 config.iterations, config.seed, burn_in=config.burn_in,
@@ -500,11 +427,11 @@ class TestRunMhHotPath:
             assert np.array_equal(chain.proposal_sds, final_sds)
             assert not np.array_equal(chain.proposal_sds, config.proposal_sds)  # adapted
 
-    def test_save_chain_matches_csv_writer(self, gp_setup, with_disc, tmp_path):
+    def test_save_chain_matches_csv_writer(self, gp_setup, tmp_path):
         emu = gp_setup["emu_mr"]
-        z_r, basis, disc = _mh_problem(emu, with_disc)
+        z_r, basis = _mh_problem(emu)
         chain = run_mh(z_r, emu, basis, CalibrationPriors(0.1),
-                       McmcConfig(iterations=300, seed=37, burn_in=100), disc=disc)
+                       McmcConfig(iterations=300, seed=37, burn_in=100))
         save_chain(chain, tmp_path / "chain.csv")
 
         reference = io.StringIO(newline="")
@@ -517,7 +444,7 @@ class TestRunMhHotPath:
                             + [f"{chain.log_posterior[i]:.17g}", int(chain.accepted_mask[i])])
         assert (tmp_path / "chain.csv").read_bytes() == reference.getvalue().encode()
 
-    def test_noise_moves_skip_the_emulator(self, gp_setup, with_disc, monkeypatch):
+    def test_noise_moves_skip_the_emulator(self, gp_setup, monkeypatch):
         import floodcal.calibrate as calibrate
         import floodcal.kernels as kernels
 
@@ -536,17 +463,16 @@ class TestRunMhHotPath:
 
             return real_sampler(target, *args, **kwargs)
 
-        z_r, basis, disc = _mh_problem(gp_setup["emu_mr"], with_disc)
+        z_r, basis = _mh_problem(gp_setup["emu_mr"])
         monkeypatch.setattr(kernels, "predict_scores", counting_predict)
         monkeypatch.setattr(calibrate, "random_walk_metropolis", counting_sampler)
         iterations = 300
         run_mh(z_r, gp_setup["emu_mr"], basis, CalibrationPriors(0.1),
-               McmcConfig(iterations=iterations, seed=35, burn_in=100), disc=disc)
+               McmcConfig(iterations=iterations, seed=35, burn_in=100))
 
-        # every sweep makes one target call per noise coordinate (no bounds);
+        # every sweep makes one target call for the noise coordinate (no bounds);
         # the rest are the initial state and the in-bounds theta proposals
-        noise_moves = iterations * (2 if with_disc else 1)
-        theta_calls = counts["target"] - noise_moves
+        theta_calls = counts["target"] - iterations
         assert theta_calls > iterations // 4  # the chain does move in theta
         assert counts["predict"] == theta_calls
 
@@ -557,7 +483,7 @@ def test_every_prediction_entry_point_calls_the_module_kernel(gp_setup, monkeypa
     from floodcal.emulator import predict_hr, predict_many
 
     emu_mr, emu_hr = gp_setup["emu_mr"], gp_setup["emu_hr"]
-    z_r, basis, _ = _mh_problem(emu_mr, False)
+    z_r, basis = _mh_problem(emu_mr)
     calls = []
     real_predict = kernels.predict_scores
 
@@ -626,10 +552,6 @@ class TestThin:
     def test_theta_names_leave_out_the_variances(self):
         chain = self.fake_chain(4)
         assert chain.theta_names == ["x"]
-        chain.names = ["x", "y", "sigma2_eps", "kappa_d"]
-        chain.samples = np.arange(16.0).reshape(4, 4)
-        assert chain.theta_names == ["x", "y"]
-        assert np.array_equal(thin(chain, 4, seed=0), chain.samples[:, :2])
 
 
 class TestCalibratedProjection:
@@ -688,7 +610,7 @@ class TestEndToEndRecoverySmall:
         z_val = out.mean + rng.normal(0, noise_sd, 1)
         from floodcal.calibrate import ReducedObservation
 
-        z_r = ReducedObservation(z_val, 1, 0)
+        z_r = ReducedObservation(z_val)
         chain = run_mh(
             z_r, emu, basis, CalibrationPriors(noise_guess=noise_sd),
             McmcConfig(iterations=4000, seed=20, burn_in=1000),

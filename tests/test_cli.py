@@ -200,6 +200,32 @@ class TestExitCodes:
         config.write_text(CONFIG_TEMPLATE.replace("0.0305, 1.0", "0.5, 1.0"))
         assert main(["design", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("burn_in_fraction = 0.2", "burn_in_fraction = 1.0", "mcmc.burn_in_fraction"),
+        ("burn_in_fraction = 0.2", "burn_in_fraction = -0.1", "mcmc.burn_in_fraction"),
+        ("iterations = 1500", "iterations = 0", "mcmc.iterations"),
+        ("iterations = 1500", "iterations = -5", "mcmc.iterations"),
+        ("[mcmc]\n", "[mcmc]\nnoise_guess = 0\n", "mcmc.noise_guess"),
+        ("folds = 5", "folds = 0", "crossval.folds"),
+    ], ids=["burn-in-one", "burn-in-negative", "iterations-zero", "iterations-negative",
+            "noise-guess-zero", "folds-zero"])
+    def test_invalid_sampler_setting(self, tmp_path, capsys, old, new, key):
+        config = tmp_path / "experiment.ini"
+        config.write_text(CONFIG_TEMPLATE.replace(old, new))
+        assert main(["design", "--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_negative_burn_in_writes_no_chain(self, pipeline, tmp_path):
+        # a negative burn-in once kept unfilled rows of the sample buffer
+        root = tmp_path / "burn_in"
+        shutil.copytree(pipeline, root)
+        (root / "out" / "chain_mr.csv").unlink()
+        config = root / "experiment.ini"
+        config.write_text(CONFIG_TEMPLATE.replace("burn_in_fraction = 0.2",
+                                                  "burn_in_fraction = -0.1"))
+        assert main(["calibrate", "--config", str(config)]) == 2
+        assert not (root / "out" / "chain_mr.csv").exists()
+
     def test_stale_emulator_archive(self, pipeline, tmp_path, capsys):
         # refit the basis with fewer components but keep the old emulator
         root = tmp_path / "stale"
@@ -283,8 +309,9 @@ class TestExitCodes:
         lambda lines: [lines[0].replace("theta_rwe", "theta_manning")] + lines[1:],
         lambda lines: lines[:1] + [",".join([line.split(",")[0], "nan", *line.split(",")[2:]])
                                    for line in lines[1:]],
+        lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0] + ",nan"] + lines[4:],
     ], ids=["empty", "header-only", "non-numeric", "extra-column", "missing-column",
-            "missing-theta", "renamed-theta", "nan-theta"])
+            "missing-theta", "renamed-theta", "nan-theta", "nan-accepted-mask"])
     def test_malformed_chain(self, pipeline, tmp_path, capsys, edit):
         root = tmp_path / "malformed"
         shutil.copytree(pipeline, root)
@@ -292,6 +319,23 @@ class TestExitCodes:
         chain.write_text("".join(line + "\n" for line in edit(chain.read_text().splitlines())))
         assert main(["project", "--config", str(root / "experiment.ini")]) == 3
         assert "chain_mr.csv" in capsys.readouterr().err
+
+    def test_chain_with_a_discrepancy_column_rejected(self, pipeline, tmp_path, capsys):
+        # the layout of the discrepancy path older versions wrote: a kappa_d
+        # column after sigma2_eps, which must not be thinned as a theta column
+        root = tmp_path / "kappa"
+        shutil.copytree(pipeline, root)
+        (root / "out" / "projection_mr.asc").unlink()
+        chain = root / "out" / "chain_mr.csv"
+        lines = chain.read_text().splitlines()
+        lines = [lines[0].replace(",sigma2_eps,", ",sigma2_eps,kappa_d,")] + [
+            ",".join([*line.split(",")[:4], "0.5", *line.split(",")[4:]]) for line in lines[1:]]
+        chain.write_text("\n".join(lines) + "\n")
+        assert main(["project", "--config", str(root / "experiment.ini")]) == 3
+        err = capsys.readouterr().err
+        assert "chain_mr.csv" in err
+        assert "columns ['n_ch', 'rwe', 'sigma2_eps', 'kappa_d']" in err
+        assert not (root / "out" / "projection_mr.asc").exists()
 
     def test_singleres_archive_rejected(self, pipeline, tmp_path, capsys):
         # the type of the separate single-resolution layout older versions wrote
