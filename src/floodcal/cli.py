@@ -58,12 +58,14 @@ from .emulator import (
     load_emulator,
     predict_joint,
     predict_many,
+    read_emulator_archive,
     save_emulator,
     thread_map,
 )
 from .errors import (
     AllExpensiveRemoved,
     ConfigError,
+    DimensionMismatch,
     FloodcalError,
     MalformedArtifact,
     MissingArtifact,
@@ -235,6 +237,14 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("mcmc.noise_guess must be positive and finite")
     if cfg.folds < 1:
         raise ConfigError("crossval.folds must be at least 1")
+    if not 0 < cfg.target_fraction <= 1:
+        raise ConfigError("pca.target_fraction must lie in (0, 1]")
+    if cfg.n_starts < 1:
+        raise ConfigError("emulator.n_starts must be at least 1")
+    if not 0 < cfg.holdout_fraction < 1:
+        raise ConfigError("diagnose.holdout_fraction must lie in (0, 1)")
+    if cfg.n_thinned < 1:
+        raise ConfigError("project.n_thinned must be at least 1")
     return cfg
 
 
@@ -471,6 +481,7 @@ def cmd_diagnose(cfg: ExperimentConfig, seed: int | None = None) -> None:
         _require(cfg.out_dir / f"projection_{cfg.approach}.asc", "calibrated projection")
     )
     obs_grid = read_ascii_grid(_require(cfg.runs_dir / "observation.asc", "observation"))
+    archive = _warm_archive(cfg)
     report = extent_metrics(projection, obs_grid, cfg.flood_threshold)
 
     metrics = {"approach": cfg.approach, "flood_threshold": cfg.flood_threshold}
@@ -498,7 +509,7 @@ def cmd_diagnose(cfg: ExperimentConfig, seed: int | None = None) -> None:
             f"(need {n_min} test + 2 training points)"
         )
     held_idx = np.sort(rng.choice(p_e, size=n_hold, replace=False))
-    uspe_written = _uspe_validation(cfg, design, ensemble, held_idx, seed)
+    uspe_written = _uspe_validation(cfg, design, ensemble, held_idx, seed, archive)
 
     _finish(cfg, "diagnose", cfg.out_dir / "diagnose.manifest.json",
             f"diagnose[{cfg.approach}]: rmse {report.rmse:.4f} m, bias "
@@ -528,22 +539,66 @@ def _train_test_split(design: Design, ensemble: RunEnsemble, held_exp_idx: np.nd
     return train, ensemble.depths[held_rows], design.points[held_rows]
 
 
-def _fit_holdout(cfg, design, ensemble, held_idx, seed, threads=1):
+def _warm_archive(cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
+    """The basis components and the MR/HR MAP parameters ``emulate`` archived.
+
+    Only the parameters are read: no emulator is built, so no gram is
+    factored.  Raises DimensionMismatch when an emulator archive and the
+    basis archive disagree on the component count, or the emulator's space
+    on the dimension count.
+    """
+    basis = load_basis(_require(cfg.out_dir / "basis", "basis archive"))
+    params = {}
+    for label in ("mr", "hr"):
+        path = _require(cfg.out_dir / f"emulator_{label}", f"{label} emulator")
+        parsed = read_emulator_archive(path)
+        params[label], k = parsed["params_list"], parsed["space"].k
+        if len(params[label]) != basis.n_components or k != cfg.space.k:
+            raise DimensionMismatch(
+                f"{path} has {len(params[label])} components over {k} dimensions, the "
+                f"basis archive {basis.n_components} components and the config {cfg.space.k} "
+                f"dimensions"
+            )
+    return basis.components, params
+
+
+def _warm_starts(basis, archive) -> dict:
+    """Per label, the archived parameters each component of ``basis`` starts from.
+
+    Component j takes the parameters of the archived component whose basis
+    column is most aligned with column j, by the largest |cosine|.  That
+    covers swapped components and a J other than the archive's; a sign flip
+    is harmless, as under the zero trend-mean prior negated scores have the
+    same log posterior.
+    """
+    components, params = archive
+    if components.shape[0] != basis.n_locations:
+        raise DimensionMismatch(f"the basis archive has {components.shape[0]} locations, "
+                                f"the run matrix {basis.n_locations}")
+    unit = [c / np.linalg.norm(c, axis=0) for c in (basis.components, components)]
+    match = np.argmax(np.abs(unit[0].T @ unit[1]), axis=1)
+    return {label: [p[i] for i in match] for label, p in params.items()}
+
+
+def _fit_holdout(cfg, design, ensemble, held_idx, seed, threads=1, archive=None):
     """Basis and MR/HR emulators fitted without the held-out expensive rows.
 
-    Returns the basis, the emulators keyed ``mr``/``hr``, and the held-out
-    settings, depths and scores.
+    Fits are cold, from ``cfg.n_starts`` random starts per component, unless
+    ``archive`` (see :func:`_warm_archive`) gives warm starts.  Returns the
+    basis, the emulators keyed ``mr``/``hr``, and the held-out settings,
+    depths and scores.
     """
     train, test_depths, test_thetas = _train_test_split(design, ensemble, held_idx)
     basis = fit_basis(train, cfg.target_fraction)
     scores = reduce_runs(basis, train)
     test_scores = project(basis, test_depths)
     mr_seed, hr_seed = child_seeds(seed, 2)
+    warm = _warm_starts(basis, archive) if archive is not None else {"mr": None, "hr": None}
     emulators = {
         "mr": fit_multires(train.design, scores.scores, n_starts=cfg.n_starts,
-                           seed=mr_seed, threads=threads),
+                           seed=mr_seed, threads=threads, warm=warm["mr"]),
         "hr": fit_singleres(train.design, scores.expensive, n_starts=cfg.n_starts,
-                            seed=hr_seed, threads=threads),
+                            seed=hr_seed, threads=threads, warm=warm["hr"]),
     }
     return basis, emulators, test_thetas, test_depths, test_scores
 
@@ -553,9 +608,9 @@ def _leading_components(basis, fraction: float = 0.75) -> int:
     return int(min(np.searchsorted(cum, fraction) + 1, basis.n_components))
 
 
-def _uspe_validation(cfg, design, ensemble, held_idx, seed) -> list:
+def _uspe_validation(cfg, design, ensemble, held_idx, seed, archive) -> list:
     basis, emulators, test_thetas, _, test_scores = _fit_holdout(
-        cfg, design, ensemble, held_idx, seed
+        cfg, design, ensemble, held_idx, seed, archive=archive
     )
     n_lead = _leading_components(basis)
     written = []
@@ -575,6 +630,7 @@ def _uspe_validation(cfg, design, ensemble, held_idx, seed) -> list:
 
 def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, threads: int = 1) -> None:
     seed = cfg.seeds["crossval"] if seed is None else seed
+    archive = _warm_archive(cfg)
     ensemble = _load_ensemble(cfg)
     design = ensemble.design
     label = f"{design.n_expensive}e{design.n_cheap}c"
@@ -589,14 +645,14 @@ def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, threads: int = 
     for fold, fold_seed in zip(folds, fold_seeds[:-1]):
         if len(fold) == 0:
             continue
-        cv_d.extend(
-            _holdout_d_values(cfg, design, ensemble, np.sort(fold), fold_seed, threads)
-        )
+        cv_d.extend(_holdout_d_values(cfg, design, ensemble, np.sort(fold), fold_seed,
+                                      threads, archive))
 
     held_edge = np.flatnonzero(edge_mask(design, cfg.edge_bands)[:p_e])
     edge_d = None
     if held_edge.size:
-        edge_d = _holdout_d_values(cfg, design, ensemble, held_edge, fold_seeds[-1], threads)
+        edge_d = _holdout_d_values(cfg, design, ensemble, held_edge, fold_seeds[-1], threads,
+                                   archive)
 
     result = {
         "label": label,
@@ -624,10 +680,10 @@ def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, threads: int = 
             seed=seed, **result)
 
 
-def _holdout_d_values(cfg, design, ensemble, held_idx, seed, threads=1) -> list:
+def _holdout_d_values(cfg, design, ensemble, held_idx, seed, threads, archive) -> list:
     """Per-held-out-point RMSE difference between the MR and HR emulators."""
     basis, emulators, test_thetas, test_depths, _ = _fit_holdout(
-        cfg, design, ensemble, held_idx, seed, threads
+        cfg, design, ensemble, held_idx, seed, threads, archive
     )
     pred_mr, pred_hr = (reconstruct(basis, predict_many(emu, test_thetas)[0])
                         for emu in emulators.values())

@@ -490,7 +490,9 @@ def fit(
     relatively, when the largest projected gradient falls below 1e-5, or
     after 200 iterations.  A gram that stays non-positive-definite after
     jitter returns the value 1e12 with a zero gradient, so the line search
-    backs off from it.  ``minimize`` is looked up on this module at each
+    backs off from it.  A start whose own value is 1e12 gets no run, so with
+    ``n_starts=0`` and one extra start that fails there, ``fit`` raises
+    AllStartsFailed.  ``minimize`` is looked up on this module at each
     call, so a wrapper set there sees every run.
 
     An empty cheap block gives the single-resolution baseline: rho stays
@@ -706,12 +708,19 @@ def fit_multires(
     n_starts: int = 8,
     seed: int = 0,
     threads: int = 1,
+    warm: list | None = None,
 ) -> MultiResEmulator:
     """Fit one multiresolution GP per score column.
 
     ``scores`` rows follow the ensemble convention (expensive block first).
     Per-component seeds derive from ``seed``, so the thread count does not
     change results.
+
+    ``warm``, one :class:`EmulatorParams` per score column, warm-starts the
+    fit: component j makes one L-BFGS-B run from ``warm[j]`` and draws no
+    random start.  Only when ``warm[j]`` has no finite posterior does it
+    fall back to the ``n_starts`` random starts of the cold fit, from the
+    same seed.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     space = design.space
@@ -728,6 +737,12 @@ def fit_multires(
 
     def fit_one(j):
         t = np.concatenate([scores_cheap[:, j], scores_exp[:, j]])
+        if warm is not None:
+            try:
+                return fit(t, theta_cheap, theta_exp, hyperpriors, trend_prior,
+                           n_starts=0, seed=seeds[j], extra_starts=(warm[j],))
+            except AllStartsFailed:
+                pass
         return fit(t, theta_cheap, theta_exp, hyperpriors, trend_prior,
                    n_starts=n_starts, seed=seeds[j])
 
@@ -747,9 +762,12 @@ def fit_singleres(
     n_starts: int = 8,
     seed: int = 0,
     threads: int = 1,
+    warm: list | None = None,
 ) -> MultiResEmulator:
     """Fit the expensive-only baseline: :func:`fit_multires` on the expensive
-    block, with ``trend_mean`` and ``trend_cov`` the expensive trend's prior."""
+    block, with ``trend_mean`` and ``trend_cov`` the expensive trend's prior.
+    ``warm`` parameters are read in that form: only their expensive variance,
+    nugget and ranges count."""
     space = design.space
     if trend_mean is None:
         trend_mean = np.zeros(space.k + 1)
@@ -757,7 +775,7 @@ def fit_singleres(
         trend_cov = np.eye(space.k + 1)
     expensive = Design(design.expensive_points, [EXPENSIVE] * design.n_expensive, space)
     return fit_multires(expensive, scores_exp, hyperpriors, _singleres_trend(trend_mean, trend_cov),
-                        n_starts, seed, threads)
+                        n_starts, seed, threads, warm)
 
 
 # --- prediction ---------------------------------------------------------------
@@ -867,6 +885,18 @@ def save_emulator(emulator, directory) -> None:
 def load_emulator(directory) -> MultiResEmulator:
     """Read an emulator written by :func:`save_emulator`.
 
+    :func:`read_emulator_archive` parses and validates the files, then
+    construction factors every component's training gram.
+    """
+    return MultiResEmulator(**read_emulator_archive(directory))
+
+
+def read_emulator_archive(directory) -> dict:
+    """Parse and validate an emulator archive without building the emulator.
+
+    Returns :class:`MultiResEmulator`'s constructor arguments by name, so
+    ``params_list`` costs no gram factorization.
+
     Raises
     ------
     MalformedArtifact
@@ -933,7 +963,7 @@ def load_emulator(directory) -> MultiResEmulator:
         raise MalformedArtifact(f"{directory}: params.csv: {err}") from err
     trend_prior = TrendPrior(arrays["trend_mean"], arrays["trend_cov_cheap"],
                              arrays["trend_cov_exp"])
-    return MultiResEmulator(
-        space, arrays["theta_cheap"], arrays["theta_exp"], arrays["scores_cheap"],
-        arrays["scores_exp"], params_list, trend_prior, hyperpriors, seed, n_starts,
-    )
+    return dict(space=space, theta_cheap=arrays["theta_cheap"], theta_exp=arrays["theta_exp"],
+                scores_cheap=arrays["scores_cheap"], scores_exp=arrays["scores_exp"],
+                params_list=params_list, trend_prior=trend_prior, hyperpriors=hyperpriors,
+                seed=seed, n_starts=n_starts)

@@ -12,8 +12,10 @@ import floodcal
 import floodcal.cli as cli
 from floodcal.cli import main
 from floodcal.design import Design, read_design_csv, write_design_csv
+from floodcal.emulator import EmulatorParams
+from floodcal.errors import DimensionMismatch
 from floodcal.grid import Grid, read_ascii_grid, write_ascii_grid
-from floodcal.reduce import build_ensemble
+from floodcal.reduce import ReducedBasis, build_ensemble
 from floodcal.synthmodel import SynthConfig, shared_locations
 
 CONFIG_TEMPLATE = """\
@@ -215,6 +217,42 @@ class TestExitCodes:
         assert main(["design", "--config", str(config)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("[mcmc]\n", "[pca]\ntarget_fraction = 1.5\n\n[mcmc]\n", "pca.target_fraction"),
+        ("[mcmc]\n", "[pca]\ntarget_fraction = 0\n\n[mcmc]\n", "pca.target_fraction"),
+        ("n_starts = 3", "n_starts = 0", "emulator.n_starts"),
+        ("[mcmc]\n", "[diagnose]\nholdout_fraction = -1\n\n[mcmc]\n",
+         "diagnose.holdout_fraction"),
+        ("[mcmc]\n", "[diagnose]\nholdout_fraction = 1.5\n\n[mcmc]\n",
+         "diagnose.holdout_fraction"),
+        ("n_thinned = 8", "n_thinned = 0", "project.n_thinned"),
+    ], ids=["target-fraction-above-one", "target-fraction-zero", "n-starts-zero",
+            "holdout-negative", "holdout-above-one", "n-thinned-zero"])
+    def test_invalid_fitting_setting(self, tmp_path, capsys, old, new, key):
+        # each once got past load_config, to a traceback, a numerical failure or no error
+        config = tmp_path / "experiment.ini"
+        config.write_text(CONFIG_TEMPLATE.replace(old, new))
+        assert main(["design", "--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("artifact", ["emulator_hr", "basis"])
+    def test_hold_out_fits_need_the_emulate_archive(self, pipeline, tmp_path, capsys, artifact):
+        # diagnose and crossval start every hold-out fit from emulate's MAP
+        root = tmp_path / "no_archive"
+        shutil.copytree(pipeline, root)
+        path = root / "out" / artifact
+        shutil.rmtree(path)
+        written = [root / "out" / name for name in ("metrics.json", "crossval.json")]
+        for output in written:
+            output.unlink()
+        config = str(root / "experiment.ini")
+        for stage in ("diagnose", "crossval"):
+            assert main([stage, "--config", config]) == 3
+            assert str(path) in capsys.readouterr().err
+        assert not any(output.exists() for output in written)  # refused before writing
+        assert main(["emulate", "--config", config]) == 0
+        assert path.is_dir()
+
     def test_negative_burn_in_writes_no_chain(self, pipeline, tmp_path):
         # a negative burn-in once kept unfilled rows of the sample buffer
         root = tmp_path / "burn_in"
@@ -239,6 +277,9 @@ class TestExitCodes:
         shutil.copytree(old_emulator, root / "out" / "emulator_mr")
         assert main(["calibrate", "--config", str(config)]) == 4
         assert "emulator has 2 components" in capsys.readouterr().err
+        for stage in ("diagnose", "crossval"):  # the archive their warm starts come from
+            assert main([stage, "--config", str(config)]) == 4
+            assert "emulator_mr has 2 components" in capsys.readouterr().err
 
     def test_malformed_basis_archive(self, pipeline, tmp_path, capsys):
         root = tmp_path / "malformed"
@@ -531,6 +572,46 @@ class TestEnsembleCache:
         assert cli._load_ensemble(cfg).depths.tobytes() == depths.tobytes()
         assert len(builds) == 1
         assert sorted(p.name for p in (root / "out").rglob("*.tmp")) == []
+
+
+def _basis(components) -> ReducedBasis:
+    j = components.shape[1]
+    return ReducedBasis(np.zeros(len(components)), components, np.ones(j), 1.0, float(j), 1.0)
+
+
+class TestWarmStarts:
+    @staticmethod
+    def _archive(n_locations=60, n_components=3):
+        rng = np.random.default_rng(5)
+        components = rng.standard_normal((n_locations, n_components))
+        params = {label: [EmulatorParams(rho=rho, var_cheap=1.0, var_exp=i + 1.0,
+                                         nugget_cheap=0.1, nugget_exp=0.1,
+                                         range_cheap=[1.0, 1.0], range_exp=[1.0, 1.0])
+                          for i in range(n_components)]
+                  for label, rho in (("mr", 0.9), ("hr", 0.0))}
+        return components, params
+
+    def test_components_take_the_parameters_of_their_best_aligned_archived_column(self):
+        archived, params = self._archive()
+        noise = 0.05 * np.random.default_rng(6).standard_normal(archived.shape)
+        # negated and swapped, rescaled, and moved a little as a hold-out moves them
+        holdout = np.column_stack([-archived[:, 2], 3.0 * archived[:, 0], -0.5 * archived[:, 1]])
+        warm = cli._warm_starts(_basis(holdout + noise), (archived, params))
+        for label in ("mr", "hr"):
+            assert warm[label] == [params[label][i] for i in (2, 0, 1)]
+
+    def test_component_count_may_differ_from_the_archive(self):
+        archived, params = self._archive()
+        fewer = cli._warm_starts(_basis(archived[:, [1]]), (archived, params))
+        assert fewer["mr"] == [params["mr"][1]]
+        more = np.column_stack([archived, -archived[:, 0] + 0.1 * archived[:, 2]])
+        assert cli._warm_starts(_basis(more), (archived, params))["hr"] == [
+            params["hr"][i] for i in (0, 1, 2, 0)]
+
+    def test_archive_on_other_locations_is_refused(self):
+        archived, params = self._archive()
+        with pytest.raises(DimensionMismatch, match="60 locations"):
+            cli._warm_starts(_basis(archived[:-1]), (archived, params))
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -39,11 +39,17 @@ from floodcal.emulator import (
     predict_hr,
     predict_joint,
     predict_many,
+    read_emulator_archive,
     save_emulator,
     singleres_emulator,
     thread_map,
 )
-from floodcal.errors import ExtrapolationWarning, MalformedArtifact, NotPositiveDefinite
+from floodcal.errors import (
+    AllStartsFailed,
+    ExtrapolationWarning,
+    MalformedArtifact,
+    NotPositiveDefinite,
+)
 
 from conftest import build_hr, build_mr, draw_scores, make_nested_design
 from oracles import cov_cc, cov_ce, cov_ee
@@ -755,6 +761,75 @@ class TestFitMultires:
             assert np.array_equal(a.range_cheap, b.range_cheap)
 
 
+def _counting_minimize(monkeypatch) -> list:
+    """Wrap ``emulator.minimize``; the returned list gets one entry per L-BFGS-B run."""
+    runs, minimize = [], emulator.minimize
+
+    def counted(*args, **kwargs):
+        runs.append(args[1])  # the start
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(emulator, "minimize", counted)
+    return runs
+
+
+def _log_posteriors(emu) -> list:
+    return [log_posterior(p, emu.hyperpriors,
+                          np.concatenate([emu.scores_cheap[:, j], emu.scores_exp[:, j]]),
+                          emu.theta_cheap, emu.theta_exp, emu.trend_prior)
+            for j, p in enumerate(emu.params_list)]
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("approach", ["mr", "hr"])
+    def test_one_lbfgsb_run_per_component(self, gp_setup, monkeypatch, approach):
+        from floodcal.emulator import fit_multires, fit_singleres
+
+        design, scores = gp_setup["design"], gp_setup["scores"]
+        cold = gp_setup[f"emu_{approach}"]
+        fit_fn, data = ((fit_multires, scores) if approach == "mr"
+                        else (fit_singleres, scores[: design.n_expensive]))
+        runs = _counting_minimize(monkeypatch)
+        fit_fn(design, data, n_starts=4, seed=13, warm=cold.params_list[::-1])
+        assert len(runs) == cold.n_components == 2
+        # each run starts from its component's warm parameters, not a random draw
+        free = slice(None) if approach == "mr" else np.r_[1, 3, 6:8]
+        for start, params in zip(runs, cold.params_list[::-1]):
+            assert np.array_equal(start, _params_to_x(params)[free])
+        runs.clear()
+        again = fit_fn(design, data, n_starts=4, seed=13, warm=cold.params_list)
+        assert len(runs) == 2
+        # from the cold optimum the warm run ends no worse, up to the parameters' round trip
+        for w, c in zip(_log_posteriors(again), _log_posteriors(cold)):
+            assert w >= c - 1e-12 * abs(c)
+
+    def test_a_start_without_finite_posterior_falls_back_to_random_starts(
+            self, gp_setup, monkeypatch):
+        from floodcal.emulator import fit_multires
+
+        design, scores = gp_setup["design"], gp_setup["scores"]
+        bad = basic_params(var_exp=123.0)
+        objective = _FitWorkspace.neg_log_posterior_and_grad
+
+        def not_pd_at_bad(self, x, *args):
+            if x[1] == math.log(bad.var_exp):  # the gram of the warm start
+                raise NotPositiveDefinite("forced")
+            return objective(self, x, *args)
+
+        monkeypatch.setattr(_FitWorkspace, "neg_log_posterior_and_grad", not_pd_at_bad)
+        p_e, space = design.n_expensive, design.space
+        t = np.concatenate([scores[p_e:, 0], scores[:p_e, 0]])
+        with pytest.raises(AllStartsFailed):
+            fit(t, space.scale(design.cheap_points), space.scale(design.expensive_points),
+                n_starts=0, extra_starts=(bad,))
+        runs = _counting_minimize(monkeypatch)
+        fallback = fit_multires(design, scores, n_starts=3, seed=13, warm=[bad, bad])
+        assert len(runs) == 2 * 3
+        cold = fit_multires(design, scores, n_starts=3, seed=13)
+        for a, b in zip(fallback.params_list, cold.params_list):
+            assert _params_to_x(a).tobytes() == _params_to_x(b).tobytes()
+
+
 class TestArchive:
     def test_roundtrip_bitwise_predictions(self, gp_setup, unit_space, tmp_path):
         rng = np.random.default_rng(80)
@@ -916,17 +991,29 @@ HR_CORRUPTIONS = {
 
 
 class TestArchiveValidation:
+    # the parameters-only read and the full load share one validator
     @pytest.mark.parametrize("corrupt", MR_CORRUPTIONS.values(), ids=MR_CORRUPTIONS.keys())
     def test_malformed_multires_archive(self, gp_setup, tmp_path, corrupt):
         save_emulator(gp_setup["emu_mr"], tmp_path / "emu")
         corrupt(tmp_path / "emu")
-        with pytest.raises(MalformedArtifact, match=re.escape(str(tmp_path / "emu"))):
-            load_emulator(tmp_path / "emu")
+        for read in (load_emulator, read_emulator_archive):
+            with pytest.raises(MalformedArtifact, match=re.escape(str(tmp_path / "emu"))):
+                read(tmp_path / "emu")
 
     @pytest.mark.parametrize("corrupt", HR_CORRUPTIONS.values(), ids=HR_CORRUPTIONS.keys())
     def test_malformed_singleres_archive(self, gp_setup, tmp_path, corrupt):
         assert gp_setup["emu_hr"].n_components > 1
         save_emulator(gp_setup["emu_hr"], tmp_path / "emu")
         corrupt(tmp_path / "emu")
-        with pytest.raises(MalformedArtifact, match=re.escape(str(tmp_path / "emu"))):
-            load_emulator(tmp_path / "emu")
+        for read in (load_emulator, read_emulator_archive):
+            with pytest.raises(MalformedArtifact, match=re.escape(str(tmp_path / "emu"))):
+                read(tmp_path / "emu")
+
+    def test_parameters_read_factors_no_gram(self, gp_setup, tmp_path, monkeypatch):
+        save_emulator(gp_setup["emu_mr"], tmp_path / "emu")
+        calls = []
+        monkeypatch.setattr(emulator, "cholesky", lambda m: calls.append(m))
+        params = read_emulator_archive(tmp_path / "emu")["params_list"]
+        assert not calls
+        for a, b in zip(params, gp_setup["emu_mr"].params_list):
+            assert _params_to_x(a).tobytes() == _params_to_x(b).tobytes()
