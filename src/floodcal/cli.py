@@ -6,7 +6,8 @@ substituted for the synthetic one by writing the same artifacts.  Every
 stage's outputs get a manifest with the config digest and the seeds it
 consumed; rerunning a stage with unchanged inputs reproduces its outputs
 byte for byte.  The run matrix is also cached under the output directory,
-keyed by the content it is built from (see ``_load_ensemble``).
+keyed by the content it is built from: ``run-synth`` stores the matrix of
+the runs it wrote, and ``_load_ensemble`` builds and stores it on a miss.
 
 Exit codes: 0 success, 2 config error, 3 missing or malformed upstream
 artifact, 4 numerical failure, including a component-count mismatch and a
@@ -329,16 +330,22 @@ def cmd_run_synth(cfg: ExperimentConfig, seed: int | None = None, threads: int =
                  "theta": list(design.points[i])}
                 for i in range(len(files))
             ])
+    # %.17g grids read back as these floats, so the matrix is the one emulate would build
+    locations = shared_locations(cfg.synth)
+    ensemble = build_ensemble([g for g, f in zip(grids, design.fidelity) if f == EXPENSIVE],
+                              [g for g, f in zip(grids, design.fidelity) if f == CHEAP],
+                              design, locations)
+    key = _ensemble_key(cfg, [cfg.runs_dir / name for name in files], locations)
+    _store_ensemble(cfg.out_dir, key, ensemble.depths)
 
 
 def _load_ensemble(cfg: ExperimentConfig) -> RunEnsemble:
     """The design's runs, as listed in the runs manifest, on the shared locations.
 
-    The run matrix is kept in ``out/ensemble.npy`` under a key that hashes
-    the package version, the design and runs manifest bytes, every listed
-    run grid's bytes and the location coordinates.  When the key and the
-    matrix's own checksum match, the matrix is loaded instead of parsing and
-    interpolating the grids again; anything else rebuilds and rewrites it.
+    The run matrix is kept in ``out/ensemble.npy`` under ``_ensemble_key``,
+    stored by ``run-synth`` or by the first load after it.  When the key and
+    the matrix's own checksum match, the matrix is loaded instead of parsing
+    and interpolating the grids again; anything else rebuilds and rewrites it.
     """
     design = _load_design(cfg)
     manifest_path = _require(cfg.runs_dir / "runs.manifest.json", "runs manifest")
@@ -351,11 +358,7 @@ def _load_ensemble(cfg: ExperimentConfig) -> RunEnsemble:
     if unlisted:
         raise MalformedArtifact(f"{manifest_path} lists no run for design rows {unlisted}")
     locations = shared_locations(cfg.synth)
-    digest = hashlib.sha256(__version__.encode())
-    for path in (cfg.out_dir / "design.csv", manifest_path, *run_paths.values()):
-        digest.update(hashlib.sha256(path.read_bytes()).digest())  # one file in memory at a time
-    digest.update(hashlib.sha256(np.ascontiguousarray(locations.coords)).digest())
-    key = digest.hexdigest()
+    key = _ensemble_key(cfg, run_paths.values(), locations)
     depths = _cached_depths(cfg.out_dir, key, (len(design.points), len(locations)))
     if depths is not None:
         return RunEnsemble(depths, design, locations)
@@ -365,15 +368,31 @@ def _load_ensemble(cfg: ExperimentConfig) -> RunEnsemble:
     exp_grids = [grids[i] for i in rows if design.fidelity[i] == EXPENSIVE]
     cheap_grids = [grids[i] for i in rows if design.fidelity[i] == CHEAP]
     ensemble = build_ensemble(exp_grids, cheap_grids, design, locations)
-    # matrix first: a manifest left over from an earlier build then fails the checksum
-    tmp = cfg.out_dir / "ensemble.npy.tmp"
-    with open(tmp, "wb") as fh:
-        np.save(fh, ensemble.depths)
-    os.replace(tmp, cfg.out_dir / "ensemble.npy")
-    tmp = cfg.out_dir / "ensemble.manifest.json.tmp"
-    write_manifest(tmp, {"key": key, "sha256": hashlib.sha256(ensemble.depths).hexdigest()})
-    os.replace(tmp, cfg.out_dir / "ensemble.manifest.json")
+    _store_ensemble(cfg.out_dir, key, ensemble.depths)
     return ensemble
+
+
+def _ensemble_key(cfg: ExperimentConfig, run_paths, locations) -> str:
+    """The run matrix's cache key: a sha256 over the package version, the bytes
+    of ``design.csv``, ``runs.manifest.json`` and ``run_paths`` (in manifest
+    order), and the location coordinates."""
+    digest = hashlib.sha256(__version__.encode())
+    for path in (cfg.out_dir / "design.csv", cfg.runs_dir / "runs.manifest.json", *run_paths):
+        digest.update(hashlib.sha256(path.read_bytes()).digest())  # one file in memory at a time
+    digest.update(hashlib.sha256(np.ascontiguousarray(locations.coords)).digest())
+    return digest.hexdigest()
+
+
+def _store_ensemble(out_dir: Path, key: str, depths: np.ndarray) -> None:
+    """Save the run matrix under ``key``, each file through a temporary name."""
+    # matrix first: a manifest left over from an earlier build then fails the checksum
+    tmp = out_dir / "ensemble.npy.tmp"
+    with open(tmp, "wb") as fh:
+        np.save(fh, depths)
+    os.replace(tmp, out_dir / "ensemble.npy")
+    tmp = out_dir / "ensemble.manifest.json.tmp"
+    write_manifest(tmp, {"key": key, "sha256": hashlib.sha256(depths).hexdigest()})
+    os.replace(tmp, out_dir / "ensemble.manifest.json")
 
 
 def _cached_depths(out_dir: Path, key: str, shape: tuple) -> np.ndarray | None:

@@ -8,6 +8,7 @@ readers/writers flip row order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -287,8 +288,9 @@ def read_ascii_grid(path) -> Grid:
     Raises
     ------
     MalformedArtifact
-        If a header key is missing, a token is not a number, the value count
-        disagrees with the header, or a depth is invalid.
+        If a header key is missing, a header number is not finite, a token is
+        not a number, the value count disagrees with the header, or a depth is
+        invalid.
     """
     with open(path, "rb") as fh:
         tokens = fh.read().split()
@@ -303,6 +305,9 @@ def read_ascii_grid(path) -> Grid:
         raise MalformedArtifact(f"{path}: header lacks {', '.join(missing)}")
     try:
         header = dict(zip(keys, map(float, tokens[1:n_head:2])))
+        for key, value in header.items():
+            if not math.isfinite(value):
+                raise ValueError(f"header {key.decode()} is {value}, not a finite number")
         flat = np.array(tokens[n_head:], dtype=float)
         n_cols, n_rows = int(header[b"ncols"]), int(header[b"nrows"])
         if flat.size != n_rows * n_cols:

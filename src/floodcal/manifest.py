@@ -74,8 +74,12 @@ def read_csv(path, float_columns: slice) -> tuple[list, list, list]:
 
 
 def load_array(path) -> np.ndarray:
-    """An array saved by ``np.save``; MalformedArtifact naming ``path`` if a value is not finite."""
-    array = np.load(path, allow_pickle=False)
+    """An array saved by ``np.save``; MalformedArtifact naming ``path`` if bytes
+    follow the array's data or a value is not finite."""
+    with open(path, "rb") as fh:
+        array = np.load(fh, allow_pickle=False)
+        if fh.read(1):
+            raise MalformedArtifact(f"{path}: bytes follow the array's data")
     if not np.all(np.isfinite(array)):
         raise MalformedArtifact(f"{path}: holds values that are not finite")
     return array

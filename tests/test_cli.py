@@ -297,6 +297,21 @@ class TestExitCodes:
         assert main(["emulate", "--config", str(root / "experiment.ini")]) == 3
         assert "run_0000_expensive.asc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("run_0010_cheap.asc", "xllcenter", "nan"),
+        ("run_0000_expensive.asc", "yllcenter", "inf"),
+    ], ids=["nan-origin-cheap", "inf-origin-expensive"])
+    def test_non_finite_run_grid_header(self, pipeline, tmp_path, capsys, name, key, value):
+        # once an IndexError traceback (cheap) or a numerical failure (expensive)
+        root = tmp_path / "header"
+        shutil.copytree(pipeline, root)
+        run = root / "runs" / name
+        lines = run.read_text().splitlines(keepends=True)
+        run.write_text("".join(f"{key} {value}\n" if line.startswith(key + " ") else line
+                               for line in lines))
+        assert main(["emulate", "--config", str(root / "experiment.ini")]) == 3
+        assert name in capsys.readouterr().err
+
     def test_malformed_emulator_archive(self, pipeline, tmp_path, capsys):
         root = tmp_path / "malformed"
         shutil.copytree(pipeline, root)
@@ -534,6 +549,24 @@ class TestEnsembleCache:
         cold = cli._load_ensemble(cfg).depths
         assert len(builds) == 1
         assert warm.tobytes() == cold.tobytes() == _fresh_depths(cfg).tobytes()
+
+    def test_run_synth_hands_its_matrix_to_emulate(self, pipeline, tmp_path, monkeypatch):
+        config = tmp_path / "experiment.ini"
+        config.write_text(CONFIG_TEMPLATE)
+        for stage in ("design", "run-synth"):
+            assert main([stage, "--config", str(config)]) == 0
+        cfg = cli.load_config(config)
+        assert np.load(cfg.out_dir / "ensemble.npy").tobytes() == _fresh_depths(cfg).tobytes()
+        reads = _counting(monkeypatch, "read_ascii_grid")
+        builds = _counting(monkeypatch, "build_ensemble")
+        assert main(["emulate", "--config", str(config)]) == 0
+        assert [Path(p).name for p in reads if Path(p).name.startswith("run_")] == []
+        assert builds == []
+        written = sorted(p.relative_to(tmp_path) for directory in ("runs", "out")
+                         for p in (tmp_path / directory).rglob("*") if p.is_file())
+        assert "out/emulator_hr/params.csv" in map(str, written)
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (pipeline / name).read_bytes(), name
 
     def test_warm_diagnose_and_crossval_parse_no_run_grid(self, pipeline, tmp_path, monkeypatch):
         root = tmp_path / "warm"

@@ -953,8 +953,16 @@ def _garbage(name):
     return corrupt
 
 
+def _append(name):
+    def corrupt(directory):
+        with open(directory / name, "ab") as fh:
+            fh.write(b"garbage")
+    return corrupt
+
+
 MR_CORRUPTIONS = {
     "npy-garbage": _garbage("theta_exp.npy"),
+    "npy-appended": _append("theta_exp.npy"),
     "manifest-garbage": _garbage("emulator.json"),
     "manifest-key": _edit_manifest(lambda m: m.pop("seed")),
     "unknown-type": _edit_manifest(lambda m: m.update(type="quadres")),

@@ -278,6 +278,8 @@ class TestAsciiFormat:
         pytest.param(lambda lines: lines[1:], id="no-ncols"),
         pytest.param(lambda lines: lines[:4] + lines[5:], id="no-cellsize"),
         pytest.param(lambda lines: ["ncols two"] + lines[1:], id="non-numeric-header"),
+        pytest.param(lambda lines: lines[:2] + ["xllcenter nan"] + lines[3:], id="nan-origin"),
+        pytest.param(lambda lines: lines[:4] + ["cellsize inf"] + lines[5:], id="inf-cellsize"),
         pytest.param(lambda lines: [], id="empty"),
     ])
     def test_malformed_file_raises_with_path(self, tmp_path, corrupt):

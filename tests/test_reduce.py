@@ -282,6 +282,11 @@ def corrupt_npy(directory):
     (directory / "components.npy").write_bytes(b"garbage")
 
 
+def append_to_npy(directory):
+    with open(directory / "components.npy", "ab") as fh:
+        fh.write(b"garbage")
+
+
 def drop_manifest_key(directory):
     manifest = json.loads((directory / "basis.json").read_text())
     del manifest["total_variance"]
@@ -307,12 +312,12 @@ def set_nan(name):
 class TestBasisArchiveValidation:
     @pytest.mark.parametrize("corrupt", [
         corrupt_mean, corrupt_eigenvalue_count, corrupt_component_count, corrupt_manifest_count,
-        corrupt_npy, drop_manifest_key,
+        corrupt_npy, append_to_npy, drop_manifest_key,
         set_eigenvalue(0.0), set_eigenvalue(-1.0), set_eigenvalue(np.nan), set_eigenvalue(np.inf),
         set_nan("components.npy"), set_nan("column_mean.npy"),
     ], ids=["mean-rows", "eigenvalue-count", "component-count", "manifest-count", "npy-garbage",
-            "manifest-key", "eigenvalue-zero", "eigenvalue-negative", "eigenvalue-nan",
-            "eigenvalue-inf", "components-nan", "mean-nan"])
+            "npy-appended", "manifest-key", "eigenvalue-zero", "eigenvalue-negative",
+            "eigenvalue-nan", "eigenvalue-inf", "components-nan", "mean-nan"])
     def test_inconsistent_archive_rejected(self, random_ensemble, tmp_path, corrupt):
         basis = fit_basis(random_ensemble)
         assert basis.n_components > 1
