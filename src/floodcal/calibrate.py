@@ -390,7 +390,10 @@ def calibrated_projection(theta_samples: np.ndarray, model, threads: int = 1) ->
 
     ``model`` maps a native-unit theta vector to a Grid; a failing run
     raises ModelRunFailed carrying the offending theta.  With ``threads``
-    above 1 the runs share a pool of that many workers.
+    above 1 the runs share a pool of that many workers.  The runs are
+    summed in sample order into one grid and divided by their count, which
+    is bitwise the mean over a stacked copy; a cell is nodata (value 0)
+    where any run's is.
     """
     theta_samples = np.atleast_2d(np.asarray(theta_samples, dtype=float))
     if theta_samples.shape[0] == 0:
@@ -407,9 +410,12 @@ def calibrated_projection(theta_samples: np.ndarray, model, threads: int = 1) ->
     for g in grids[1:]:
         if not first.same_geometry(g):
             raise ValueError("model runs returned differing grid geometries")
-    stack = np.stack([g.values for g in grids])
-    mask = np.any(np.stack([g.nodata_mask for g in grids]), axis=0)
-    values = stack.mean(axis=0)
+    values = np.zeros(first.values.shape)
+    mask = np.zeros(first.values.shape, dtype=bool)
+    for g in grids:
+        values += g.values
+        mask |= g.nodata_mask
+    values /= len(grids)
     values[mask] = 0.0
     return Grid(
         origin_x=first.origin_x,

@@ -117,12 +117,17 @@ class LocationSet:
         return len(self.coords)
 
 
-def grid_locations(grid: Grid) -> LocationSet:
-    """All cell centers of ``grid`` in row-major order (south row first)."""
+def cell_centers(grid: Grid) -> np.ndarray:
+    """(x, y) of every cell center of ``grid``, row-major (south row first)."""
     cols, rows = np.meshgrid(np.arange(grid.n_cols), np.arange(grid.n_rows))
     xs = grid.origin_x + cols.ravel() * grid.cell_size
     ys = grid.origin_y + rows.ravel() * grid.cell_size
-    return LocationSet(np.column_stack([xs, ys]))
+    return np.column_stack([xs, ys])
+
+
+def grid_locations(grid: Grid) -> LocationSet:
+    """All cell centers of ``grid`` in row-major order (south row first)."""
+    return LocationSet(cell_centers(grid))
 
 
 def _fractional_index(grid: Grid, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,10 +265,15 @@ def write_ascii_grid(grid: Grid, path) -> None:
 
     Header keys: ncols, nrows, xllcenter, yllcenter, cellsize, nodata_value.
     Data rows run north to south.  Values are written as ``%.17g``, which
-    round-trips every float64 exactly.
+    round-trips every float64 exactly.  Model grids repeat few depths, so
+    each distinct float64 bit pattern is formatted once (bit patterns, not
+    values, keep ``-0.0`` apart from ``0.0``) and the rows are filled from
+    those strings; the bytes are those of one ``%.17g`` per cell.
     """
-    vals = grid.values.copy()
-    vals[grid.nodata_mask] = NODATA_VALUE
+    vals = np.where(grid.nodata_mask, NODATA_VALUE, grid.values)
+    bits, inverse = np.unique(vals[::-1].view(np.int64), return_inverse=True)
+    texts = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    row_format = " ".join(["%s"] * grid.n_cols) + "\n"
     with open(path, "w") as fh:
         fh.write(f"ncols {grid.n_cols}\n")
         fh.write(f"nrows {grid.n_rows}\n")
@@ -271,9 +281,7 @@ def write_ascii_grid(grid: Grid, path) -> None:
         fh.write(f"yllcenter {grid.origin_y:.17g}\n")
         fh.write(f"cellsize {grid.cell_size:.17g}\n")
         fh.write(f"nodata_value {NODATA_VALUE:.17g}\n")
-        row_format = " ".join(["%.17g"] * grid.n_cols) + "\n"
-        for row in vals[::-1]:
-            fh.write(row_format % tuple(row.tolist()))
+        fh.write(row_format * grid.n_rows % tuple(texts[inverse.ravel()].tolist()))
 
 
 _HEADER_KEYS = (b"ncols", b"nrows", b"xllcenter", b"yllcenter", b"cellsize", b"nodata_value")
@@ -289,11 +297,12 @@ def read_ascii_grid(path) -> Grid:
     ------
     MalformedArtifact
         If a header key is missing, a header number is not finite, a token is
-        not a number, the value count disagrees with the header, or a depth is
-        invalid.
+        not a number (``_`` digit separators included), the value count
+        disagrees with the header, or a depth is invalid.
     """
     with open(path, "rb") as fh:
-        tokens = fh.read().split()
+        raw = fh.read()
+    tokens = raw.split()
     n_head = 0
     while (n_head < 2 * len(_HEADER_KEYS) and n_head + 1 < len(tokens)
            and tokens[n_head].lower() in _HEADER_KEYS):
@@ -303,6 +312,10 @@ def read_ascii_grid(path) -> Grid:
     missing = [key.decode() for key in _HEADER_KEYS[:-1] if key not in keys]
     if missing:
         raise MalformedArtifact(f"{path}: header lacks {', '.join(missing)}")
+    # float() reads "1_0" as 10.0; no raster format has digit separators,
+    # so the only underscores allowed are those of nodata_value keys
+    if raw.count(b"_") != keys.count(b"nodata_value"):
+        raise MalformedArtifact(f"{path}: '_' in a number")
     try:
         header = dict(zip(keys, map(float, tokens[1:n_head:2])))
         for key, value in header.items():

@@ -16,7 +16,7 @@ import numpy as np
 
 from .design import ParameterSpace
 from .calibrate import Observation
-from .grid import Grid, LocationSet, grid_locations
+from .grid import Grid, LocationSet, cell_centers, grid_locations
 
 SURFACE_OFFSET = 0.05  # m subtracted before truncation, creates dry fringes
 
@@ -168,7 +168,7 @@ def shared_locations(config: SynthConfig) -> LocationSet:
     """
     fine = config.fine_grid_template()
     coarse = config.coarse_grid_template()
-    all_locs = grid_locations(fine).coords
+    all_locs = cell_centers(fine)
     xmin = coarse.origin_x
     ymin = coarse.origin_y
     xmax = coarse.origin_x + (coarse.n_cols - 1) * coarse.cell_size

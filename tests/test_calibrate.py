@@ -582,6 +582,37 @@ class TestCalibratedProjection:
                 calibrated_projection(np.array([[0.1, 0.9]]), bad_model, threads)
             assert info.value.theta == (0.1, 0.9)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 100])
+    def test_mean_is_bitwise_the_stacked_mean(self, n):
+        # oracle: numpy's mean over the stacked runs; each run masks other cells
+        rng = np.random.default_rng(n)
+        grids = []
+        for _ in range(n):
+            values = rng.uniform(0.0, 3.0, (7, 5)) * (rng.random((7, 5)) < 0.8)
+            mask = rng.random((7, 5)) < 0.05
+            values[mask] = np.nan  # a run's nodata cells may hold anything
+            grids.append(Grid(0.0, 0.0, 1.0, values, mask))
+        out = calibrated_projection(np.arange(float(n))[:, None], lambda t: grids[int(t[0])])
+        mask = np.any([g.nodata_mask for g in grids], axis=0)
+        expected = np.stack([g.values for g in grids]).mean(axis=0)
+        expected[mask] = 0.0
+        assert np.array_equal(out.nodata_mask, mask)
+        assert out.values.tobytes() == expected.tobytes()
+
+    def test_all_negative_zero_runs_average_to_zero(self):
+        # numpy's stacked mean of -0.0 runs is +0.0
+        grid = Grid(0.0, 0.0, 1.0, np.full((2, 3), -0.0))
+        out = calibrated_projection(np.zeros((2, 1)), lambda t: grid)
+        assert out.values.tobytes() == np.stack([grid.values] * 2).mean(axis=0).tobytes()
+
+    def test_differing_geometries_raise(self):
+        grids = [self.grid_for(0.1), Grid(0.0, 0.0, 1.0, np.full((2, 3), 0.1)),
+                 Grid(0.5, 0.0, 1.0, np.full((2, 2), 0.1))]
+        for other in grids[1:]:
+            runs = [grids[0], other]
+            with pytest.raises(ValueError, match="geometries"):
+                calibrated_projection(np.array([[0.0], [1.0]]), lambda t: runs[int(t[0])])
+
     def test_threads_do_not_change_the_mean(self):
         thetas = np.linspace(0.0, 1.0, 7)[:, None]
         serial = calibrated_projection(thetas, lambda t: self.grid_for(t[0]))

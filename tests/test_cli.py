@@ -650,9 +650,9 @@ class TestWarmStarts:
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _fresh_python(code, **env_changes):
-    """Standard output of ``code`` run by a fresh interpreter on this floodcal;
-    a value of None in ``env_changes`` removes that variable."""
+def _fresh_python(*args, **env_changes):
+    """Standard output of a fresh interpreter on this floodcal run with ``args``
+    (it must exit 0); a value of None in ``env_changes`` removes that variable."""
     src = str(Path(floodcal.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -661,14 +661,15 @@ def _fresh_python(code, **env_changes):
             env.pop(name, None)
         else:
             env[name] = value
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    result = subprocess.run([sys.executable, *args], env=env,
                             capture_output=True, text=True, check=True)
     return result.stdout.strip()
 
 
 def _modules_after_cli_import(package):
-    return _fresh_python(f"import sys, floodcal.cli; print(sorted(m for m in sys.modules "
-                         f"if m == {package!r} or m.startswith({package + '.'!r})))")
+    probe = (f"import sys, floodcal.cli; print(sorted(m for m in sys.modules "
+             f"if m == {package!r} or m.startswith({package + '.'!r})))")
+    return _fresh_python("-c", probe)
 
 
 class TestStartup:
@@ -681,9 +682,13 @@ class TestStartup:
         # only the stages that fit an emulator import it, on first use
         assert _modules_after_cli_import("scipy.optimize") == "[]"
 
+    def test_module_runs_as_a_script(self):
+        # python -m floodcal is the floodcal command without an installed script
+        assert _fresh_python("-m", "floodcal", "--help").startswith("usage: floodcal")
+
     def test_import_pins_blas_threads_unless_set(self):
         probe = ("import os, floodcal; "
                  f"print(' '.join(os.environ[v] for v in {BLAS_THREAD_VARS!r}))")
         unset = dict.fromkeys(BLAS_THREAD_VARS)
-        assert _fresh_python(probe, **unset) == "1 1 1"
-        assert _fresh_python(probe, **{**unset, "OPENBLAS_NUM_THREADS": "2"}) == "2 1 1"
+        assert _fresh_python("-c", probe, **unset) == "1 1 1"
+        assert _fresh_python("-c", probe, **{**unset, "OPENBLAS_NUM_THREADS": "2"}) == "2 1 1"

@@ -227,6 +227,21 @@ class TestAsciiFormat:
         write_ascii_grid(g, tmp_path / "b.asc")
         assert (tmp_path / "a.asc").read_bytes() == (tmp_path / "b.asc").read_bytes()
 
+    @staticmethod
+    def assert_bytes_match_per_value_formatter(path, g):
+        write_ascii_grid(g, path)
+        # reference: one f-string per value
+        written = g.values.copy()
+        written[g.nodata_mask] = NODATA_VALUE
+        lines = [f"ncols {g.n_cols}", f"nrows {g.n_rows}", f"xllcenter {g.origin_x:.17g}",
+                 f"yllcenter {g.origin_y:.17g}", f"cellsize {g.cell_size:.17g}",
+                 f"nodata_value {NODATA_VALUE:.17g}"]
+        lines += [" ".join(f"{v:.17g}" for v in row) for row in written[::-1]]
+        assert path.read_text() == "\n".join(lines) + "\n"
+        back = read_ascii_grid(path)
+        valid = ~g.nodata_mask
+        assert back.values[valid].tobytes() == g.values[valid].tobytes()
+
     @pytest.mark.parametrize("shape", [(7, 5), (6, 1), (1, 1)])
     def test_bytes_match_per_value_formatter(self, tmp_path, shape):
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
@@ -237,25 +252,28 @@ class TestAsciiFormat:
         if vals.size > 2:
             mask.ravel()[[1, -1]] = True
         g = Grid(-3.5, 1e6 + 0.1, 0.25, vals, mask)
-        write_ascii_grid(g, tmp_path / "g.asc")
+        self.assert_bytes_match_per_value_formatter(tmp_path / "g.asc", g)
 
-        # reference: one f-string per value
-        written = g.values.copy()
-        written[mask] = NODATA_VALUE
-        lines = [f"ncols {g.n_cols}", f"nrows {g.n_rows}", f"xllcenter {g.origin_x:.17g}",
-                 f"yllcenter {g.origin_y:.17g}", f"cellsize {g.cell_size:.17g}",
-                 f"nodata_value {NODATA_VALUE:.17g}"]
-        lines += [" ".join(f"{v:.17g}" for v in row) for row in written[::-1]]
-        assert (tmp_path / "g.asc").read_text() == "\n".join(lines) + "\n"
-        back = read_ascii_grid(tmp_path / "g.asc")
-        assert np.array_equal(back.values[~mask], vals[~mask])
+    @pytest.mark.parametrize("case", ["signed-zeros", "all-equal", "ridge"])
+    def test_bytes_match_per_value_formatter_on_repeats(self, tmp_path, case):
+        # the writer formats each distinct value once; these grids repeat values
+        if case == "signed-zeros":  # equal as values, "-0" and "0" as text
+            vals, mask = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -0.0]]), None
+        elif case == "all-equal":
+            vals, mask = np.full((4, 6), 0.7), None
+        else:  # depth depends on |row - col| only, like the synthetic model's ridge
+            rows, cols = np.indices((24, 17))
+            vals = np.maximum(0.9 - 0.1 * np.abs(rows - cols), 0.0) / 3.0
+            mask = (rows + 2 * cols) % 11 == 0
+        g = Grid(0.5, 0.5, 1.0, vals, mask)
+        self.assert_bytes_match_per_value_formatter(tmp_path / "g.asc", g)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_roundtrip_bitwise(self, tmp_path_factory, data):
         shape = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
         size = shape[0] * shape[1]
-        depth = st.one_of(st.sampled_from([0.0, 5e-324, 1e308, 0.1]),
+        depth = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e308, 0.1]),
                           st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
         vals = np.reshape(data.draw(st.lists(depth, min_size=size, max_size=size)), shape)
         mask = np.reshape(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)), shape)
@@ -281,6 +299,8 @@ class TestAsciiFormat:
         pytest.param(lambda lines: lines[:2] + ["xllcenter nan"] + lines[3:], id="nan-origin"),
         pytest.param(lambda lines: lines[:4] + ["cellsize inf"] + lines[5:], id="inf-cellsize"),
         pytest.param(lambda lines: [], id="empty"),
+        pytest.param(lambda lines: lines[:6] + ["1_0 1 2"] + lines[7:], id="underscore"),
+        pytest.param(lambda lines: ["ncols 0_3"] + lines[1:], id="underscore-header"),
     ])
     def test_malformed_file_raises_with_path(self, tmp_path, corrupt):
         path = tmp_path / "g.asc"

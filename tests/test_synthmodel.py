@@ -143,6 +143,22 @@ class TestSharedStructure:
         assert len(vals) == len(locs)
         assert len(locs) == 28 * 28  # 32x32 fine centers minus the boundary band
 
+    @pytest.mark.parametrize("shapes", [((32, 32), 1.0, (8, 8), 4.0),
+                                        ((30, 20), 0.3, (7, 5), 1.3)])
+    def test_shared_locations_are_the_fine_centers_in_the_hull(self, shapes):
+        # oracle: every fine grid location, filtered point by point; the
+        # coordinates are hashed into the ensemble cache key, so bitwise
+        fine_shape, fine_cell, coarse_shape, coarse_cell = shapes
+        config = SynthConfig(fine_shape=fine_shape, fine_cell=fine_cell,
+                             coarse_shape=coarse_shape, coarse_cell=coarse_cell)
+        coarse = config.coarse_grid_template()
+        lo = (coarse.origin_x, coarse.origin_y)
+        hi = coarse.cell_center(coarse.n_rows - 1, coarse.n_cols - 1)
+        expected = [p for p in grid_locations(config.fine_grid_template()).coords
+                    if lo[0] <= p[0] <= hi[0] and lo[1] <= p[1] <= hi[1]]
+        got = shared_locations(config).coords
+        assert got.tobytes() == np.array(expected).tobytes()
+
     def test_cross_fidelity_correlation(self, config):
         # premise of the multiresolution emulator: cheap runs informative
         rng = np.random.default_rng(6)
