@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .emulator import thread_map, _invgamma_logpdf
+from .emulator import thread_map
 from .errors import ChainTooShort, DimensionMismatch, MalformedArtifact, ModelRunFailed
 from .grid import Grid, LocationSet
 from .manifest import read_csv
@@ -155,13 +155,15 @@ def log_likelihood_reduced(
     """
     _check_component_counts(z_r, emulator, basis)
     mean, var = kernels.predict_scores(emulator.space.scale(np.atleast_1d(theta)), emulator)
-    return _diag_log_likelihood(z_r.values, mean, var, sigma2_eps * (1.0 / basis.eigenvalues))
+    return _diag_log_likelihood((z_r.values - mean) ** 2, var,
+                                sigma2_eps * (1.0 / basis.eigenvalues))
 
 
-def _diag_log_likelihood(z, mean, var, noise_var) -> float:
-    """Gaussian log density of ``z``, coordinates independent, variances ``var + noise_var``."""
+def _diag_log_likelihood(sq_resid, var, noise_var) -> float:
+    """Gaussian log density of a residual with squares ``sq_resid``,
+    coordinates independent, variances ``var + noise_var``."""
     total_var = var + noise_var
-    return float(-0.5 * (np.log(2 * math.pi * total_var) + (z - mean) ** 2 / total_var).sum())
+    return float(-0.5 * (np.log(2 * math.pi * total_var) + sq_resid / total_var).sum())
 
 
 # --- generic variable-at-a-time sampler --------------------------------------
@@ -314,26 +316,27 @@ def run_mh(
     bounds[k:, 1] = np.inf
 
     lower, span = space.lower, space.upper - space.lower
-    inv_eig = 1.0 / basis.eigenvalues
+    z, inv_eig = z_r.values, 1.0 / basis.eigenvalues
+    shape, rate = priors.noise_shape, priors.noise_rate
+    log_norm = shape * math.log(rate) - math.lgamma(shape)  # of the inverse-gamma prior
 
-    # Keyed on theta's bytes.  The current theta is the sweep-start state or
-    # the last accepted theta proposal, so k + 1 entries always hold it when
-    # a noise move asks.  The arrays are shared between calls: read-only.
-    # kernels.predict_scores is read off the module per call: a wrapper set there sees each.
+    # (squared residual, variance), keyed on theta's bytes.  The current theta
+    # is the sweep-start state or the last accepted theta proposal, so k + 1
+    # entries always hold it when a noise move asks.  The arrays are shared
+    # between calls: read-only.  kernels.predict_scores is read off the
+    # module per call: a wrapper set there sees each.
     @functools.lru_cache(maxsize=k + 1)
     def predict_at(theta_bytes):
-        prediction = kernels.predict_scores((np.frombuffer(theta_bytes) - lower) / span, emulator)
-        for arr in prediction:
-            arr.flags.writeable = False
-        return prediction
+        mean, var = kernels.predict_scores((np.frombuffer(theta_bytes) - lower) / span, emulator)
+        sq_resid = (z - mean) ** 2
+        sq_resid.flags.writeable = var.flags.writeable = False
+        return sq_resid, var
 
     def log_post(state):
         log_sig2 = state[k]
         sig2 = math.exp(log_sig2)
-        mean, var = predict_at(state[:k].tobytes())
-        ll = _diag_log_likelihood(z_r.values, mean, var, sig2 * inv_eig)
-        return float(ll + _invgamma_logpdf(sig2, priors.noise_shape, priors.noise_rate)
-                     + log_sig2)
+        ll = _diag_log_likelihood(*predict_at(state[:k].tobytes()), sig2 * inv_eig)
+        return float(ll + (log_norm - (shape + 1) * math.log(sig2) - rate / sig2) + log_sig2)
 
     initial = np.empty(n)
     initial[:k] = 0.5 * (space.lower + space.upper)

@@ -73,7 +73,7 @@ from .errors import (
     ModelRunFailed,
     NonPositiveDf,
 )
-from .grid import flatten, read_ascii_grid, write_ascii_grid, Grid
+from .grid import flatten, read_ascii_grid, write_ascii_grid
 from .manifest import config_digest, read_manifest, write_manifest
 from .reduce import (
     RunEnsemble,
@@ -88,10 +88,11 @@ from .reduce import (
 from .synthmodel import (
     SynthConfig,
     expensive_model_adapter,
+    observation_grid,
     run_cheap,
     run_expensive,
     shared_locations,
-    simulate_observation,
+    simulate_observation,  # noqa: F401 - unused here, but perfbench's tracer wraps it here
 )
 
 EXIT_OK = 0
@@ -230,6 +231,12 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"invalid configuration: {err}") from err
     if cfg.approach not in ("mr", "hr"):
         raise ConfigError(f"unknown approach {cfg.approach!r}, expected mr or hr")
+    if cfg.n_expensive < 2:
+        raise ConfigError("design.n_expensive must be at least 2")
+    if cfg.extra_cheap < 0:
+        raise ConfigError("design.extra_cheap must not be negative")
+    if cfg.n_candidates < 1:
+        raise ConfigError("design.n_candidates must be at least 1")
     if cfg.iterations < 1:
         raise ConfigError("mcmc.iterations must be at least 1")
     if not 0 <= cfg.burn_in_fraction < 1:
@@ -311,15 +318,8 @@ def cmd_run_synth(cfg: ExperimentConfig, seed: int | None = None, threads: int =
         write_ascii_grid(grid, cfg.runs_dir / name)
         files.append(name)
 
-    obs = simulate_observation(cfg.theta_star, cfg.synth, seed)
-    template = cfg.synth.fine_grid_template()
-    obs_grid = Grid(
-        template.origin_x,
-        template.origin_y,
-        template.cell_size,
-        obs.values.reshape(template.values.shape),
-    )
-    write_ascii_grid(obs_grid, cfg.runs_dir / "observation.asc")
+    write_ascii_grid(observation_grid(cfg.theta_star, cfg.synth, seed),
+                     cfg.runs_dir / "observation.asc")
 
     _finish(cfg, "run-synth", cfg.runs_dir / "runs.manifest.json",
             f"run-synth: {len(files)} runs + observation written to {cfg.runs_dir}",

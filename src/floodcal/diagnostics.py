@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
-from scipy.special import stdtrit
 
 from .errors import (
     EmptyInput,
@@ -139,6 +138,8 @@ def uspe(
     probs = (np.arange(1, y.shape[0] + 1) - 0.5) / y.shape[0]
     # the T quantile function itself (what scipy.stats.t.ppf evaluates);
     # scipy.stats would add about half a second to every CLI stage's start-up
+    # and scipy.special, imported only here, about 60 ms
+    from scipy.special import stdtrit
     theoretical = stdtrit(df, probs)
     return UspeReport(values=values, df=df, qq=np.column_stack([order, theoretical]))
 

@@ -585,9 +585,10 @@ class MultiResEmulator:
     the J components: the ``n`` stacked training settings ``theta``
     (``n_cheap`` cheap rows first); ``rho, var_c, var_e, nug_e, inv_range_c,
     inv_range_e``; the trend-prior cross blocks ``trend_w`` (``B H^T``); the
-    lower gram factors ``chol``, their transposes ``chol_t`` and the
-    gram-solved centred scores ``alpha``; ``cross_coef``, a test row's
-    rho-scaled ``var_c``; and ``prior_var``, ``rho^2 var_c + var_e + nug_e``.
+    lower gram factors ``chol`` and the gram-solved centred scores
+    ``alpha``; ``cross_coef``, a test row's rho-scaled ``var_c``; and, per
+    component, the operands a prediction reads: :func:`.kernels.cross_cov`'s
+    ``cross_terms`` and :func:`.kernels.predict_scores`' ``predict_terms``.
     """
 
     def __init__(self, space, theta_cheap, theta_exp, scores_cheap, scores_exp,
@@ -625,9 +626,14 @@ class MultiResEmulator:
         amp = np.ones((len(self.rho), self.theta.shape[0]))
         amp[:, self.n_cheap:] = self.rho[:, None]
         self.cross_coef = self.var_c[:, None] * (self.rho[:, None] * amp)
-        self.prior_var = [float(r**2 * vc + ve + ne) for r, vc, ve, ne
-                          in zip(self.rho, self.var_c, self.var_e, self.nug_e)]
-        self.chol_t = [c.T for c in self.chol]
+        self.cross_terms = list(zip(self.cross_coef, -self.inv_range_c, self.var_e,
+                                    -self.inv_range_e))
+        k1 = self.theta.shape[1] + 1
+        self.predict_terms = [
+            (float(r), float(r**2), np.repeat([r, 1.0], k1), w, a, c.T,
+             float(r**2 * vc + ve + ne), float(ne))
+            for r, vc, ve, ne, w, a, c in zip(self.rho, self.var_c, self.var_e, self.nug_e,
+                                               self.trend_w, self.alpha, self.chol)]
 
     @property
     def uses_cheap(self) -> bool:
@@ -829,9 +835,9 @@ def predict_joint(emulator, thetas: np.ndarray) -> list[tuple[np.ndarray, np.nda
     basis = _mean_basis(scaled)
     block_cov = e.trend_prior.block_cov
     out = []
-    for j in range(e.n_components):
+    for j, cross in enumerate(kernels.cross_cov(d2_train, e.n_cheap, e.cross_terms)):
         a0 = np.hstack([e.rho[j] * basis, basis])
-        cross = kernels.cross_cov(d2_train, e, j) + a0 @ e.trend_w[j]
+        cross = cross + a0 @ e.trend_w[j]
         mean = a0 @ e.trend_prior.mean + cross @ e.alpha[j]
         prior = kernels.gp_cov(d2_test, 0, 0, e.rho[j], e.var_c[j], e.var_e[j],
                                e.inv_range_c[j], e.inv_range_e[j]) + a0 @ block_cov @ a0.T

@@ -3,10 +3,11 @@
 This module is the only place the squared-exponential covariance is
 written: :func:`sq_exp_corr` is the kernel and :func:`gp_cov` the stacked
 two-fidelity covariance built from it, serving the MAP objective and its
-gradient, emulator construction, :func:`predict_scores` and joint
-prediction alike.  The predictive distribution is evaluated once per
+gradient and emulator construction; :func:`cross_cov` forms the same
+test-to-training block in place for :func:`predict_scores` and joint
+prediction.  The predictive distribution is evaluated once per
 Metropolis-Hastings proposal, i.e. hundreds of thousands of times per
-calibration run, so :func:`predict_scores` reads arrays that a
+calibration run, so :func:`predict_scores` reads operands that a
 :class:`~floodcal.emulator.MultiResEmulator` computes once, when built.
 
 All kernels work in unit-scaled parameter coordinates and use float64
@@ -26,7 +27,8 @@ BACKEND = "numpy"
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared coordinate differences, shape ``(k, len(a), len(b))``."""
-    return (a.T[:, :, None] - b.T[:, None, :]) ** 2
+    d = a.T[:, :, None] - b.T[:, None, :]
+    return np.square(d, out=d)
 
 
 def sq_exp_corr(d2: np.ndarray, inv_range: np.ndarray) -> np.ndarray:
@@ -70,13 +72,23 @@ def gp_cov(d2, n_cheap_rows, n_cheap_cols, rho, var_c, var_e, inv_range_c, inv_r
     return gp_cov_from_corr(corr_c, corr_e, n_cheap_rows, n_cheap_cols, rho, var_c, var_e)
 
 
-def cross_cov(d2: np.ndarray, emulator, j: int) -> np.ndarray:
-    """``gp_cov(d2, 0, n_cheap, ...)`` of the emulator's component ``j`` for
-    the ``(k, m, n)`` distances ``d2`` of m test settings to its training runs."""
-    e = emulator
-    v = e.cross_coef[j] * sq_exp_corr(d2, e.inv_range_c[j])
-    v[:, e.n_cheap:] += e.var_e[j] * sq_exp_corr(d2[:, :, e.n_cheap:], e.inv_range_e[j])
-    return v
+def cross_cov(d2: np.ndarray, n_cheap: int, cross_terms):
+    """Yield ``gp_cov(d2, 0, n_cheap, ...)`` for each component's
+    ``(cross_coef, -inv_range_c, var_e, -inv_range_e)`` in ``cross_terms``:
+    per block one ``dot``, then ``exp`` and scale in place.  Rounding is
+    sign-symmetric, so this is bitwise :func:`gp_cov`'s block."""
+    k, m, n = d2.shape
+    d2_c = d2.reshape(k, -1)
+    d2_e = d2[:, :, n_cheap:].reshape(k, -1)
+    for coef, neg_inv_range_c, var_e, neg_inv_range_e in cross_terms:
+        v = np.dot(neg_inv_range_c, d2_c).reshape(m, n)
+        np.exp(v, out=v)
+        v *= coef
+        w = np.dot(neg_inv_range_e, d2_e)
+        np.exp(w, out=w)
+        w *= var_e
+        v[:, n_cheap:] += w.reshape(m, n - n_cheap)
+        yield v
 
 
 def predict_scores(theta0: np.ndarray, emulator) -> tuple[np.ndarray, np.ndarray]:
@@ -93,26 +105,31 @@ def predict_scores(theta0: np.ndarray, emulator) -> tuple[np.ndarray, np.ndarray
     makes, with bitwise identical results.  The factors are finite by
     construction, so only ``theta0`` is checked.
     """
-    if not all(map(math.isfinite, theta0.tolist())):
+    values = theta0.tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("array must not contain infs or NaNs")
     e = emulator
     trend = e.trend_prior
-    k1 = theta0.shape[0] + 1
-    h0 = np.concatenate(([1.0], theta0))
-    quad_c = float(h0 @ trend.cov_cheap @ h0)
-    quad_e = float(h0 @ trend.cov_exp @ h0)
-    trend_c = float(h0 @ trend.mean[:k1])
-    trend_e = float(h0 @ trend.mean[k1:])
+    k1 = len(values) + 1
+    hh = np.array([1.0, *values] * 2)  # h0 twice: the trend row (rho h0, h0) is hh * a_scale
+    h0 = hh[:k1]
+    dot = np.dot  # the BLAS calls ``@`` makes on these operands, with less dispatch
+    quad_c = float(dot(dot(h0, trend.cov_cheap), h0))
+    quad_e = float(dot(dot(h0, trend.cov_exp), h0))
+    trend_c = float(dot(h0, trend.mean[:k1]))
+    trend_e = float(dot(h0, trend.mean[k1:]))
+    # BLAS rounds by layout: a C-ordered copy of this (k, 1, n) array moves ulps
     d2 = sq_dists(theta0[None, :], e.theta)
 
-    means = np.empty(e.rho.shape[0])
-    variances = np.empty_like(means)
-    for j, rho in enumerate(e.rho.tolist()):
-        cross = cross_cov(d2, e, j)[0] + np.concatenate((rho * h0, h0)) @ e.trend_w[j]
-        means[j] = rho * trend_c + trend_e + cross @ e.alpha[j]
-        white, info = dtrtrs(e.chol_t[j], cross, lower=0, trans=1)
+    means, variances = [], []
+    for (rho, rho2, a_scale, trend_w, alpha, chol_t, prior_var, nug_e), cross in zip(
+            e.predict_terms, cross_cov(d2, e.n_cheap, e.cross_terms)):
+        cross = cross[0]
+        cross += dot(hh * a_scale, trend_w)
+        means.append(rho * trend_c + trend_e + float(dot(cross, alpha)))
+        white, info = dtrtrs(chol_t, cross, 0, 1)  # upper factor, transposed solve
         if info != 0:
             raise LinAlgError(f"triangular solve failed (trtrs info {info})")
-        var = e.prior_var[j] + e.rho[j]**2 * quad_c + quad_e - white @ white
-        variances[j] = var if var > e.nug_e[j] else e.nug_e[j]
-    return means, variances
+        var = prior_var + rho2 * quad_c + quad_e - float(dot(white, white))
+        variances.append(var if var > nug_e else nug_e)
+    return np.array(means), np.array(variances)

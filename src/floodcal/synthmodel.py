@@ -146,17 +146,26 @@ def simulate_observation(
     positive, then depths are truncated below at zero; dry cells stay
     exactly zero.  Deterministic per seed.
     """
-    theta_star = _check_bounds(theta_star, config)
     truth_grid = run_expensive(theta_star, config)
     if locations is None:
         locations = grid_locations(truth_grid)
     from .grid import flatten
 
-    truth = flatten(truth_grid, locations)
+    return Observation(_add_noise(flatten(truth_grid, locations), config, seed), locations)
+
+
+def observation_grid(theta_star, config: SynthConfig, seed: int) -> Grid:
+    """:func:`simulate_observation` of every fine cell, as a grid built with
+    no location set: its row-major values are that observation's."""
+    truth = run_expensive(theta_star, config)
+    return Grid(truth.origin_x, truth.origin_y, truth.cell_size,
+                _add_noise(truth.values, config, seed))
+
+
+def _add_noise(truth: np.ndarray, config: SynthConfig, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, config.noise_sd, size=truth.shape[0]) if config.noise_sd > 0 else 0.0
-    values = np.where(truth > 0, np.maximum(truth + noise, 0.0), 0.0)
-    return Observation(values=values, locations=locations)
+    noise = rng.normal(0.0, config.noise_sd, size=truth.shape) if config.noise_sd > 0 else 0.0
+    return np.where(truth > 0, np.maximum(truth + noise, 0.0), 0.0)
 
 
 def shared_locations(config: SynthConfig) -> LocationSet:

@@ -13,6 +13,7 @@ import pytest  # noqa: E402
 from floodcal.design import Design, ParameterSpace
 from floodcal.emulator import (
     EmulatorParams,
+    HrParams,
     HyperPriors,
     MultiResEmulator,
     default_trend_prior,
@@ -130,3 +131,14 @@ def build_hr(space, theta_exp, scores_exp, params, trend_mean=None, trend_cov=No
         space, theta_exp, _as_columns(scores_exp), params_list,
         trend_mean, trend_cov, HyperPriors(), seed=0, n_starts=0,
     )
+
+
+def small_hr(space, n_comp, seed):
+    """A 10-run expensive-only emulator with hyperparameters like the
+    fine_grid benchmark's: at this size a C-ordered distance matrix once
+    moved predictions by an ulp where sq_dists' layout did not."""
+    rng = np.random.default_rng(seed)
+    k = space.k
+    params = [HrParams(var=0.7 + 0.02 * j, nugget=0.35 + 0.05 * j,
+                       range_=rng.uniform(0.4, 0.8, k)) for j in range(n_comp)]
+    return build_hr(space, rng.random((10, k)), rng.standard_normal((10, n_comp)), params)

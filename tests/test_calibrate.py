@@ -26,7 +26,7 @@ from floodcal.errors import ChainTooShort, DimensionMismatch, ModelRunFailed
 from floodcal.grid import Grid, LocationSet
 from floodcal.reduce import ReducedBasis
 
-from conftest import build_mr, make_nested_design
+from conftest import build_mr, make_nested_design, small_hr
 
 
 def synthetic_basis(n=40, n_comp=3, seed=0):
@@ -398,8 +398,10 @@ class TestRunMhHotPath:
     def test_chain_matches_uncached_target(self, gp_setup, emu_k3):
         from floodcal.emulator import _invgamma_logpdf
 
-        # MR and HR (no cheap rows, rho = 0) on two parameters, MR on three
-        for emu in (gp_setup["emu_mr"], gp_setup["emu_hr"], emu_k3):
+        # MR and HR (no cheap rows, rho = 0) on two parameters, MR on three,
+        # and the 10-run HR emulator of the bitwise kernel test
+        hr10 = small_hr(gp_setup["emu_hr"].space, n_comp=2, seed=39)
+        for emu in (gp_setup["emu_mr"], gp_setup["emu_hr"], emu_k3, hr10):
             space, k = emu.space, emu.space.k
             z_r, basis = _mh_problem(emu)
             priors = CalibrationPriors(0.1)

@@ -235,6 +235,20 @@ class TestExitCodes:
         assert main(["design", "--config", str(config)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("n_expensive = 10", "n_expensive = 1", "design.n_expensive"),
+        ("extra_cheap = 30", "extra_cheap = -1", "design.extra_cheap"),
+        ("n_candidates = 100", "n_candidates = 0", "design.n_candidates"),
+    ], ids=["n-expensive-one", "extra-cheap-negative", "n-candidates-zero"])
+    def test_invalid_design_setting(self, tmp_path, capsys, old, new, key):
+        # these exited 1 with a traceback from design, or 0 with a design that
+        # silently had no extra cheap runs
+        config = tmp_path / "experiment.ini"
+        config.write_text(CONFIG_TEMPLATE.replace(old, new))
+        assert main(["design", "--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out" / "design.csv").exists()
+
     @pytest.mark.parametrize("artifact", ["emulator_hr", "basis"])
     def test_hold_out_fits_need_the_emulate_archive(self, pipeline, tmp_path, capsys, artifact):
         # diagnose and crossval start every hold-out fit from emulate's MAP
@@ -681,6 +695,10 @@ class TestStartup:
     def test_cli_import_loads_no_scipy_optimize(self):
         # only the stages that fit an emulator import it, on first use
         assert _modules_after_cli_import("scipy.optimize") == "[]"
+
+    def test_cli_import_loads_no_scipy_special(self):
+        # only diagnose's USPE quantiles use it (about 60 ms of import)
+        assert _modules_after_cli_import("scipy.special") == "[]"
 
     def test_module_runs_as_a_script(self):
         # python -m floodcal is the floodcal command without an installed script

@@ -6,14 +6,16 @@ from floodcal import kernels
 from floodcal.design import ParameterSpace
 from floodcal.emulator import EmulatorParams, HrParams, TrendPrior, joint_gram, predict_joint
 
-from conftest import build_hr, build_mr
+from conftest import build_hr, build_mr, small_hr
 from oracles import labelled, marginal_cov
 
 
 def _emulator(layout, space, rng, n_comp=1):
-    """MR or HR emulator; the MR design is nested, so cheap and expensive
-    runs share settings and both nuggets meet cross-fidelity pairs.
-    Components differ in rho (MR) or variance (HR)."""
+    """MR or HR emulator, or ``small_hr``'s 10-run HR one; the MR design is
+    nested, so cheap and expensive runs share settings and both nuggets meet
+    cross-fidelity pairs.  Components differ in rho (MR) or variance (HR)."""
+    if layout == "hr10":
+        return small_hr(space, n_comp, seed=int(rng.integers(2**32)))
     k = space.k
     theta_e = rng.random((4, k))
     t_e = rng.standard_normal((4, n_comp))
@@ -77,13 +79,14 @@ def test_gram_with_repeated_settings_matches_oracle():
 
 
 def _reference_predict(theta0, e):
-    """predict_scores written out per call: the cross block from gp_cov, the
-    constants from the emulator's parameters and the solve from scipy's
-    checked solve_triangular on the C-ordered factor."""
+    """predict_scores written out per call: the cross block from gp_cov on
+    distances laid out as sq_dists has always laid them out, the constants
+    from the emulator's parameters and the solve from scipy's checked
+    solve_triangular on the C-ordered factor."""
     k1 = theta0.shape[0] + 1
     h0 = np.concatenate(([1.0], theta0))
     trend = e.trend_prior
-    d2 = kernels.sq_dists(theta0[None, :], e.theta)
+    d2 = (theta0[None, :].T[:, :, None] - e.theta.T[:, None, :]) ** 2
     means, variances = [], []
     for j in range(len(e.rho)):
         rho = e.rho[j]
@@ -100,19 +103,22 @@ def _reference_predict(theta0, e):
     return np.array(means), np.array(variances)
 
 
-@pytest.mark.parametrize("layout", ["mr", "hr"])
+@pytest.mark.parametrize("layout", ["mr", "hr", "hr10"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_predict_matches_solve_triangular_reference(layout, k):
+    # bitwise: BLAS rounds by operand layout, so a kernel that reorders or
+    # re-lays its operands shows up here as an ulp somewhere
     rng = np.random.default_rng(40 + k)
     space = ParameterSpace(tuple((f"x{i}", 0.0, 1.0) for i in range(k)))
-    emu = _emulator(layout, space, rng, n_comp=2)
-    # training settings (variance at the nugget floor) and fresh settings
-    points = np.vstack([emu.theta[0], emu.theta[-1], rng.random((6, k))])
-    for x in points:
-        mean, var = kernels.predict_scores(x, emu)
-        ref_mean, ref_var = _reference_predict(x, emu)
-        assert np.array_equal(mean, ref_mean)
-        assert np.array_equal(var, ref_var)
+    for n_comp in (1, 2, 3):
+        emu = _emulator(layout, space, rng, n_comp=n_comp)
+        # training settings (variance at the nugget floor) and fresh settings
+        points = np.vstack([emu.theta[0], emu.theta[-1], rng.random((200, k))])
+        for x in points:
+            mean, var = kernels.predict_scores(x, emu)
+            ref_mean, ref_var = _reference_predict(x, emu)
+            assert np.array_equal(mean, ref_mean)
+            assert np.array_equal(var, ref_var)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

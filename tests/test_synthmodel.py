@@ -7,6 +7,7 @@ from floodcal.grid import bilinear_interpolate, flatten, grid_locations
 from floodcal.synthmodel import (
     SURFACE_OFFSET,
     SynthConfig,
+    observation_grid,
     run_cheap,
     run_expensive,
     shared_locations,
@@ -133,6 +134,13 @@ class TestSimulateObservation:
     def test_nonnegative(self, config):
         obs = simulate_observation(np.array([0.025, 1.0]), config, seed=5)
         assert obs.values.min() >= 0.0
+
+    def test_grid_holds_the_observation_of_every_cell(self, config):
+        # run-synth writes this grid; its row-major values are the observation
+        theta = np.array([0.05, 1.0])
+        grid = observation_grid(theta, config, seed=6)
+        assert grid.same_geometry(config.fine_grid_template())
+        assert np.array_equal(grid.values.ravel(), simulate_observation(theta, config, 6).values)
 
 
 class TestSharedStructure:
