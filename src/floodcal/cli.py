@@ -135,125 +135,123 @@ def _floats(raw: str) -> list[float]:
     return [float(v) for v in raw.replace(",", " ").split()]
 
 
+def _at_least(n: int) -> tuple:
+    return (lambda v: v >= n), f"must be at least {n}"
+
+
+_BOOL = configparser.ConfigParser.BOOLEAN_STATES
+_FINITE = (lambda v: bool(np.all(np.isfinite(v))), "must be finite")
+_POSITIVE = (lambda v: 0 < v < np.inf, "must be positive and finite")
+_FRACTIONS = (lambda fr: all(0 <= f < 0.5 for f in fr), "edge band fractions must lie in [0, 0.5)")
+
+# (section, key) -> (parse, default, check), check being None or (predicate on the parsed
+# value, message on failure).  A default of ... marks a required key; defaults are not
+# checked.  README.md's config reference lists these keys, and a test keeps them equal.
+CONFIG_KEYS = {
+    ("space", "names"): (lambda raw: [n.strip() for n in raw.split(",")], ..., (
+        lambda v: all(v) and len(set(v)) == len(v), "must be distinct and non-empty")),
+    ("space", "lower"): (_floats, ..., _FINITE),
+    ("space", "upper"): (_floats, ..., _FINITE),
+    ("design", "n_expensive"): (int, 20, _at_least(2)),
+    ("design", "extra_cheap"): (int, 80, _at_least(0)),
+    ("design", "n_candidates"): (int, 1000, _at_least(1)),
+    ("design", "edge_low_fractions"): (_floats, None, _FRACTIONS),  # None: k zeros
+    ("design", "edge_high_fractions"): (_floats, None, _FRACTIONS),
+    ("synth", "theta_star"): (_floats, ..., None),
+    ("synth", "fine_rows"): (int, SynthConfig.fine_shape[0], _at_least(1)),
+    ("synth", "fine_cols"): (int, SynthConfig.fine_shape[1], _at_least(1)),
+    ("synth", "fine_cell"): (float, SynthConfig.fine_cell, _POSITIVE),
+    ("synth", "coarse_rows"): (int, SynthConfig.coarse_shape[0], _at_least(1)),
+    ("synth", "coarse_cols"): (int, SynthConfig.coarse_shape[1], _at_least(1)),
+    ("synth", "coarse_cell"): (float, SynthConfig.coarse_cell, _POSITIVE),
+    ("synth", "noise_sd"): (float, SynthConfig.noise_sd,
+                            (lambda v: 0 <= v < np.inf, "must be non-negative and finite")),
+    ("synth", "rho_true"): (float, SynthConfig.rho_true, _FINITE),
+    ("synth", "cheap_bias"): (float, SynthConfig.cheap_bias, _FINITE),
+    ("pca", "target_fraction"): (float, 0.95, (lambda v: 0 < v <= 1, "must lie in (0, 1]")),
+    ("emulator", "n_starts"): (int, 8, _at_least(1)),
+    ("emulator", "apply_edge_bands"): (lambda raw: _BOOL[raw.lower()], False, None),
+    ("mcmc", "iterations"): (int, 50_000, _at_least(1)),
+    ("mcmc", "burn_in_fraction"): (float, 0.2, (lambda v: 0 <= v < 1, "must lie in [0, 1)")),
+    ("mcmc", "adapt"): (lambda raw: _BOOL[raw.lower()], True, None),
+    ("mcmc", "approach"): (str, "mr", (lambda v: v in ("mr", "hr"), "must be mr or hr")),
+    ("mcmc", "noise_guess"): (float, 0.03, _POSITIVE),
+    ("project", "n_thinned"): (int, 100, _at_least(1)),
+    ("diagnose", "flood_threshold"): (float, 0.0, _FINITE),
+    ("diagnose", "holdout_fraction"): (float, 0.5, (lambda v: 0 < v < 1, "must lie in (0, 1)")),
+    ("crossval", "folds"): (int, 10, _at_least(1)),
+    **{("seeds", name): (int, seed, _at_least(0)) for seed, name in enumerate(
+        ("design", "observation", "emulator", "mcmc", "thin", "crossval", "diagnose"), 1)},
+    ("paths", "runs_dir"): (str, "runs", None),
+    ("paths", "out_dir"): (str, "out", None),
+}
+
+
 def load_config(path) -> ExperimentConfig:
+    """The experiment config at ``path``, each key parsed and checked as CONFIG_KEYS says."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(default_section="")  # [DEFAULT] is an unknown section
     try:
         parser.read(path)
     except configparser.Error as err:
         raise ConfigError(f"cannot parse config: {err}") from err
 
+    values = {section: {} for section, _ in CONFIG_KEYS}
+    known = [f"[{s}]" for s in values] + [f"{s}.{k}" for s, k in CONFIG_KEYS]
+    unknown = [name for s in parser.sections()
+               for name in (f"[{s}]", *(f"{s}.{k}" for k in parser[s])) if name not in known]
+    if unknown:  # name the first, with the closest known section or key
+        import difflib  # only on this error path, so a valid config does not pay for it
+        close = difflib.get_close_matches(unknown[0], known, n=1)
+        hint = f"; did you mean {close[0]}?" if close else ""
+        raise ConfigError(f"unknown {unknown[0]}{hint}")
+    for (section, key), (parse, default, check) in CONFIG_KEYS.items():
+        try:
+            raw = parser.get(section, key, fallback=None)
+            value = default if raw is None else parse(raw)
+        except (configparser.Error, ValueError, KeyError) as err:
+            raise ConfigError(f"cannot parse {section}.{key}: {err!r}") from err
+        if value is ...:
+            raise ConfigError(f"{section}.{key} is required")
+        if raw is not None and check is not None and not check[0](value):
+            raise ConfigError(f"{section}.{key} = {raw}: {check[1]}")
+        values[section][key] = value
+
+    names, lower, upper = values.pop("space").values()
+    if not len(names) == len(lower) == len(upper):
+        raise ConfigError("space names/lower/upper lengths differ")
+    synth, paths, seeds = values.pop("synth"), values.pop("paths"), values.pop("seeds")
     try:
-        names = [n.strip() for n in parser.get("space", "names").split(",")]
-        lower = _floats(parser.get("space", "lower"))
-        upper = _floats(parser.get("space", "upper"))
-        if not len(names) == len(lower) == len(upper):
-            raise ConfigError("space names/lower/upper lengths differ")
         space = ParameterSpace(tuple(zip(names, lower, upper)))
-        k = space.k
-
-        zeros = ", ".join(["0"] * k)
-        low_fr = _floats(parser.get("design", "edge_low_fractions", fallback=zeros))
-        high_fr = _floats(parser.get("design", "edge_high_fractions", fallback=zeros))
-        if len(low_fr) != k or len(high_fr) != k:
-            raise ConfigError("edge band fractions must match dimension count")
-        if not all(0 <= f < 0.5 for f in low_fr + high_fr):
-            raise ConfigError("edge band fractions must lie in [0, 0.5)")
-
-        theta_star = _floats(parser.get("synth", "theta_star", fallback=""))
-        if len(theta_star) != k:
-            raise ConfigError("synth.theta_star must give one value per dimension")
-        default = SynthConfig(space=space)
-        synth = SynthConfig(
-            fine_shape=(
-                parser.getint("synth", "fine_rows", fallback=default.fine_shape[0]),
-                parser.getint("synth", "fine_cols", fallback=default.fine_shape[1]),
-            ),
-            fine_cell=parser.getfloat("synth", "fine_cell", fallback=default.fine_cell),
-            coarse_shape=(
-                parser.getint("synth", "coarse_rows", fallback=default.coarse_shape[0]),
-                parser.getint("synth", "coarse_cols", fallback=default.coarse_shape[1]),
-            ),
-            coarse_cell=parser.getfloat("synth", "coarse_cell", fallback=default.coarse_cell),
-            space=space,
-            noise_sd=parser.getfloat("synth", "noise_sd", fallback=default.noise_sd),
-            rho_true=parser.getfloat("synth", "rho_true", fallback=default.rho_true),
-            cheap_bias=parser.getfloat("synth", "cheap_bias", fallback=default.cheap_bias),
-        )
-        if theta_star and not space.contains(np.array(theta_star)):
-            raise ConfigError(f"theta_star {theta_star} outside the parameter space")
-
-        seeds = {
-            name: parser.getint("seeds", name, fallback=default)
-            for name, default in (
-                ("design", 1),
-                ("observation", 2),
-                ("emulator", 3),
-                ("mcmc", 4),
-                ("thin", 5),
-                ("crossval", 6),
-                ("diagnose", 7),
-            )
-        }
-
-        base = path.parent
-        cfg = ExperimentConfig(
-            path=path,
-            digest=config_digest(path),
-            space=space,
-            n_expensive=parser.getint("design", "n_expensive", fallback=20),
-            extra_cheap=parser.getint("design", "extra_cheap", fallback=80),
-            n_candidates=parser.getint("design", "n_candidates", fallback=1000),
-            edge_bands=np.column_stack([low_fr, high_fr]),
-            synth=synth,
-            theta_star=np.array(theta_star),
-            target_fraction=parser.getfloat("pca", "target_fraction", fallback=0.95),
-            n_starts=parser.getint("emulator", "n_starts", fallback=8),
-            apply_edge_bands=parser.getboolean("emulator", "apply_edge_bands", fallback=False),
-            iterations=parser.getint("mcmc", "iterations", fallback=50_000),
-            burn_in_fraction=parser.getfloat("mcmc", "burn_in_fraction", fallback=0.2),
-            adapt=parser.getboolean("mcmc", "adapt", fallback=True),
-            approach=parser.get("mcmc", "approach", fallback="mr"),
-            noise_guess=parser.getfloat("mcmc", "noise_guess", fallback=0.03),
-            n_thinned=parser.getint("project", "n_thinned", fallback=100),
-            flood_threshold=parser.getfloat("diagnose", "flood_threshold", fallback=0.0),
-            holdout_fraction=parser.getfloat("diagnose", "holdout_fraction", fallback=0.5),
-            folds=parser.getint("crossval", "folds", fallback=10),
-            seeds=seeds,
-            runs_dir=base / parser.get("paths", "runs_dir", fallback="runs"),
-            out_dir=base / parser.get("paths", "out_dir", fallback="out"),
-        )
-    except ConfigError:
-        raise
-    except (configparser.Error, ValueError) as err:
+        bands = [[0.0] * space.k if fr is None else fr for fr in
+                 (values["design"].pop(f"edge_{side}_fractions") for side in ("low", "high"))]
+        theta_star = synth.pop("theta_star")
+        geometry = SynthConfig(
+            fine_shape=(synth.pop("fine_rows"), synth.pop("fine_cols")),
+            coarse_shape=(synth.pop("coarse_rows"), synth.pop("coarse_cols")),
+            space=space, **synth)  # the other [synth] keys are SynthConfig fields
+    except ValueError as err:  # ParameterSpace's bound order, SynthConfig's coverage
         raise ConfigError(f"invalid configuration: {err}") from err
-    if cfg.approach not in ("mr", "hr"):
-        raise ConfigError(f"unknown approach {cfg.approach!r}, expected mr or hr")
-    if cfg.n_expensive < 2:
-        raise ConfigError("design.n_expensive must be at least 2")
-    if cfg.extra_cheap < 0:
-        raise ConfigError("design.extra_cheap must not be negative")
-    if cfg.n_candidates < 1:
-        raise ConfigError("design.n_candidates must be at least 1")
-    if cfg.iterations < 1:
-        raise ConfigError("mcmc.iterations must be at least 1")
-    if not 0 <= cfg.burn_in_fraction < 1:
-        raise ConfigError("mcmc.burn_in_fraction must lie in [0, 1)")
-    if not 0 < cfg.noise_guess < np.inf:
-        raise ConfigError("mcmc.noise_guess must be positive and finite")
-    if cfg.folds < 1:
-        raise ConfigError("crossval.folds must be at least 1")
-    if not 0 < cfg.target_fraction <= 1:
-        raise ConfigError("pca.target_fraction must lie in (0, 1]")
-    if cfg.n_starts < 1:
-        raise ConfigError("emulator.n_starts must be at least 1")
-    if not 0 < cfg.holdout_fraction < 1:
-        raise ConfigError("diagnose.holdout_fraction must lie in (0, 1)")
-    if cfg.n_thinned < 1:
-        raise ConfigError("project.n_thinned must be at least 1")
-    return cfg
+    if any(len(fr) != space.k for fr in bands):
+        raise ConfigError("edge band fractions must match dimension count")
+    if len(theta_star) != space.k or not space.contains(np.array(theta_star)):
+        raise ConfigError(f"synth.theta_star = {theta_star}: must give one value per dimension, "
+                          "inside the parameter space")
+    fine, coarse = geometry.fine_cell, geometry.coarse_cell
+    for i, axis in enumerate(("rows", "cols")):  # shared_locations' arithmetic, one axis
+        centres = 0.5 * fine + np.arange(geometry.fine_shape[i]) * fine
+        hull_top = 0.5 * coarse + (geometry.coarse_shape[i] - 1) * coarse
+        if not np.any((centres >= 0.5 * coarse) & (centres <= hull_top)):
+            raise ConfigError(f"synth.fine_{axis}: no fine cell centre is inside the coarse hull")
+
+    return ExperimentConfig(
+        path=path, digest=config_digest(path), space=space, synth=geometry, seeds=seeds,
+        edge_bands=np.column_stack(bands), theta_star=np.array(theta_star),
+        runs_dir=path.parent / paths["runs_dir"], out_dir=path.parent / paths["out_dir"],
+        **{key: value for fields in values.values() for key, value in fields.items()},
+    )  # every key of the other sections is the ExperimentConfig field of the same name
 
 
 def _require(path: Path, what: str) -> Path:
@@ -752,6 +750,8 @@ def main(argv=None) -> int:
     stage = STAGES[args.pop("command")][0]
     config, seed, out = args.pop("config"), args.pop("seed"), args.pop("out")
     try:
+        if seed is not None and seed < 0:
+            raise ConfigError(f"--seed {seed}: must be at least 0")
         cfg = load_config(config)
         if out is not None:
             cfg.out_dir = Path(out)

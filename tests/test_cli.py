@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -158,6 +159,15 @@ class TestLoadConfig:
         cfg = cli.load_config(config)
         assert cfg.synth == SynthConfig(space=cfg.space, **expected)
 
+    def test_readme_config_reference_matches_the_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| ([^|]+) \|", readme, flags=re.M)
+        assert [(section, key) for section, key, _ in rows] == list(cli.CONFIG_KEYS)
+        words = {"required": ..., "k zeros": None}
+        for section, key, default in rows:
+            parse, expected, _ = cli.CONFIG_KEYS[section, key]
+            assert (words[default] if default in words else parse(default)) == expected, key
+
 
 class TestRerunDeterminism:
     def test_design_stage_byte_identical(self, pipeline):
@@ -183,6 +193,52 @@ def _move_last_row_first(text: str) -> str:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("old, new, message", [
+        ("iterations = 1500", "iteration = 500",
+         "unknown mcmc.iteration; did you mean mcmc.iterations?"),
+        ("[emulator]", "[emulater]", "unknown [emulater]; did you mean [emulator]?"),
+        ("[paths]", "[seeds]\nemulate = 99\n\n[paths]",
+         "unknown seeds.emulate; did you mean seeds.emulator?"),
+        ("[space]", "[DEFAULT]\nn_starts = 1\n\n[space]", "unknown [DEFAULT]"),
+    ], ids=["mcmc-iteration", "emulater-section", "seeds-emulate", "default-section"])
+    def test_unknown_section_or_key(self, tmp_path, capsys, old, new, message):
+        # each once loaded with exit 0: a misspelled name was ignored, and [DEFAULT]'s
+        # keys were copied into every section
+        config = tmp_path / "experiment.ini"
+        config.write_text(CONFIG_TEMPLATE.replace(old, new))
+        assert main(["design", "--config", str(config)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "design.csv").exists()
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("[paths]", "[seeds]\ndesign = -1\n\n[paths]", "seeds.design"),
+        ("[synth]\n", "[synth]\nnoise_sd = nan\n", "synth.noise_sd"),
+        ("[synth]\n", "[synth]\nrho_true = nan\n", "synth.rho_true"),
+        ("[synth]\n", "[synth]\ncheap_bias = inf\n", "synth.cheap_bias"),
+        ("[synth]\n", "[synth]\nfine_rows = 0\n", "synth.fine_rows"),
+        ("[synth]\n", "[synth]\nfine_rows = 1\n", "synth.fine_rows"),
+        ("[paths]", "[diagnose]\nflood_threshold = nan\n\n[paths]",
+         "diagnose.flood_threshold"),
+        ("names = n_ch, rwe", "names = n_ch, n_ch", "space.names"),
+        ("names = n_ch, rwe", "names = , rwe", "space.names"),
+    ], ids=["seed-negative", "noise-sd-nan", "rho-true-nan", "cheap-bias-inf", "fine-rows-zero",
+            "no-shared-location", "flood-threshold-nan", "names-duplicate", "names-empty"])
+    def test_invalid_config_value(self, tmp_path, capsys, old, new, key):
+        # these exited 1 with a traceback, 4 at a later stage, or 0 with a noise-free
+        # observation or a chain with two columns of one name
+        config = tmp_path / "experiment.ini"
+        config.write_text(CONFIG_TEMPLATE.replace(old, new))
+        assert main(["design", "--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out" / "design.csv").exists()
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        config = tmp_path / "experiment.ini"
+        config.write_text(CONFIG_TEMPLATE)
+        assert main(["design", "--config", str(config), "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "design.csv").exists()
+
     def test_config_error(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[design]\nn_expensive = 5\n")  # missing [space]
