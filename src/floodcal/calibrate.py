@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .emulator import thread_map
 from .errors import ChainTooShort, DimensionMismatch, MalformedArtifact, ModelRunFailed
 from .grid import Grid, LocationSet
 from .manifest import read_csv
@@ -149,7 +148,10 @@ def log_likelihood_reduced(
     """Gaussian log density of the reduced observation at ``theta``.
 
     The covariance is diagonal: per-component predictive variance plus
-    sigma2_eps over the basis eigenvalue.  Callers must keep ``theta``
+    sigma2_eps over the basis eigenvalue.  This drops the off-basis residual
+    of the full p-location Gaussian N(mu + K m, K V K^T + sigma2_eps I), a
+    term free of theta but not of sigma2_eps, so sigma2_eps is informed by
+    the J components only (a modelling choice).  Callers must keep ``theta``
     inside the parameter space.  Raises DimensionMismatch when the
     emulator, ``z_r`` and ``basis`` disagree on the component count.
     """
@@ -388,37 +390,34 @@ def thin(chain: PosteriorChain, m: int, seed: int) -> np.ndarray:
     return chain.samples[idx, : len(chain.theta_names)]
 
 
-def calibrated_projection(theta_samples: np.ndarray, model, threads: int = 1) -> Grid:
+def calibrated_projection(theta_samples: np.ndarray, model) -> Grid:
     """Cellwise mean of model runs at the given parameter samples.
 
     ``model`` maps a native-unit theta vector to a Grid; a failing run
-    raises ModelRunFailed carrying the offending theta.  With ``threads``
-    above 1 the runs share a pool of that many workers.  The runs are
-    summed in sample order into one grid and divided by their count, which
-    is bitwise the mean over a stacked copy; a cell is nodata (value 0)
-    where any run's is.
+    raises ModelRunFailed carrying the offending theta.  Each run is added
+    to one running sum, in sample order, before the next one is made, so
+    only the first run and the current one are held; the sum divided by the
+    run count is bitwise the mean over a stacked copy.  A cell is nodata
+    (value 0) where any run's is.
     """
     theta_samples = np.atleast_2d(np.asarray(theta_samples, dtype=float))
     if theta_samples.shape[0] == 0:
         raise ValueError("need at least one parameter sample")
-
-    def run(theta):
+    first = values = mask = None
+    for theta in theta_samples:
         try:
-            return model(theta)
+            grid = model(theta)
         except Exception as err:
             raise ModelRunFailed(tuple(theta), err) from err
-
-    grids = thread_map(run, theta_samples, threads)
-    first = grids[0]
-    for g in grids[1:]:
-        if not first.same_geometry(g):
+        if first is None:
+            first, values = grid, np.zeros(grid.values.shape)
+            mask = np.zeros(grid.values.shape, dtype=bool)
+        elif not first.same_geometry(grid):
             raise ValueError("model runs returned differing grid geometries")
-    values = np.zeros(first.values.shape)
-    mask = np.zeros(first.values.shape, dtype=bool)
-    for g in grids:
-        values += g.values
-        mask |= g.nodata_mask
-    values /= len(grids)
+        values += grid.values
+        mask |= grid.nodata_mask
+        del grid  # not held while the next run is made
+    values /= len(theta_samples)
     values[mask] = 0.0
     return Grid(
         origin_x=first.origin_x,

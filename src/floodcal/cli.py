@@ -61,7 +61,6 @@ from .emulator import (
     predict_many,
     read_emulator_archive,
     save_emulator,
-    thread_map,
 )
 from .errors import (
     AllExpensiveRemoved,
@@ -192,7 +191,8 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(default_section="")  # [DEFAULT] is an unknown section
+    # [DEFAULT] is an unknown section; values are literal, % included
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     try:
         parser.read(path)
     except configparser.Error as err:
@@ -295,7 +295,7 @@ def _load_design(cfg: ExperimentConfig) -> Design:
     return design
 
 
-def cmd_run_synth(cfg: ExperimentConfig, seed: int | None = None, threads: int = 1) -> None:
+def cmd_run_synth(cfg: ExperimentConfig, seed: int | None = None, _threads: int = 1) -> None:
     seed = cfg.seeds["observation"] if seed is None else seed
     design = _load_design(cfg)
     cfg.runs_dir.mkdir(parents=True, exist_ok=True)
@@ -309,7 +309,7 @@ def cmd_run_synth(cfg: ExperimentConfig, seed: int | None = None, threads: int =
         except Exception as err:
             raise ModelRunFailed(tuple(theta), f"design row {i}: {err}") from err
 
-    grids = thread_map(run_row, range(len(design.points)), threads)
+    grids = [run_row(i) for i in range(len(design.points))]
     files = []
     for i, grid in enumerate(grids):
         name = f"run_{i:04d}_{design.fidelity[i]}.asc"
@@ -408,12 +408,12 @@ def _cached_depths(out_dir: Path, key: str, shape: tuple) -> np.ndarray | None:
     return depths if intact else None
 
 
-def cmd_emulate(cfg: ExperimentConfig, seed: int | None = None, threads: int = 1) -> None:
+def cmd_emulate(cfg: ExperimentConfig, seed: int | None = None, _threads: int = 1) -> None:
     seed = cfg.seeds["emulator"] if seed is None else seed
     ensemble = _load_ensemble(cfg)
     design = ensemble.design
     held = np.flatnonzero(edge_mask(design, cfg.edge_bands)) if cfg.apply_edge_bands else []
-    basis, emulators, _, _, _ = _fit_holdout(cfg, design, ensemble, held, seed, threads)
+    basis, emulators, _, _, _ = _fit_holdout(cfg, design, ensemble, held, seed)
 
     save_basis(basis, cfg.out_dir / "basis")
     for label, emu in emulators.items():
@@ -465,10 +465,19 @@ def cmd_calibrate(cfg: ExperimentConfig, seed: int | None = None) -> None:
             ess_target_met=bool(ess_min >= ESS_TARGET))
 
 
-def cmd_project(cfg: ExperimentConfig, seed: int | None = None, threads: int = 1) -> None:
+def cmd_project(cfg: ExperimentConfig, seed: int | None = None, _threads: int = 1) -> None:
     seed = cfg.seeds["thin"] if seed is None else seed
     chain_path = _require(cfg.out_dir / f"chain_{cfg.approach}.csv", "posterior chain")
+    meta_path = _require(cfg.out_dir / f"chain_{cfg.approach}.manifest.json", "chain manifest")
     samples, names = load_chain_samples(chain_path)
+    try:
+        meta = read_manifest(meta_path)
+        n_kept = meta["iterations"] - meta["burn_in"]
+    except (KeyError, TypeError, ValueError) as err:
+        raise MalformedArtifact(f"{meta_path}: unreadable chain manifest: {err!r}") from err
+    if len(samples) != n_kept:  # a calibrate that died mid-write leaves a short chain
+        raise MalformedArtifact(f"{chain_path}: {len(samples)} samples, but {meta_path.name} "
+                                f"records iterations - burn_in = {n_kept}")
     chain = PosteriorChain(
         samples=samples,
         log_posterior=np.zeros(len(samples)),
@@ -483,7 +492,7 @@ def cmd_project(cfg: ExperimentConfig, seed: int | None = None, threads: int = 1
         raise MalformedArtifact(f"{chain_path}: columns {names} do not match the parameters "
                                 f"{list(cfg.space.names)}")
     thetas = thin(chain, min(cfg.n_thinned, chain.n_kept), seed)
-    projection = calibrated_projection(thetas, expensive_model_adapter(cfg.synth), threads)
+    projection = calibrated_projection(thetas, expensive_model_adapter(cfg.synth))
     write_ascii_grid(projection, cfg.out_dir / f"projection_{cfg.approach}.asc")
     _finish(cfg, "project", cfg.out_dir / f"projection_{cfg.approach}.manifest.json",
             f"project[{cfg.approach}]: mean of {len(thetas)} thinned projections written",
@@ -597,7 +606,7 @@ def _warm_starts(basis, archive) -> dict:
     return {label: [p[i] for i in match] for label, p in params.items()}
 
 
-def _fit_holdout(cfg, design, ensemble, held_idx, seed, threads=1, archive=None):
+def _fit_holdout(cfg, design, ensemble, held_idx, seed, archive=None):
     """Basis and MR/HR emulators fitted without the held-out expensive rows.
 
     Fits are cold, from ``cfg.n_starts`` random starts per component, unless
@@ -613,9 +622,9 @@ def _fit_holdout(cfg, design, ensemble, held_idx, seed, threads=1, archive=None)
     warm = _warm_starts(basis, archive) if archive is not None else {"mr": None, "hr": None}
     emulators = {
         "mr": fit_multires(train.design, scores.scores, n_starts=cfg.n_starts,
-                           seed=mr_seed, threads=threads, warm=warm["mr"]),
+                           seed=mr_seed, warm=warm["mr"]),
         "hr": fit_singleres(train.design, scores.expensive, n_starts=cfg.n_starts,
-                            seed=hr_seed, threads=threads, warm=warm["hr"]),
+                            seed=hr_seed, warm=warm["hr"]),
     }
     return basis, emulators, test_thetas, test_depths, test_scores
 
@@ -645,7 +654,7 @@ def _uspe_validation(cfg, design, ensemble, held_idx, seed, archive) -> list:
     return written
 
 
-def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, threads: int = 1) -> None:
+def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, _threads: int = 1) -> None:
     seed = cfg.seeds["crossval"] if seed is None else seed
     archive = _warm_archive(cfg)
     ensemble = _load_ensemble(cfg)
@@ -662,14 +671,12 @@ def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, threads: int = 
     for fold, fold_seed in zip(folds, fold_seeds[:-1]):
         if len(fold) == 0:
             continue
-        cv_d.extend(_holdout_d_values(cfg, design, ensemble, np.sort(fold), fold_seed,
-                                      threads, archive))
+        cv_d.extend(_holdout_d_values(cfg, design, ensemble, np.sort(fold), fold_seed, archive))
 
     held_edge = np.flatnonzero(edge_mask(design, cfg.edge_bands)[:p_e])
     edge_d = None
     if held_edge.size:
-        edge_d = _holdout_d_values(cfg, design, ensemble, held_edge, fold_seeds[-1], threads,
-                                   archive)
+        edge_d = _holdout_d_values(cfg, design, ensemble, held_edge, fold_seeds[-1], archive)
 
     result = {
         "label": label,
@@ -697,10 +704,10 @@ def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, threads: int = 
             seed=seed, **result)
 
 
-def _holdout_d_values(cfg, design, ensemble, held_idx, seed, threads, archive) -> list:
+def _holdout_d_values(cfg, design, ensemble, held_idx, seed, archive) -> list:
     """Per-held-out-point RMSE difference between the MR and HR emulators."""
     basis, emulators, test_thetas, test_depths, _ = _fit_holdout(
-        cfg, design, ensemble, held_idx, seed, threads, archive
+        cfg, design, ensemble, held_idx, seed, archive
     )
     pred_mr, pred_hr = (reconstruct(basis, predict_many(emu, test_thetas)[0])
                         for emu in emulators.values())
@@ -710,20 +717,16 @@ def _holdout_d_values(cfg, design, ensemble, held_idx, seed, threads, archive) -
 
 # --- entry point ---------------------------------------------------------
 
-_THREADS = {"--threads": dict(type=int, default=1,
-                              help="worker threads for model runs and per-component fits")}
-
-# stage name -> (function, help text, extra flags); every stage also takes
-# --config, --seed and --out, and is called as function(cfg, seed, **extra)
+# stage name -> (function, help text); every stage takes --config, --seed and --out and is
+# called as function(cfg, seed); the _threads of four is unused, for perfbench's _call_stage
 STAGES = {
-    "design": (cmd_design, "generate the nested maximin LHS design", {}),
-    "run-synth": (cmd_run_synth, "run the synthetic two-fidelity model over the design",
-                  _THREADS),
-    "emulate": (cmd_emulate, "reduce dimensions and fit the MR and HR emulators", _THREADS),
-    "calibrate": (cmd_calibrate, "sample the posterior over (theta, sigma2_eps)", {}),
-    "project": (cmd_project, "average model runs at thinned posterior samples", _THREADS),
-    "diagnose": (cmd_diagnose, "projection metrics and emulator validation", {}),
-    "crossval": (cmd_crossval, "cross-validation and edge-case D(MR-HR) tables", _THREADS),
+    "design": (cmd_design, "generate the nested maximin LHS design"),
+    "run-synth": (cmd_run_synth, "run the synthetic two-fidelity model over the design"),
+    "emulate": (cmd_emulate, "reduce dimensions and fit the MR and HR emulators"),
+    "calibrate": (cmd_calibrate, "sample the posterior over (theta, sigma2_eps)"),
+    "project": (cmd_project, "average model runs at thinned posterior samples"),
+    "diagnose": (cmd_diagnose, "projection metrics and emulator validation"),
+    "crossval": (cmd_crossval, "cross-validation and edge-case D(MR-HR) tables"),
 }
 
 
@@ -734,29 +737,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in STAGES.items():
+    for name, (_, help_text) in STAGES.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="experiment config file (INI)")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override this stage's seed from [seeds]")
         cmd.add_argument("--out", default=None, help="override the output directory")
-        for flag, spec in flags.items():
-            cmd.add_argument(flag, **spec)
     return parser
 
 
 def main(argv=None) -> int:
-    args = vars(build_parser().parse_args(argv))
-    stage = STAGES[args.pop("command")][0]
-    config, seed, out = args.pop("config"), args.pop("seed"), args.pop("out")
+    args = build_parser().parse_args(argv)
+    stage, seed = STAGES[args.command][0], args.seed
     try:
         if seed is not None and seed < 0:
             raise ConfigError(f"--seed {seed}: must be at least 0")
-        cfg = load_config(config)
-        if out is not None:
-            cfg.out_dir = Path(out)
+        cfg = load_config(args.config)
+        if args.out is not None:
+            cfg.out_dir = Path(args.out)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        stage(cfg, seed, **args)  # args now holds only the stage's extra flags
+        stage(cfg, seed)
     except ConfigError as err:
         print(f"floodcal: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,7 +20,6 @@ import csv
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -692,20 +691,6 @@ def child_seeds(seed: int, n: int) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(n)]
 
 
-def thread_map(func, items, threads: int) -> list:
-    """``[func(item) for item in items]``, on a pool of ``threads`` workers when above 1.
-
-    One thread runs every call in the caller, with no pool: a pool even of
-    one worker raised stress peak RSS from 106 to 112 MB on a 2-vCPU VM.
-    Results keep the order of ``items``; the first failing item's exception
-    propagates unchanged.
-    """
-    if threads <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items))
-
-
 def fit_multires(
     design: Design,
     scores: np.ndarray,
@@ -713,14 +698,12 @@ def fit_multires(
     trend_prior: TrendPrior | None = None,
     n_starts: int = 8,
     seed: int = 0,
-    threads: int = 1,
     warm: list | None = None,
 ) -> MultiResEmulator:
     """Fit one multiresolution GP per score column.
 
     ``scores`` rows follow the ensemble convention (expensive block first).
-    Per-component seeds derive from ``seed``, so the thread count does not
-    change results.
+    Each component's starts draw from its own seed, derived from ``seed``.
 
     ``warm``, one :class:`EmulatorParams` per score column, warm-starts the
     fit: component j makes one L-BFGS-B run from ``warm[j]`` and draws no
@@ -752,7 +735,7 @@ def fit_multires(
         return fit(t, theta_cheap, theta_exp, hyperpriors, trend_prior,
                    n_starts=n_starts, seed=seeds[j])
 
-    params_list = thread_map(fit_one, range(scores.shape[1]), threads)
+    params_list = [fit_one(j) for j in range(scores.shape[1])]
     return MultiResEmulator(
         space, theta_cheap, theta_exp, scores_cheap, scores_exp,
         params_list, trend_prior, hyperpriors, seed, n_starts,
@@ -767,7 +750,6 @@ def fit_singleres(
     trend_cov: np.ndarray | None = None,
     n_starts: int = 8,
     seed: int = 0,
-    threads: int = 1,
     warm: list | None = None,
 ) -> MultiResEmulator:
     """Fit the expensive-only baseline: :func:`fit_multires` on the expensive
@@ -781,7 +763,7 @@ def fit_singleres(
         trend_cov = np.eye(space.k + 1)
     expensive = Design(design.expensive_points, [EXPENSIVE] * design.n_expensive, space)
     return fit_multires(expensive, scores_exp, hyperpriors, _singleres_trend(trend_mean, trend_cov),
-                        n_starts, seed, threads, warm)
+                        n_starts, seed, warm)
 
 
 # --- prediction ---------------------------------------------------------------

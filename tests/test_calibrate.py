@@ -1,10 +1,11 @@
 import csv
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import multivariate_normal, norm
 
 from floodcal.calibrate import (
     CalibrationPriors,
@@ -116,6 +117,28 @@ class TestReducedLikelihood:
         expected = norm.logpdf(z_r_val[0], out.mean[0], math.sqrt(total_var))
         val = log_likelihood_reduced(theta, sigma2, z_r, emu, basis)
         assert val == pytest.approx(expected, rel=1e-12)
+
+    def test_full_space_gap_does_not_depend_on_theta(self, unit_space):
+        # oracle: the p-location Gaussian N(mu + K m(theta), K V(theta) K^T + sigma2 I).
+        # The reduced form drops the off-basis residual, whose density is free of theta
+        from test_emulator import basic_params
+
+        rng = np.random.default_rng(40)
+        theta_e = rng.random((5, 2))
+        theta_c = np.vstack([theta_e, rng.random((6, 2))])
+        emu = build_mr(unit_space, theta_c, theta_e, rng.standard_normal((11, 2)),
+                       rng.standard_normal((5, 2)), [basic_params(), basic_params(rho=0.6)])
+        basis = synthetic_basis(n=30, n_comp=2, seed=41)
+        z = basis.column_mean + rng.normal(0.0, 0.5, 30)
+        z_r = reduce_observation(Observation(z, locations_for(30)), basis)
+        k, sigma2 = basis.components, 0.05
+        gaps = []
+        for theta in rng.random((6, 2)):
+            out = predict(emu, theta)
+            full = multivariate_normal(basis.column_mean + k @ out.mean,
+                                       (k * out.variance) @ k.T + sigma2 * np.eye(30)).logpdf(z)
+            gaps.append(full - log_likelihood_reduced(theta, sigma2, z_r, emu, basis))
+        assert np.ptp(gaps) <= 1e-9 * np.max(np.abs(gaps))
 
     def test_noise_dominance_flattens(self, likelihood_setup):
         emu, basis, z_r = likelihood_setup
@@ -579,10 +602,9 @@ class TestCalibratedProjection:
         def bad_model(theta):
             raise RuntimeError("solver diverged")
 
-        for threads in (1, 2):
-            with pytest.raises(ModelRunFailed) as info:
-                calibrated_projection(np.array([[0.1, 0.9]]), bad_model, threads)
-            assert info.value.theta == (0.1, 0.9)
+        with pytest.raises(ModelRunFailed) as info:
+            calibrated_projection(np.array([[0.1, 0.9]]), bad_model)
+        assert info.value.theta == (0.1, 0.9)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 100])
     def test_mean_is_bitwise_the_stacked_mean(self, n):
@@ -615,11 +637,20 @@ class TestCalibratedProjection:
             with pytest.raises(ValueError, match="geometries"):
                 calibrated_projection(np.array([[0.0], [1.0]]), lambda t: runs[int(t[0])])
 
-    def test_threads_do_not_change_the_mean(self):
-        thetas = np.linspace(0.0, 1.0, 7)[:, None]
-        serial = calibrated_projection(thetas, lambda t: self.grid_for(t[0]))
-        pooled = calibrated_projection(thetas, lambda t: self.grid_for(t[0]), threads=3)
-        assert serial.values.tobytes() == pooled.values.tobytes()
+    def test_runs_are_summed_as_they_are_made(self):
+        # only the first run and the one being made are alive; a stacked mean holds all 20.
+        # Grids are unhashable, so weak references in a list stand in for a WeakSet
+        refs, counts = [], []
+
+        def model(theta):
+            grid = self.grid_for(theta[0])
+            refs.append(weakref.ref(grid))
+            counts.append(sum(ref() is not None for ref in refs))
+            return grid
+
+        out = calibrated_projection(np.linspace(0.0, 1.0, 20)[:, None], model)
+        assert len(counts) == 20 and max(counts) <= 2
+        assert np.all(out.values == pytest.approx(0.5))
 
 
 class TestEndToEndRecoverySmall:

@@ -159,6 +159,13 @@ class TestLoadConfig:
         cfg = cli.load_config(config)
         assert cfg.synth == SynthConfig(space=cfg.space, **expected)
 
+    @pytest.mark.parametrize("value", ["o%ut", "%(runs_dir)s"])
+    def test_values_are_literal(self, tmp_path, value):
+        # "o%ut" once exited 2 and "%(runs_dir)s" expanded to "runs"
+        config = tmp_path / "experiment.ini"
+        config.write_text(CONFIG_TEMPLATE.replace("out_dir = out", f"out_dir = {value}"))
+        assert cli.load_config(config).out_dir == tmp_path / value
+
     def test_readme_config_reference_matches_the_table(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| ([^|]+) \|", readme, flags=re.M)
@@ -484,8 +491,7 @@ class TestExitCodes:
         assert main(["calibrate", "--config", str(root / "experiment.ini")]) == 3
         assert "rho_var" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_failed_projection_run(self, pipeline, tmp_path, capsys, threads):
+    def test_failed_projection_run(self, pipeline, tmp_path, capsys):
         root = tmp_path / "failing"
         shutil.copytree(pipeline, root)
         chain = root / "out" / "chain_mr.csv"
@@ -493,8 +499,7 @@ class TestExitCodes:
         # n_ch = 0.5 lies outside the space, where the synthetic model refuses to run
         lines[1:] = [",".join([row.split(",")[0], "0.5", *row.split(",")[2:]]) for row in lines[1:]]
         chain.write_text("\n".join(lines) + "\n")
-        assert main(["project", "--config", str(root / "experiment.ini"),
-                     "--threads", threads]) == 4
+        assert main(["project", "--config", str(root / "experiment.ini")]) == 4
         assert "model run failed" in capsys.readouterr().err
 
     def test_invalid_edge_band_fraction(self, tmp_path, capsys):
@@ -519,41 +524,35 @@ class TestExitCodes:
         assert main([stage, "--config", str(config)]) == 4
         assert "the emulators need at least 2" in capsys.readouterr().err
 
-    def test_threads_only_where_used(self, pipeline, tmp_path, capsys):
+    def test_threads_only_where_used(self, pipeline, capsys):
+        # no stage takes --threads: every model run and fit happens in the caller
         config = str(pipeline / "experiment.ini")
-        for stage, flag in (("design", "--threads"), ("calibrate", "--threads"),
-                            ("diagnose", "--threads"), ("diagnose", "--flood-threshold")):
+        cases = [(stage, "--threads") for stage in cli.STAGES] + [("diagnose", "--flood-threshold")]
+        for stage, flag in cases:
             with pytest.raises(SystemExit) as exit_info:
-                main([stage, "--config", config, flag, "2"])
+                main([stage, "--config", config, flag, "1"])
             assert exit_info.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-        root = tmp_path / "threads"
-        shutil.copytree(pipeline, root)
-        assert main(["emulate", "--config", str(root / "experiment.ini"), "--threads", "2"]) == 0
-        for name in ("emulator_mr/params.csv", "emulator_hr/params.csv"):
-            assert (root / "out" / name).read_bytes() == (pipeline / "out" / name).read_bytes()
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        config = tmp_path / "experiment.ini"
-        config.write_text(CONFIG_TEMPLATE)
-        assert main(["design", "--config", str(config)]) == 0
-        assert main(["run-synth", "--config", str(config), "--threads", "4"]) == 0
-        serial = tmp_path / "serial"
-        serial.mkdir()
-        cfg2 = serial / "experiment.ini"
-        cfg2.write_text(CONFIG_TEMPLATE)
-        assert main(["design", "--config", str(cfg2)]) == 0
-        assert main(["run-synth", "--config", str(cfg2)]) == 0
-        a = (tmp_path / "runs" / "run_0000_expensive.asc").read_bytes()
-        b = (serial / "runs" / "run_0000_expensive.asc").read_bytes()
-        assert a == b
-
-    def test_threads_do_not_change_the_projection(self, pipeline, tmp_path):
-        root = tmp_path / "threads"
+    def test_torn_chain(self, pipeline, tmp_path, capsys):
+        # a calibrate that dies mid-write leaves the chain's first rows only
+        root = tmp_path / "torn"
         shutil.copytree(pipeline, root)
-        assert main(["project", "--config", str(root / "experiment.ini"), "--threads", "2"]) == 0
-        for name in ("projection_mr.asc", "projection_mr.manifest.json"):
-            assert (root / "out" / name).read_bytes() == (pipeline / "out" / name).read_bytes()
+        chain = root / "out" / "chain_mr.csv"
+        lines = chain.read_text().splitlines(keepends=True)
+        assert len(lines) == 1 + 1200
+        chain.write_text("".join(lines[:1 + 600]))
+        assert main(["project", "--config", str(root / "experiment.ini")]) == 3
+        err = capsys.readouterr().err
+        assert "malformed artifact" in err and "chain_mr.csv: 600 samples" in err
+        assert "iterations - burn_in = 1200" in err
+
+    def test_chain_without_its_manifest(self, pipeline, tmp_path, capsys):
+        root = tmp_path / "no-manifest"
+        shutil.copytree(pipeline, root)
+        (root / "out" / "chain_mr.manifest.json").unlink()
+        assert main(["project", "--config", str(root / "experiment.ini")]) == 3
+        assert "missing artifact: chain manifest not found" in capsys.readouterr().err
 
 
 def _fresh_depths(cfg) -> np.ndarray:

@@ -1,8 +1,6 @@
 import json
 import math
 import re
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -42,7 +40,6 @@ from floodcal.emulator import (
     read_emulator_archive,
     save_emulator,
     singleres_emulator,
-    thread_map,
 )
 from floodcal.errors import (
     AllStartsFailed,
@@ -717,48 +714,6 @@ class TestFitSingleres:
         thetas = np.random.default_rng(95).random((6, k))
         for a, b in zip(predict_many(emu, thetas), predict_many(rebuilt, thetas)):
             assert a.tobytes() == b.tobytes()
-
-
-class TestThreadMap:
-    def test_one_thread_runs_in_the_caller(self):
-        caller = threading.get_ident()
-        out = thread_map(lambda x: (x, threading.get_ident()), range(5), 1)
-        assert out == [(x, caller) for x in range(5)]
-
-    def test_pool_keeps_order(self):
-        def late_first(x):
-            time.sleep(0.002 * (6 - x))  # early items finish last
-            return x * x, threading.get_ident()
-
-        out = thread_map(late_first, range(6), 3)
-        assert [v for v, _ in out] == [x * x for x in range(6)]
-        assert threading.get_ident() not in {ident for _, ident in out}
-
-    def test_pool_reraises_the_worker_exception(self):
-        err = ValueError("boom")
-
-        def fail_at_three(x):
-            if x == 3:
-                raise err
-            return x
-
-        with pytest.raises(ValueError) as info:
-            thread_map(fail_at_three, range(8), 3)
-        assert info.value is err
-
-
-class TestFitMultires:
-    def test_threads_do_not_change_results(self, unit_space):
-        from floodcal.emulator import fit_multires
-
-        design = make_nested_design(unit_space, 5, 7, seed=90)
-        trend = default_trend_prior(2)
-        scores = draw_scores(design, [basic_params(), basic_params(rho=0.6)], trend, seed=91)
-        serial = fit_multires(design, scores, n_starts=2, seed=92, threads=1)
-        pooled = fit_multires(design, scores, n_starts=2, seed=92, threads=3)
-        for a, b in zip(serial.params_list, pooled.params_list):
-            assert a.rho == b.rho
-            assert np.array_equal(a.range_cheap, b.range_cheap)
 
 
 def _counting_minimize(monkeypatch) -> list:
