@@ -1,6 +1,7 @@
 """Multiresolution Gaussian-process emulation and Bayesian calibration
 of spatial flood models."""
 
+import importlib
 import os
 
 # One BLAS thread unless the user chose otherwise: a multi-threaded BLAS sums
@@ -11,6 +12,21 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del _var
 
 __version__ = "0.1.0"
+
+
+def deferred(namespace: dict, module: str, *names: str) -> tuple:
+    """Stand-ins for ``from module import *names`` that import ``module`` on first call
+    (``scipy.linalg`` costs a fresh process about 0.3 s; design, run-synth and project
+    never call it).  The first call puts the real function in ``namespace``, the caller's
+    ``globals()``, unless the name was rebound meanwhile (a tracing wrapper)."""
+    def stand_in(name):
+        def call(*args, **kwargs):
+            real = getattr(importlib.import_module(module), name)
+            if namespace.get(name) is call:
+                namespace[name] = real
+            return real(*args, **kwargs)
+        return call
+    return tuple(map(stand_in, names))
 
 from .design import Design, ParameterSpace, augment_cheap, edge_filter, maximin_lhs
 from .grid import Grid, LocationSet, bilinear_interpolate, flatten, grid_locations

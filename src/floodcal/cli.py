@@ -189,12 +189,13 @@ CONFIG_KEYS = {
 def load_config(path) -> ExperimentConfig:
     """The experiment config at ``path``, each key parsed and checked as CONFIG_KEYS says."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     # [DEFAULT] is an unknown section; values are literal, % included
     parser = configparser.ConfigParser(default_section="", interpolation=None)
     try:
-        parser.read(path)
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError) as err:  # missing, a directory, not UTF-8
+        raise ConfigError(f"cannot read config file {path}: {err}") from err
     except configparser.Error as err:
         raise ConfigError(f"cannot parse config: {err}") from err
 
@@ -254,6 +255,13 @@ def load_config(path) -> ExperimentConfig:
     )  # every key of the other sections is the ExperimentConfig field of the same name
 
 
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:  # e.g. a path under a regular file
+        raise ConfigError(f"cannot create output directory {path}: {err}") from err
+
+
 def _require(path: Path, what: str) -> Path:
     if not Path(path).exists():
         raise MissingArtifact(f"{what} not found: {path}")
@@ -298,7 +306,7 @@ def _load_design(cfg: ExperimentConfig) -> Design:
 def cmd_run_synth(cfg: ExperimentConfig, seed: int | None = None, _threads: int = 1) -> None:
     seed = cfg.seeds["observation"] if seed is None else seed
     design = _load_design(cfg)
-    cfg.runs_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(cfg.runs_dir)
 
     def run_row(i):
         theta = design.points[i]
@@ -718,7 +726,8 @@ def _holdout_d_values(cfg, design, ensemble, held_idx, seed, archive) -> list:
 # --- entry point ---------------------------------------------------------
 
 # stage name -> (function, help text); every stage takes --config, --seed and --out and is
-# called as function(cfg, seed); the _threads of four is unused, for perfbench's _call_stage
+# called as function(cfg, seed); the _threads of four is unused, for perfbench's _call_stage.
+# ``run`` is not a stage: it calls these in this order in one process.
 STAGES = {
     "design": (cmd_design, "generate the nested maximin LHS design"),
     "run-synth": (cmd_run_synth, "run the synthetic two-fidelity model over the design"),
@@ -728,6 +737,7 @@ STAGES = {
     "diagnose": (cmd_diagnose, "projection metrics and emulator validation"),
     "crossval": (cmd_crossval, "cross-validation and edge-case D(MR-HR) tables"),
 }
+RUN_HELP = "run several stages in one process, in the order above, stopping at the first failure"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -737,26 +747,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in STAGES.items():
+    for name, (_, help_text) in [*STAGES.items(), ("run", (None, RUN_HELP))]:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="experiment config file (INI)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override this stage's seed from [seeds]")
+        if name == "run":
+            cmd.add_argument("--stages", default=",".join(STAGES),
+                             help="comma-separated stages to run (default: all)")
+        else:
+            cmd.add_argument("--seed", type=int, default=None,
+                             help="override this stage's seed from [seeds]")
         cmd.add_argument("--out", default=None, help="override the output directory")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    stage, seed = STAGES[args.command][0], args.seed
+    names = args.stages.split(",") if args.command == "run" else [args.command]
+    seed = getattr(args, "seed", None)  # run has none: each stage keeps its [seeds] value
     try:
+        unknown = [name for name in names if name not in STAGES]
+        if unknown:
+            raise ConfigError(f"--stages: unknown stage {unknown[0]!r}; "
+                              f"the stages are {', '.join(STAGES)}")
         if seed is not None and seed < 0:
             raise ConfigError(f"--seed {seed}: must be at least 0")
         cfg = load_config(args.config)
         if args.out is not None:
             cfg.out_dir = Path(args.out)
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        stage(cfg, seed)
+        _make_dir(cfg.out_dir)
+        for name in STAGES:
+            if name in names:
+                STAGES[name][0](cfg, seed)
     except ConfigError as err:
         print(f"floodcal: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

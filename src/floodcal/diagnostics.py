@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
+from . import deferred
 from .errors import (
     EmptyInput,
     GeometryMismatch,
@@ -21,6 +21,9 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .grid import Grid
+
+cholesky, solve_triangular = deferred(globals(), "scipy.linalg", "cholesky", "solve_triangular")
+(stdtrit,) = deferred(globals(), "scipy.special", "stdtrit")
 
 
 @dataclass(frozen=True)
@@ -136,10 +139,8 @@ def uspe(
     values = solve_triangular(chol, y - m, lower=True)
     order = np.sort(values)
     probs = (np.arange(1, y.shape[0] + 1) - 0.5) / y.shape[0]
-    # the T quantile function itself (what scipy.stats.t.ppf evaluates);
-    # scipy.stats would add about half a second to every CLI stage's start-up
-    # and scipy.special, imported only here, about 60 ms
-    from scipy.special import stdtrit
+    # the T quantile function itself (what scipy.stats.t.ppf evaluates): scipy.stats
+    # would add about half a second to the stage's start-up
     theoretical = stdtrit(df, probs)
     return UspeReport(values=values, df=df, qq=np.column_stack([order, theoretical]))
 

@@ -18,35 +18,28 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 
+from . import deferred
 from .design import EXPENSIVE, Design, ParameterSpace
 from .errors import AllStartsFailed, ExtrapolationWarning, MalformedArtifact, NotPositiveDefinite
 from .manifest import load_array, read_csv, read_manifest, write_manifest
 from . import kernels
+
+cho_solve, solve_triangular = deferred(globals(), "scipy.linalg", "cho_solve", "solve_triangular")
+dpotrf, dpotri, dpotrs, dtrtrs = deferred(
+    globals(), "scipy.linalg.lapack", "dpotrf", "dpotri", "dpotrs", "dtrtrs")
+(minimize,) = deferred(globals(), "scipy.optimize", "minimize")  # about 0.2 s more of import
 
 JITTER_START = 1e-10  # relative to trace(M)/dim, escalates x10
 JITTER_MAX = 1e-6
 LOG_BOUNDS = (-16.0, 10.0)
 RHO_BOUNDS = (-10.0, 10.0)
 FTOL = 1e-12  # L-BFGS-B stops once a step lowers -log posterior by less than this, relatively
-
-
-def __getattr__(name):
-    # scipy.optimize costs about 0.2 s of import; only stages that fit load it
-    if name == "minimize":
-        from scipy.optimize import minimize
-
-        globals()["minimize"] = minimize
-        return minimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -556,7 +549,7 @@ def fit(
             best_val, best_x = f0, x0
         if f0 >= 1e12:
             continue
-        res = sys.modules[__name__].minimize(
+        res = minimize(
             objective,
             x0,
             jac=True,

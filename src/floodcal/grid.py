@@ -23,7 +23,7 @@ from .errors import (
 _COORD_TOL = 1e-9  # fraction of a cell, absorbs file-format round trips
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Rectangular raster of flood depths (m) with square cells.
 
@@ -37,6 +37,8 @@ class Grid:
         Depths in meters, finite and non-negative wherever not masked.
     nodata_mask : ndarray of bool, shape (n_rows, n_cols)
         True marks cells without valid data.
+
+    Grids compare and hash by identity; :meth:`same_geometry` compares layouts.
     """
 
     origin_x: float
@@ -97,9 +99,9 @@ class Grid:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocationSet:
-    """Ordered set of distinct (x, y) coordinates in meters."""
+    """Ordered set of distinct (x, y) coordinates in meters; compared by identity."""
 
     coords: np.ndarray
 

@@ -19,8 +19,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dtrtrs
+
+from . import deferred
+
+(dtrtrs,) = deferred(globals(), "scipy.linalg.lapack", "dtrtrs")
 
 BACKEND = "numpy"
 
@@ -129,7 +131,7 @@ def predict_scores(theta0: np.ndarray, emulator) -> tuple[np.ndarray, np.ndarray
         means.append(rho * trend_c + trend_e + float(dot(cross, alpha)))
         white, info = dtrtrs(chol_t, cross, 0, 1)  # upper factor, transposed solve
         if info != 0:
-            raise LinAlgError(f"triangular solve failed (trtrs info {info})")
+            raise np.linalg.LinAlgError(f"triangular solve failed (trtrs info {info})")
         var = prior_var + rho2 * quad_c + quad_e - float(dot(white, white))
         variances.append(var if var > nug_e else nug_e)
     return np.array(means), np.array(variances)

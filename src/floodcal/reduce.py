@@ -14,12 +14,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh
 
+from . import deferred
 from .design import Design
 from .errors import DegenerateEnsemble, DimensionMismatch, MalformedArtifact
 from .grid import Grid, LocationSet, bilinear_interpolate, bilinear_stencil, flatten
 from .manifest import load_array, read_manifest, write_manifest
+
+(eigh,) = deferred(globals(), "scipy.linalg", "eigh")
 
 CENTERING_DIVISOR = "p-1"  # sample covariance convention used for eigenvalues
 

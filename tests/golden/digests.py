@@ -50,16 +50,23 @@ def environment_stamp() -> dict:
             "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")}}
 
 
-def _run_stages(root: str, approach: str) -> None:
-    """Child-process body: write the config and run every stage under ``root``."""
+def write_config(root, approach: str) -> Path:
+    """Write the golden runs' config for ``approach`` to ``root/experiment.ini``."""
     from test_cli import CONFIG_TEMPLATE
-    from floodcal.cli import main
 
     config = Path(root) / "experiment.ini"
     text = CONFIG_TEMPLATE
     if approach != "mr":
         text = text.replace("[mcmc]\n", f"[mcmc]\napproach = {approach}\n")
     config.write_text(text)
+    return config
+
+
+def _run_stages(root: str, approach: str) -> None:
+    """Child-process body: write the config and run every stage under ``root``."""
+    from floodcal.cli import main
+
+    config = write_config(root, approach)
     for stage in STAGES:
         if main([stage, "--config", str(config)]) != 0:
             sys.exit(f"stage {stage} failed for approach {approach}")

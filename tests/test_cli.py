@@ -18,6 +18,7 @@ from floodcal.errors import DimensionMismatch
 from floodcal.grid import Grid, read_ascii_grid, write_ascii_grid
 from floodcal.reduce import ReducedBasis, build_ensemble
 from floodcal.synthmodel import SynthConfig, shared_locations
+from golden.digests import APPROACHES, GOLDEN, tree_digests, write_config
 
 CONFIG_TEMPLATE = """\
 [space]
@@ -253,6 +254,30 @@ class TestExitCodes:
 
     def test_missing_config(self, tmp_path):
         assert main(["design", "--config", str(tmp_path / "nope.ini")]) == 2
+
+    @pytest.mark.parametrize("case", ["config-not-utf8", "config-is-a-directory",
+                                      "out-under-a-file", "runs-dir-under-a-file"])
+    def test_unreadable_config_or_output_directory(self, tmp_path, capsys, case):
+        # these exited 1 with a UnicodeDecodeError or NotADirectoryError traceback, or 2
+        # with "space.names is required"
+        config = tmp_path / "experiment.ini"
+        config.write_text(CONFIG_TEMPLATE)
+        (tmp_path / "file").write_text("")
+        (tmp_path / "bad.ini").write_bytes(b"\xff\xfe[space]\n")
+        (tmp_path / "runs.ini").write_text(CONFIG_TEMPLATE.replace("= runs", "= file/runs"))
+        argv, path = {
+            "config-not-utf8": (["design", "--config", str(tmp_path / "bad.ini")],
+                                tmp_path / "bad.ini"),
+            "config-is-a-directory": (["design", "--config", str(tmp_path)], tmp_path),
+            "out-under-a-file": (["design", "--config", str(config), "--out",
+                                  str(tmp_path / "file" / "x")], tmp_path / "file" / "x"),
+            "runs-dir-under-a-file": (["run", "--config", str(tmp_path / "runs.ini")],
+                                      tmp_path / "file" / "runs"),
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(path) in err and "required" not in err
+        assert not (tmp_path / "out" / "ensemble.npy").exists()
 
     def test_missing_artifact(self, tmp_path):
         config = tmp_path / "experiment.ini"
@@ -755,6 +780,27 @@ class TestStartup:
         # only diagnose's USPE quantiles use it (about 60 ms of import)
         assert _modules_after_cli_import("scipy.special") == "[]"
 
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        # scipy.linalg alone was about 0.27 s of every stage's start-up
+        config = tmp_path / "experiment.ini"
+        config.write_text(CONFIG_TEMPLATE)
+        probe = ("import sys, floodcal.cli; floodcal.cli.load_config(sys.argv[1]); "
+                 "print([m for m in sys.modules if m.startswith('scipy')])")
+        assert _fresh_python("-c", probe, str(config)) == "[]"
+
+    def test_stages_without_linear_algebra_load_no_scipy(self, pipeline, tmp_path):
+        config = tmp_path / "experiment.ini"
+        config.write_text(CONFIG_TEMPLATE)
+        root = tmp_path / "chained"
+        shutil.copytree(pipeline, root)
+        probe = ("import sys; from floodcal.cli import main; a, b = sys.argv[1:]; "
+                 "print([main([s, '--config', a]) for s in ('design', 'run-synth')], "
+                 "main(['project', '--config', b]), 'scipy' in sys.modules)")
+        out = _fresh_python("-c", probe, str(config), str(root / "experiment.ini"))
+        assert out.splitlines()[-1] == "[0, 0] 0 False"
+        assert (root / "out" / "projection_mr.asc").read_bytes() == (
+            pipeline / "out" / "projection_mr.asc").read_bytes()
+
     def test_module_runs_as_a_script(self):
         # python -m floodcal is the floodcal command without an installed script
         assert _fresh_python("-m", "floodcal", "--help").startswith("usage: floodcal")
@@ -765,3 +811,53 @@ class TestStartup:
         unset = dict.fromkeys(BLAS_THREAD_VARS)
         assert _fresh_python("-c", probe, **unset) == "1 1 1"
         assert _fresh_python("-c", probe, **{**unset, "OPENBLAS_NUM_THREADS": "2"}) == "2 1 1"
+
+
+class TestRun:
+    """``floodcal run``: several stages in one process."""
+
+    @pytest.mark.parametrize("approach", APPROACHES)
+    def test_all_stages_match_the_golden_digests(self, tmp_path, approach):
+        config = write_config(tmp_path, approach)
+        assert main(["run", "--config", str(config)]) == 0
+        assert tree_digests(tmp_path) == json.loads(GOLDEN.read_text())[approach]
+
+    def test_stages_subset_writes_only_their_files(self, tmp_path, capsys):
+        config = write_config(tmp_path, "mr")
+        assert main(["run", "--config", str(config), "--stages", "design,run-synth"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["design", "run-synth"]
+        written = tree_digests(tmp_path)
+        golden = json.loads(GOLDEN.read_text())["mr"]
+        assert written.items() <= golden.items()
+        assert set(written) == {name for name in golden if name.startswith("runs/")} | {
+            f"out/{name}" for name in ("design.csv", "design.manifest.json", "ensemble.npy",
+                                       "ensemble.manifest.json")}
+
+    def test_stops_at_the_first_failing_stage(self, pipeline, tmp_path, capsys):
+        root = tmp_path / "torn"
+        shutil.copytree(pipeline, root)
+        chain = root / "out" / "chain_mr.csv"
+        chain.write_text("".join(chain.read_text().splitlines(keepends=True)[:1 + 600]))
+        later = [root / "out" / name for name in ("metrics.json", "crossval.json")]
+        for path in later:
+            path.unlink()
+        argv = ["run", "--config", str(root / "experiment.ini"), "--stages",
+                "project,diagnose,crossval"]
+        assert main(argv) == 3
+        assert "malformed artifact" in capsys.readouterr().err
+        assert not any(path.exists() for path in later)
+
+    def test_unknown_stage(self, tmp_path, capsys):
+        config = write_config(tmp_path, "mr")
+        assert main(["run", "--config", str(config), "--stages", "design,emulator"]) == 2
+        assert "unknown stage 'emulator'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "design.csv").exists()
+
+    def test_takes_no_seed(self, tmp_path, capsys):
+        # each stage keeps its own [seeds] value
+        config = write_config(tmp_path, "mr")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", str(config), "--seed", "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,6 +82,22 @@ class TestGridInvariants:
         with pytest.raises(ValueError, match="duplicate"):
             LocationSet([[1.0, -0.0], [1.0, 0.0]])
         assert len(LocationSet([[0.0, 1.0], [1.0, 0.0]])) == 2
+
+    @pytest.mark.parametrize("make", [
+        lambda: square_grid([[0.0, 1.0], [2.0, 3.0]]),
+        lambda: LocationSet([[0.0, 1.0], [2.0, 3.0]]),
+    ], ids=["grid", "location-set"])
+    def test_compared_and_hashed_by_identity(self, make):
+        # with array fields, value equality raised "truth value ... is ambiguous" and
+        # hash() raised TypeError
+        a, b = make(), make()
+        assert (a == b) is False and a != b
+        assert a == a
+        assert hash(a) == hash(a) and hash(a) != hash(b)
+        alive = weakref.WeakSet([a, b])
+        assert len(alive) == 2
+        del b
+        assert list(alive) == [a]
 
 
 class TestBilinear:
