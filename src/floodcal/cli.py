@@ -2,16 +2,21 @@
 
 Stages communicate only through files in the configured runs/output
 directories, so each can be rerun in isolation and external models can be
-substituted for the synthetic one by writing the same artifacts.  Every
-stage's outputs get a manifest with the config digest and the seeds it
+substituted for the synthetic one by writing the same artifacts.  ``STAGES``
+is the one table of them: each stage's function and help text, and the
+artifacts it reads and writes as path templates.  Every artifact path comes
+from those templates through ``_path``, and ``main`` checks a stage's reads
+before calling it; a missing one is named with the stage that writes it.
+Every stage's outputs get a manifest with the config digest and the seeds it
 consumed; rerunning a stage with unchanged inputs reproduces its outputs
 byte for byte.  The run matrix is also cached under the output directory,
 keyed by the content it is built from: ``run-synth`` stores the matrix of
 the runs it wrote, and ``_load_ensemble`` builds and stores it on a miss.
 
 Exit codes: 0 success, 2 config error, 3 missing or malformed upstream
-artifact, 4 numerical failure, including a component-count mismatch and a
-hold-out that leaves fewer than 2 expensive runs.
+artifact, a file where a directory belongs or the reverse included, 4
+numerical failure, including a component-count mismatch and a hold-out that
+leaves fewer than 2 expensive runs.
 """
 
 from __future__ import annotations
@@ -94,10 +99,7 @@ from .synthmodel import (
     simulate_observation,  # noqa: F401 - unused here, but perfbench's tracer wraps it here
 )
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_MISSING = 3
-EXIT_NUMERICAL = 4
+EXIT_OK, EXIT_CONFIG, EXIT_MISSING, EXIT_NUMERICAL = 0, 2, 3, 4
 
 
 @dataclass
@@ -262,15 +264,30 @@ def _make_dir(path: Path) -> None:
         raise ConfigError(f"cannot create output directory {path}: {err}") from err
 
 
-def _require(path: Path, what: str) -> Path:
-    if not Path(path).exists():
-        raise MissingArtifact(f"{what} not found: {path}")
-    return Path(path)
+def _path(cfg: ExperimentConfig, template: str, approach: str | None = None) -> Path:
+    """The path an artifact template of ``STAGES`` names, for ``approach`` or else cfg's."""
+    return Path(template.format(runs=cfg.runs_dir, out=cfg.out_dir,
+                                approach=approach or cfg.approach))
 
 
-def _finish(cfg: ExperimentConfig, stage: str, path: Path, summary: str, **fields) -> None:
-    """Write the stage manifest to ``path`` and print the stage's summary line."""
-    write_manifest(path, {"stage": stage, "config_digest": cfg.digest, **fields})
+def _check(cfg: ExperimentConfig, template: str, path: Path | None = None) -> Path:
+    """``path``, by default the one ``template`` names, if it is a directory where the
+    template ends in / and a file elsewhere; else raise, naming the stage that writes it."""
+    want_dir = template.endswith("/")
+    path = _path(cfg, template) if path is None else path
+    if path.is_dir() if want_dir else path.is_file():
+        return path
+    writer = next(name for name, (*_, writes) in STAGES.items()
+                  if _path(cfg, template) in [_path(cfg, t) for t in writes])
+    if not path.exists():
+        raise MissingArtifact(f"{path} not found; the {writer} stage writes it")
+    raise MalformedArtifact(f"{path} is not a {'directory' if want_dir else 'file'}; "
+                            f"the {writer} stage writes it")
+
+
+def _finish(cfg: ExperimentConfig, stage: str, template: str, summary: str, **fields) -> None:
+    """Write the stage manifest ``template`` names and print the stage's summary line."""
+    write_manifest(_path(cfg, template), {"stage": stage, "config_digest": cfg.digest, **fields})
     print(summary)
 
 
@@ -283,8 +300,8 @@ def cmd_design(cfg: ExperimentConfig, seed: int | None = None) -> None:
     expensive = maximin_lhs(cfg.space, cfg.n_expensive, exp_seed, cfg.n_candidates)
     full = augment_cheap(expensive, cfg.space, cfg.extra_cheap, cheap_seed)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_design_csv(full, cfg.out_dir / "design.csv")
-    _finish(cfg, "design", cfg.out_dir / "design.manifest.json",
+    write_design_csv(full, _path(cfg, DESIGN))
+    _finish(cfg, "design", DESIGN_MANIFEST,
             f"design: {full.n_expensive} expensive + {full.n_cheap} cheap points",
             seed=seed, n_expensive=full.n_expensive, n_cheap=full.n_cheap,
             n_candidates=cfg.n_candidates)
@@ -292,7 +309,7 @@ def cmd_design(cfg: ExperimentConfig, seed: int | None = None) -> None:
 
 def _load_design(cfg: ExperimentConfig) -> Design:
     """The nested design: expensive rows first, each with a cheap twin."""
-    path = _require(cfg.out_dir / "design.csv", "design")
+    path = _path(cfg, DESIGN)
     design = read_design_csv(path, cfg.space)
     try:
         if np.any(design.fidelity[: design.n_expensive] != EXPENSIVE):
@@ -318,45 +335,37 @@ def cmd_run_synth(cfg: ExperimentConfig, seed: int | None = None, _threads: int 
             raise ModelRunFailed(tuple(theta), f"design row {i}: {err}") from err
 
     grids = [run_row(i) for i in range(len(design.points))]
-    files = []
-    for i, grid in enumerate(grids):
-        name = f"run_{i:04d}_{design.fidelity[i]}.asc"
-        write_ascii_grid(grid, cfg.runs_dir / name)
-        files.append(name)
+    paths = [_path(cfg, RUN_GRIDS.replace("*", f"{i:04d}_{tag}"))
+             for i, tag in enumerate(design.fidelity)]
+    for grid, path in zip(grids, paths):
+        write_ascii_grid(grid, path)
+    write_ascii_grid(observation_grid(cfg.theta_star, cfg.synth, seed), _path(cfg, OBSERVATION))
 
-    write_ascii_grid(observation_grid(cfg.theta_star, cfg.synth, seed),
-                     cfg.runs_dir / "observation.asc")
-
-    _finish(cfg, "run-synth", cfg.runs_dir / "runs.manifest.json",
-            f"run-synth: {len(files)} runs + observation written to {cfg.runs_dir}",
+    _finish(cfg, "run-synth", RUNS_MANIFEST,
+            f"run-synth: {len(paths)} runs + observation written to {cfg.runs_dir}",
             observation_seed=seed, theta_star=list(cfg.theta_star),
             noise_sd=cfg.synth.noise_sd,
-            runs=[
-                {"row": i, "file": files[i], "fidelity": design.fidelity[i],
-                 "theta": list(design.points[i])}
-                for i in range(len(files))
-            ])
+            runs=[{"row": i, "file": path.name, "fidelity": design.fidelity[i],
+                   "theta": list(design.points[i])} for i, path in enumerate(paths)])
     # %.17g grids read back as these floats, so the matrix is the one emulate would build
     locations = shared_locations(cfg.synth)
-    ensemble = build_ensemble([g for g, f in zip(grids, design.fidelity) if f == EXPENSIVE],
-                              [g for g, f in zip(grids, design.fidelity) if f == CHEAP],
-                              design, locations)
-    key = _ensemble_key(cfg, [cfg.runs_dir / name for name in files], locations)
-    _store_ensemble(cfg.out_dir, key, ensemble.depths)
+    ensemble = build_ensemble(*([g for g, f in zip(grids, design.fidelity) if f == tag]
+                                for tag in (EXPENSIVE, CHEAP)), design, locations)
+    _store_ensemble(cfg, _ensemble_key(cfg, paths, locations), ensemble.depths)
 
 
 def _load_ensemble(cfg: ExperimentConfig) -> RunEnsemble:
     """The design's runs, as listed in the runs manifest, on the shared locations.
 
-    The run matrix is kept in ``out/ensemble.npy`` under ``_ensemble_key``,
+    The run matrix is kept in the ``ENSEMBLE`` pair under ``_ensemble_key``,
     stored by ``run-synth`` or by the first load after it.  When the key and
     the matrix's own checksum match, the matrix is loaded instead of parsing
     and interpolating the grids again; anything else rebuilds and rewrites it.
     """
     design = _load_design(cfg)
-    manifest_path = _require(cfg.runs_dir / "runs.manifest.json", "runs manifest")
+    manifest_path = _path(cfg, RUNS_MANIFEST)
     try:
-        run_paths = {entry["row"]: _require(cfg.runs_dir / entry["file"], "model run")
+        run_paths = {entry["row"]: _check(cfg, RUN_GRIDS, cfg.runs_dir / entry["file"])
                      for entry in read_manifest(manifest_path)["runs"]}
     except (KeyError, TypeError, ValueError) as err:
         raise MalformedArtifact(f"{manifest_path}: unreadable runs manifest: {err!r}") from err
@@ -365,49 +374,47 @@ def _load_ensemble(cfg: ExperimentConfig) -> RunEnsemble:
         raise MalformedArtifact(f"{manifest_path} lists no run for design rows {unlisted}")
     locations = shared_locations(cfg.synth)
     key = _ensemble_key(cfg, run_paths.values(), locations)
-    depths = _cached_depths(cfg.out_dir, key, (len(design.points), len(locations)))
+    depths = _cached_depths(cfg, key, (len(design.points), len(locations)))
     if depths is not None:
         return RunEnsemble(depths, design, locations)
 
     grids = {row: read_ascii_grid(path) for row, path in run_paths.items()}
-    rows = range(len(design.points))
-    exp_grids = [grids[i] for i in rows if design.fidelity[i] == EXPENSIVE]
-    cheap_grids = [grids[i] for i in rows if design.fidelity[i] == CHEAP]
-    ensemble = build_ensemble(exp_grids, cheap_grids, design, locations)
-    _store_ensemble(cfg.out_dir, key, ensemble.depths)
+    ensemble = build_ensemble(*([grids[i] for i, f in enumerate(design.fidelity) if f == tag]
+                                for tag in (EXPENSIVE, CHEAP)), design, locations)
+    _store_ensemble(cfg, key, ensemble.depths)
     return ensemble
 
 
 def _ensemble_key(cfg: ExperimentConfig, run_paths, locations) -> str:
     """The run matrix's cache key: a sha256 over the package version, the bytes
-    of ``design.csv``, ``runs.manifest.json`` and ``run_paths`` (in manifest
-    order), and the location coordinates."""
+    of ``DESIGN``, ``RUNS_MANIFEST`` and ``run_paths`` (in manifest order), and
+    the location coordinates."""
     digest = hashlib.sha256(__version__.encode())
-    for path in (cfg.out_dir / "design.csv", cfg.runs_dir / "runs.manifest.json", *run_paths):
+    for path in (_path(cfg, DESIGN), _path(cfg, RUNS_MANIFEST), *run_paths):
         digest.update(hashlib.sha256(path.read_bytes()).digest())  # one file in memory at a time
     digest.update(hashlib.sha256(np.ascontiguousarray(locations.coords)).digest())
     return digest.hexdigest()
 
 
-def _store_ensemble(out_dir: Path, key: str, depths: np.ndarray) -> None:
+def _store_ensemble(cfg: ExperimentConfig, key: str, depths: np.ndarray) -> None:
     """Save the run matrix under ``key``, each file through a temporary name."""
+    matrix, meta = (_path(cfg, template) for template in ENSEMBLE)
     # matrix first: a manifest left over from an earlier build then fails the checksum
-    tmp = out_dir / "ensemble.npy.tmp"
-    with open(tmp, "wb") as fh:
+    with open(f"{matrix}.tmp", "wb") as fh:
         np.save(fh, depths)
-    os.replace(tmp, out_dir / "ensemble.npy")
-    tmp = out_dir / "ensemble.manifest.json.tmp"
-    write_manifest(tmp, {"key": key, "sha256": hashlib.sha256(depths).hexdigest()})
-    os.replace(tmp, out_dir / "ensemble.manifest.json")
+    os.replace(f"{matrix}.tmp", matrix)
+    write_manifest(f"{meta}.tmp", {"key": key, "sha256": hashlib.sha256(depths).hexdigest()})
+    os.replace(f"{meta}.tmp", meta)
 
 
-def _cached_depths(out_dir: Path, key: str, shape: tuple) -> np.ndarray | None:
+def _cached_depths(cfg: ExperimentConfig, key: str, shape: tuple) -> np.ndarray | None:
     """The cached run matrix if it was built under ``key`` and is intact, else None."""
+    matrix, meta = (_path(cfg, template) for template in ENSEMBLE)
     try:
-        meta = read_manifest(out_dir / "ensemble.manifest.json")
+        meta = read_manifest(meta)
         if meta["key"] != key:
             return None
-        depths = np.load(out_dir / "ensemble.npy", allow_pickle=False)
+        depths = np.load(matrix, allow_pickle=False)
         intact = (isinstance(depths, np.ndarray) and depths.shape == shape
                   and depths.dtype == np.float64 and depths.flags.c_contiguous
                   and hashlib.sha256(depths).hexdigest() == meta["sha256"])
@@ -423,11 +430,11 @@ def cmd_emulate(cfg: ExperimentConfig, seed: int | None = None, _threads: int = 
     held = np.flatnonzero(edge_mask(design, cfg.edge_bands)) if cfg.apply_edge_bands else []
     basis, emulators, _, _, _ = _fit_holdout(cfg, design, ensemble, held, seed)
 
-    save_basis(basis, cfg.out_dir / "basis")
+    save_basis(basis, _path(cfg, BASIS))
     for label, emu in emulators.items():
-        save_emulator(emu, cfg.out_dir / f"emulator_{label}")
+        save_emulator(emu, _path(cfg, EMULATOR, label))
     n_locations = len(ensemble.locations)
-    _finish(cfg, "emulate", cfg.out_dir / "emulate.manifest.json",
+    _finish(cfg, "emulate", EMULATE_MANIFEST,
             f"emulate: {basis.n_components} components capture "
             f"{100 * basis.variance_fraction:.2f}% variance at {n_locations} locations",
             seed=seed, n_locations=n_locations, n_components=basis.n_components,
@@ -436,34 +443,22 @@ def cmd_emulate(cfg: ExperimentConfig, seed: int | None = None, _threads: int = 
             n_expensive=design.n_expensive - len(held), n_cheap=design.n_cheap)
 
 
-def _load_observation(cfg: ExperimentConfig) -> Observation:
-    obs_grid = read_ascii_grid(_require(cfg.runs_dir / "observation.asc", "observation"))
-    locations = shared_locations(cfg.synth)
-    return Observation(flatten(obs_grid, locations), locations)
-
-
 def cmd_calibrate(cfg: ExperimentConfig, seed: int | None = None) -> None:
     seed = cfg.seeds["mcmc"] if seed is None else seed
-    basis = load_basis(_require(cfg.out_dir / "basis", "basis archive"))
-    emulator = load_emulator(
-        _require(cfg.out_dir / f"emulator_{cfg.approach}", f"{cfg.approach} emulator")
-    )
-    obs = _load_observation(cfg)
-    z_r = reduce_observation(obs, basis)
+    basis = load_basis(_path(cfg, BASIS))
+    emulator = load_emulator(_path(cfg, EMULATOR))
+    locations = shared_locations(cfg.synth)
+    obs_grid = read_ascii_grid(_path(cfg, OBSERVATION))
+    z_r = reduce_observation(Observation(flatten(obs_grid, locations), locations), basis)
 
-    mcmc = McmcConfig(
-        iterations=cfg.iterations,
-        seed=seed,
-        burn_in=int(cfg.burn_in_fraction * cfg.iterations),
-        adapt=cfg.adapt,
-    )
+    mcmc = McmcConfig(iterations=cfg.iterations, seed=seed, adapt=cfg.adapt,
+                      burn_in=int(cfg.burn_in_fraction * cfg.iterations))
     chain = run_mh(z_r, emulator, basis, CalibrationPriors(cfg.noise_guess), mcmc)
-    name = f"chain_{cfg.approach}"
-    save_chain(chain, cfg.out_dir / f"{name}.csv")
+    save_chain(chain, _path(cfg, CHAIN))
 
     ess_min = min(chain.ess.values())
     flag = "" if ess_min >= ESS_TARGET else f" (target {ESS_TARGET} not met)"
-    _finish(cfg, "calibrate", cfg.out_dir / f"{name}.manifest.json",
+    _finish(cfg, "calibrate", CHAIN_MANIFEST,
             f"calibrate[{cfg.approach}]: {chain.n_kept} retained samples, "
             f"min ESS {ess_min:.0f}{flag}",
             seed=seed, approach=cfg.approach, iterations=cfg.iterations,
@@ -475,8 +470,7 @@ def cmd_calibrate(cfg: ExperimentConfig, seed: int | None = None) -> None:
 
 def cmd_project(cfg: ExperimentConfig, seed: int | None = None, _threads: int = 1) -> None:
     seed = cfg.seeds["thin"] if seed is None else seed
-    chain_path = _require(cfg.out_dir / f"chain_{cfg.approach}.csv", "posterior chain")
-    meta_path = _require(cfg.out_dir / f"chain_{cfg.approach}.manifest.json", "chain manifest")
+    chain_path, meta_path = _path(cfg, CHAIN), _path(cfg, CHAIN_MANIFEST)
     samples, names = load_chain_samples(chain_path)
     try:
         meta = read_manifest(meta_path)
@@ -486,23 +480,16 @@ def cmd_project(cfg: ExperimentConfig, seed: int | None = None, _threads: int = 
     if len(samples) != n_kept:  # a calibrate that died mid-write leaves a short chain
         raise MalformedArtifact(f"{chain_path}: {len(samples)} samples, but {meta_path.name} "
                                 f"records iterations - burn_in = {n_kept}")
-    chain = PosteriorChain(
-        samples=samples,
-        log_posterior=np.zeros(len(samples)),
-        accepted_mask=np.zeros(len(samples), dtype=np.int64),
-        acceptance_rates=np.zeros(samples.shape[1]),
-        names=names,
-        seed=seed,
-        burn_in=0,
-        iterations=len(samples),
-    )
-    if chain.theta_names != list(cfg.space.names):
+    if names[:-1] != list(cfg.space.names):  # every column but the last, sigma2_eps
         raise MalformedArtifact(f"{chain_path}: columns {names} do not match the parameters "
                                 f"{list(cfg.space.names)}")
-    thetas = thin(chain, min(cfg.n_thinned, chain.n_kept), seed)
+    n = len(samples)  # thin reads the samples and names only
+    chain = PosteriorChain(samples, np.zeros(n), np.zeros(n, dtype=np.int64),
+                           np.zeros(samples.shape[1]), names, seed, burn_in=0, iterations=n)
+    thetas = thin(chain, min(cfg.n_thinned, n), seed)
     projection = calibrated_projection(thetas, expensive_model_adapter(cfg.synth))
-    write_ascii_grid(projection, cfg.out_dir / f"projection_{cfg.approach}.asc")
-    _finish(cfg, "project", cfg.out_dir / f"projection_{cfg.approach}.manifest.json",
+    write_ascii_grid(projection, _path(cfg, PROJECTION))
+    _finish(cfg, "project", PROJECTION_MANIFEST,
             f"project[{cfg.approach}]: mean of {len(thetas)} thinned projections written",
             seed=seed, approach=cfg.approach, n_thinned=len(thetas),
             thetas=[list(t) for t in thetas])
@@ -510,42 +497,36 @@ def cmd_project(cfg: ExperimentConfig, seed: int | None = None, _threads: int = 
 
 def cmd_diagnose(cfg: ExperimentConfig, seed: int | None = None) -> None:
     seed = cfg.seeds["diagnose"] if seed is None else seed
-
-    projection = read_ascii_grid(
-        _require(cfg.out_dir / f"projection_{cfg.approach}.asc", "calibrated projection")
-    )
-    obs_grid = read_ascii_grid(_require(cfg.runs_dir / "observation.asc", "observation"))
+    projection = read_ascii_grid(_path(cfg, PROJECTION))
+    obs_grid = read_ascii_grid(_path(cfg, OBSERVATION))
     archive = _warm_archive(cfg)
+    ensemble = _load_ensemble(cfg)  # every input is read before the first output is written
+    design = ensemble.design
     report = extent_metrics(projection, obs_grid, cfg.flood_threshold)
 
-    metrics = {"approach": cfg.approach, "flood_threshold": cfg.flood_threshold}
-    metrics.update(report.to_dict())
-    write_manifest(cfg.out_dir / "metrics.json", metrics)
-    with open(cfg.out_dir / "metrics.txt", "w") as fh:
-        fh.write(f"projection vs observation ({cfg.approach})\n")
-        fh.write(f"{'RMSE (m)':<16}{report.rmse:.4f}\n")
-        fh.write(f"{'Percent bias':<16}{report.percent_bias:.2f}\n")
-        fh.write(f"{'Fit':<16}{report.fit:.3f}\n")
-        fh.write(f"{'Correctness':<16}{report.correctness:.3f}\n")
-
     # emulator validation: hold out expensive runs, whiten errors per leading PC
-    ensemble = _load_ensemble(cfg)
-    design = ensemble.design
-
     rng = np.random.default_rng(seed)
     p_e = design.n_expensive
     # T reference needs test size > mean-parameter count (2*(k+1) for MR)
     n_min = 2 * (cfg.space.k + 1) + 1
     n_hold = max(n_min, round(cfg.holdout_fraction * p_e))
     if p_e - n_hold < 2:
-        raise NonPositiveDf(
-            f"{p_e} expensive runs are too few for USPE validation "
-            f"(need {n_min} test + 2 training points)"
-        )
+        raise NonPositiveDf(f"{p_e} expensive runs are too few for USPE validation "
+                            f"(need {n_min} test + 2 training points)")
     held_idx = np.sort(rng.choice(p_e, size=n_hold, replace=False))
+
+    metrics = {"approach": cfg.approach, "flood_threshold": cfg.flood_threshold}
+    metrics.update(report.to_dict())
+    write_manifest(_path(cfg, METRICS_JSON), metrics)
+    with open(_path(cfg, METRICS_TEXT), "w") as fh:
+        fh.write(f"projection vs observation ({cfg.approach})\n"
+                 f"{'RMSE (m)':<16}{report.rmse:.4f}\n"
+                 f"{'Percent bias':<16}{report.percent_bias:.2f}\n"
+                 f"{'Fit':<16}{report.fit:.3f}\n"
+                 f"{'Correctness':<16}{report.correctness:.3f}\n")
     uspe_written = _uspe_validation(cfg, design, ensemble, held_idx, seed, archive)
 
-    _finish(cfg, "diagnose", cfg.out_dir / "diagnose.manifest.json",
+    _finish(cfg, "diagnose", DIAGNOSE_MANIFEST,
             f"diagnose[{cfg.approach}]: rmse {report.rmse:.4f} m, bias "
             f"{report.percent_bias:.2f}%, fit {report.fit:.3f}, "
             f"correctness {report.correctness:.3f}",
@@ -557,19 +538,14 @@ def _train_test_split(design: Design, ensemble: RunEnsemble, held_exp_idx: np.nd
     """The ensemble without the given expensive rows, and those rows' depths and settings."""
     n_left = design.n_expensive - len(held_exp_idx)
     if n_left < 2:
-        raise AllExpensiveRemoved(
-            f"holding out {len(held_exp_idx)} of {design.n_expensive} expensive runs leaves "
-            f"{n_left}; the emulators need at least 2"
-        )
+        raise AllExpensiveRemoved(f"holding out {len(held_exp_idx)} of {design.n_expensive} "
+                                  f"expensive runs leaves {n_left}; the emulators need at least 2")
     if len(held_exp_idx) == 0:  # no copy of the depth matrix when nothing is held out
         return ensemble, ensemble.depths[:0], design.points[:0]
     held_rows = np.zeros(len(design.points), dtype=bool)
     held_rows[held_exp_idx] = True  # expensive rows come first
-    train = RunEnsemble(
-        ensemble.depths[~held_rows],
-        Design(design.points[~held_rows], design.fidelity[~held_rows], design.space),
-        ensemble.locations,
-    )
+    train = RunEnsemble(ensemble.depths[~held_rows], Design(
+        design.points[~held_rows], design.fidelity[~held_rows], design.space), ensemble.locations)
     return train, ensemble.depths[held_rows], design.points[held_rows]
 
 
@@ -581,18 +557,16 @@ def _warm_archive(cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
     basis archive disagree on the component count, or the emulator's space
     on the dimension count.
     """
-    basis = load_basis(_require(cfg.out_dir / "basis", "basis archive"))
+    basis = load_basis(_path(cfg, BASIS))
     params = {}
     for label in ("mr", "hr"):
-        path = _require(cfg.out_dir / f"emulator_{label}", f"{label} emulator")
+        path = _path(cfg, EMULATOR, label)
         parsed = read_emulator_archive(path)
         params[label], k = parsed["params_list"], parsed["space"].k
         if len(params[label]) != basis.n_components or k != cfg.space.k:
             raise DimensionMismatch(
-                f"{path} has {len(params[label])} components over {k} dimensions, the "
-                f"basis archive {basis.n_components} components and the config {cfg.space.k} "
-                f"dimensions"
-            )
+                f"{path} has {len(params[label])} components over {k} dimensions, the basis "
+                f"archive {basis.n_components} components and the config {cfg.space.k} dimensions")
     return basis.components, params
 
 
@@ -644,13 +618,12 @@ def _leading_components(basis, fraction: float = 0.75) -> int:
 
 def _uspe_validation(cfg, design, ensemble, held_idx, seed, archive) -> list:
     basis, emulators, test_thetas, _, test_scores = _fit_holdout(
-        cfg, design, ensemble, held_idx, seed, archive=archive
-    )
+        cfg, design, ensemble, held_idx, seed, archive=archive)
     n_lead = _leading_components(basis)
     written = []
     for label, emu in emulators.items():
         joint = predict_joint(emu, test_thetas)
-        path = cfg.out_dir / f"uspe_{label}.csv"
+        path = _path(cfg, USPE, label)
         with open(path, "w") as fh:
             fh.write("component,empirical,theoretical\n")
             for j in range(n_lead):
@@ -671,8 +644,7 @@ def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, _threads: int =
 
     rng = np.random.default_rng(seed)
     p_e = design.n_expensive
-    perm = rng.permutation(p_e)
-    folds = np.array_split(perm, cfg.folds)
+    folds = np.array_split(rng.permutation(p_e), cfg.folds)
     fold_seeds = child_seeds(seed, len(folds) + 1)
 
     cv_d = []
@@ -682,31 +654,20 @@ def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, _threads: int =
         cv_d.extend(_holdout_d_values(cfg, design, ensemble, np.sort(fold), fold_seed, archive))
 
     held_edge = np.flatnonzero(edge_mask(design, cfg.edge_bands)[:p_e])
-    edge_d = None
-    if held_edge.size:
-        edge_d = _holdout_d_values(cfg, design, ensemble, held_edge, fold_seeds[-1], archive)
+    edge_d = (_holdout_d_values(cfg, design, ensemble, held_edge, fold_seeds[-1], archive)
+              if held_edge.size else None)
 
-    result = {
-        "label": label,
-        "cross_validation": {
-            "quartiles": list(summarize_d(cv_d)),
-            "n_points": len(cv_d),
-        },
-    }
-    tables = {label: summarize_d(cv_d)}
-    if edge_d is not None:
-        result["edge_case"] = {
-            "quartiles": list(summarize_d(edge_d)),
-            "n_points": len(edge_d),
-        }
-    with open(cfg.out_dir / "crossval.txt", "w") as fh:
-        fh.write("Cross validation: difference in RMSE between MR and HR (m)\n")
-        fh.write(format_d_table(tables))
-        if edge_d is not None:
-            fh.write("\nEdge cases: difference in RMSE between MR and HR (m)\n")
-            fh.write(format_d_table({label: summarize_d(edge_d)}))
     q = summarize_d(cv_d)
-    _finish(cfg, "crossval", cfg.out_dir / "crossval.json",
+    result = {"label": label, "cross_validation": {"quartiles": list(q), "n_points": len(cv_d)}}
+    with open(_path(cfg, CROSSVAL_TEXT), "w") as fh:
+        fh.write("Cross validation: difference in RMSE between MR and HR (m)\n")
+        fh.write(format_d_table({label: q}))
+        if edge_d is not None:
+            edge_q = summarize_d(edge_d)
+            result["edge_case"] = {"quartiles": list(edge_q), "n_points": len(edge_d)}
+            fh.write("\nEdge cases: difference in RMSE between MR and HR (m)\n")
+            fh.write(format_d_table({label: edge_q}))
+    _finish(cfg, "crossval", CROSSVAL_JSON,
             f"crossval[{label}]: D(MR-HR) Q1 {q[0]:.3f} median {q[1]:.3f} "
             f"mean {q[2]:.3f} Q3 {q[3]:.3f}",
             seed=seed, **result)
@@ -715,39 +676,68 @@ def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, _threads: int =
 def _holdout_d_values(cfg, design, ensemble, held_idx, seed, archive) -> list:
     """Per-held-out-point RMSE difference between the MR and HR emulators."""
     basis, emulators, test_thetas, test_depths, _ = _fit_holdout(
-        cfg, design, ensemble, held_idx, seed, archive
-    )
+        cfg, design, ensemble, held_idx, seed, archive)
     pred_mr, pred_hr = (reconstruct(basis, predict_many(emu, test_thetas)[0])
                         for emu in emulators.values())
     return [d_mr_hr(rmse(mr, depths), rmse(hr, depths))
             for mr, hr, depths in zip(pred_mr, pred_hr, test_depths)]
 
 
-# --- entry point ---------------------------------------------------------
+# --- stage table and entry point ---------------------------------------------
 
-# stage name -> (function, help text); every stage takes --config, --seed and --out and is
-# called as function(cfg, seed); the _threads of four is unused, for perfbench's _call_stage.
+# The artifacts, as path templates: {runs} and {out} are the config's runs and output
+# directories, {approach} its calibration approach or the label given to _path, and a
+# trailing / marks a directory.  The run grids are those runs.manifest.json lists, hence a
+# pattern.  ENSEMBLE, the run-matrix cache, is in no stage's reads: a stage that loads the
+# run matrix reads the pair when its key matches and rewrites it when not.
+DESIGN, DESIGN_MANIFEST = "{out}/design.csv", "{out}/design.manifest.json"
+RUN_GRIDS, OBSERVATION = "{runs}/run_*.asc", "{runs}/observation.asc"
+RUNS_MANIFEST = "{runs}/runs.manifest.json"
+ENSEMBLE = ("{out}/ensemble.npy", "{out}/ensemble.manifest.json")
+BASIS, EMULATOR = "{out}/basis/", "{out}/emulator_{approach}/"
+EMULATE_MANIFEST = "{out}/emulate.manifest.json"
+CHAIN, CHAIN_MANIFEST = "{out}/chain_{approach}.csv", "{out}/chain_{approach}.manifest.json"
+PROJECTION = "{out}/projection_{approach}.asc"
+PROJECTION_MANIFEST = "{out}/projection_{approach}.manifest.json"
+METRICS_JSON, METRICS_TEXT = "{out}/metrics.json", "{out}/metrics.txt"
+USPE, DIAGNOSE_MANIFEST = "{out}/uspe_{approach}.csv", "{out}/diagnose.manifest.json"
+CROSSVAL_TEXT, CROSSVAL_JSON = "{out}/crossval.txt", "{out}/crossval.json"
+# emulate and the hold-out fits of diagnose and crossval fit both approaches
+EMULATORS = tuple(EMULATOR.replace("{approach}", a) for a in ("mr", "hr"))
+USPES = tuple(USPE.replace("{approach}", a) for a in ("mr", "hr"))
+RUN_MATRIX = (DESIGN, RUNS_MANIFEST, RUN_GRIDS)  # what _load_ensemble reads
+
+# stage name -> (function, help text, reads, writes), reads and writes being the templates
+# above.  Every stage takes --config, --seed and --out and is called as function(cfg, seed);
+# the _threads of four is unused, for perfbench's _call_stage.  main checks a stage's
+# reads before calling it, but the run grids, which _load_ensemble checks.
 # ``run`` is not a stage: it calls these in this order in one process.
 STAGES = {
-    "design": (cmd_design, "generate the nested maximin LHS design"),
-    "run-synth": (cmd_run_synth, "run the synthetic two-fidelity model over the design"),
-    "emulate": (cmd_emulate, "reduce dimensions and fit the MR and HR emulators"),
-    "calibrate": (cmd_calibrate, "sample the posterior over (theta, sigma2_eps)"),
-    "project": (cmd_project, "average model runs at thinned posterior samples"),
-    "diagnose": (cmd_diagnose, "projection metrics and emulator validation"),
-    "crossval": (cmd_crossval, "cross-validation and edge-case D(MR-HR) tables"),
+    "design": (cmd_design, "generate the nested maximin LHS design",
+               (), (DESIGN, DESIGN_MANIFEST)),
+    "run-synth": (cmd_run_synth, "run the synthetic two-fidelity model over the design",
+                  (DESIGN,), (RUN_GRIDS, OBSERVATION, RUNS_MANIFEST, *ENSEMBLE)),
+    "emulate": (cmd_emulate, "reduce dimensions and fit the MR and HR emulators",
+                RUN_MATRIX, (BASIS, *EMULATORS, EMULATE_MANIFEST)),
+    "calibrate": (cmd_calibrate, "sample the posterior over (theta, sigma2_eps)",
+                  (BASIS, EMULATOR, OBSERVATION), (CHAIN, CHAIN_MANIFEST)),
+    "project": (cmd_project, "average model runs at thinned posterior samples",
+                (CHAIN, CHAIN_MANIFEST), (PROJECTION, PROJECTION_MANIFEST)),
+    "diagnose": (cmd_diagnose, "projection metrics and emulator validation",
+                 (PROJECTION, OBSERVATION, BASIS, *EMULATORS, *RUN_MATRIX),
+                 (METRICS_JSON, METRICS_TEXT, *USPES, DIAGNOSE_MANIFEST)),
+    "crossval": (cmd_crossval, "cross-validation and edge-case D(MR-HR) tables",
+                 (BASIS, *EMULATORS, *RUN_MATRIX), (CROSSVAL_TEXT, CROSSVAL_JSON)),
 }
 RUN_HELP = "run several stages in one process, in the order above, stopping at the first failure"
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="floodcal",
-        description="Multiresolution GP emulation-calibration pipeline",
-    )
+        prog="floodcal", description="Multiresolution GP emulation-calibration pipeline")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in [*STAGES.items(), ("run", (None, RUN_HELP))]:
+    for name, (_, help_text, *_) in [*STAGES.items(), ("run", (None, RUN_HELP))]:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="experiment config file (INI)")
         if name == "run":
@@ -775,16 +765,20 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out_dir = Path(args.out)
         _make_dir(cfg.out_dir)
-        for name in STAGES:
+        for name, (function, _, reads, _) in STAGES.items():
             if name in names:
-                STAGES[name][0](cfg, seed)
+                for template in reads:
+                    if "*" not in template:
+                        _check(cfg, template)
+                function(cfg, seed)
     except ConfigError as err:
         print(f"floodcal: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (MissingArtifact, FileNotFoundError) as err:
         print(f"floodcal: missing artifact: {err}", file=sys.stderr)
         return EXIT_MISSING
-    except MalformedArtifact as err:
+    except (MalformedArtifact, IsADirectoryError, NotADirectoryError) as err:
+        # an OSError of the wrong kind is an artifact that is a directory, or one under a file
         print(f"floodcal: malformed artifact: {err}", file=sys.stderr)
         return EXIT_MISSING
     except FloodcalError as err:

@@ -1,3 +1,6 @@
+import builtins
+import fnmatch
+import io
 import json
 import os
 import re
@@ -575,9 +578,54 @@ class TestExitCodes:
     def test_chain_without_its_manifest(self, pipeline, tmp_path, capsys):
         root = tmp_path / "no-manifest"
         shutil.copytree(pipeline, root)
-        (root / "out" / "chain_mr.manifest.json").unlink()
+        manifest = root / "out" / "chain_mr.manifest.json"
+        manifest.unlink()
         assert main(["project", "--config", str(root / "experiment.ini")]) == 3
-        assert "missing artifact: chain manifest not found" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"missing artifact: {manifest} not found; the calibrate stage writes it" in err
+
+    def test_diagnose_checks_its_inputs_before_writing(self, pipeline, tmp_path, capsys):
+        # diagnose once rewrote metrics.json and only then found design.csv missing
+        root = tmp_path / "no-design"
+        shutil.copytree(pipeline, root)
+        design = root / "out" / "design.csv"
+        design.unlink()
+        config = root / "experiment.ini"
+        config.write_text(config.read_text() + "\n[diagnose]\nflood_threshold = 0.2\n")
+        metrics = root / "out" / "metrics.json"
+        before = metrics.read_bytes()
+        assert main(["diagnose", "--config", str(config)]) == 3
+        assert metrics.read_bytes() == before
+        assert f"{design} not found; the design stage writes it" in capsys.readouterr().err
+        with pytest.raises(FileNotFoundError):  # called directly, as perfbench calls it
+            cli.cmd_diagnose(cli.load_config(config))
+        assert metrics.read_bytes() == before
+
+    @pytest.mark.parametrize("stage, artifact, kind", [
+        ("calibrate", "out/basis", "file"),
+        ("calibrate", "out/basis/basis.json", "directory"),
+        ("calibrate", "out/emulator_mr/params.csv", "directory"),
+        ("calibrate", "runs/observation.asc", "directory"),
+        ("project", "out/chain_mr.manifest.json", "directory"),
+        ("emulate", "out/design.csv", "directory"),
+        ("emulate", "runs/run_0000_expensive.asc", "directory"),
+    ], ids=["basis", "basis-manifest", "emulator-params", "observation", "chain-manifest",
+            "design", "run-grid"])
+    def test_artifact_of_the_wrong_kind(self, pipeline, tmp_path, capsys, stage, artifact, kind):
+        # each once escaped as an IsADirectoryError or NotADirectoryError traceback
+        root = tmp_path / "kind"
+        shutil.copytree(pipeline, root)
+        path = root / artifact
+        if path.is_dir():
+            shutil.rmtree(path)
+            path.write_text("")
+        else:
+            path.unlink()
+            path.mkdir()
+        assert path.is_dir() == (kind == "directory")
+        assert main([stage, "--config", str(root / "experiment.ini")]) == 3
+        err = capsys.readouterr().err
+        assert "malformed artifact" in err and str(path) in err
 
 
 def _fresh_depths(cfg) -> np.ndarray:
@@ -861,3 +909,78 @@ class TestRun:
             main(["run", "--config", str(config), "--seed", "1"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def _covers(declared: Path, path: Path) -> bool:
+    """Whether a declared artifact path covers ``path``: it is that path, a directory
+    the path lies under, or a pattern the path's name matches."""
+    return (declared in path.parents
+            or declared.parent == path.parent and fnmatch.fnmatchcase(path.name, declared.name))
+
+
+def _stage_io(monkeypatch, stage: str, config: Path) -> tuple[set, set]:
+    """Run ``stage`` through ``main`` with ``open`` and ``os.replace`` recorded.
+
+    Returns the files under the run root, the config aside, that the stage
+    opened for reading, and those it created or replaced: a file renamed into
+    place counts under its final name, not its temporary one.  A file read
+    after the stage wrote it is not an input (run-synth hashes the run grids
+    and manifest it wrote into the run matrix's cache key).
+    """
+    root, real_open, real_replace = config.parent, io.open, os.replace
+    read, written = set(), set()
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        path = Path(file) if isinstance(file, (str, os.PathLike)) else None
+        if path is not None and root in path.parents and path != config:
+            if set(mode) & set("wax+"):
+                written.add(path)
+            elif path not in written:
+                read.add(path)
+        return real_open(file, mode, *args, **kwargs)
+
+    def recording_replace(src, dst, *args, **kwargs):
+        written.discard(Path(src))
+        written.add(Path(dst))
+        return real_replace(src, dst, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", recording_open)  # pathlib opens through io.open
+        patch.setattr(io, "open", recording_open)
+        patch.setattr(os, "replace", recording_replace)
+        assert main([stage, "--config", str(config)]) == 0
+    return read, written
+
+
+class TestStageTable:
+    """``cli.STAGES``: the artifacts each stage declares it reads and writes."""
+
+    @pytest.mark.parametrize("approach", APPROACHES)
+    def test_each_stage_opens_what_it_declares(self, tmp_path, monkeypatch, approach):
+        config = write_config(tmp_path, approach)
+        cfg = cli.load_config(config)
+        cache = [cli._path(cfg, template) for template in cli.ENSEMBLE]  # read on a hit
+        for stage, (_, _, reads, writes) in cli.STAGES.items():
+            read, written = _stage_io(monkeypatch, stage, config)
+            ins, outs = ([cli._path(cfg, t) for t in group] for group in (reads, writes))
+            assert [p for p in read if not any(_covers(d, p) for d in ins + cache)] == [], stage
+            assert [d for d in ins if not any(_covers(d, p) for p in read)] == [], stage
+            assert [p for p in written if not any(_covers(d, p) for d in outs)] == [], stage
+            assert [d for d in outs if not any(_covers(d, p) for p in written)] == [], stage
+        assert tree_digests(tmp_path) == json.loads(GOLDEN.read_text())[approach]
+
+    @pytest.mark.parametrize("approach", APPROACHES)
+    def test_every_read_is_written_by_an_earlier_stage(self, tmp_path, approach):
+        cfg = cli.load_config(write_config(tmp_path, approach))
+        written = []
+        for stage, (_, _, reads, writes) in cli.STAGES.items():
+            for template in reads:
+                assert any(_covers(w, cli._path(cfg, template)) for w in written), (stage, template)
+            written += [cli._path(cfg, template) for template in writes]
+
+    def test_readme_stage_table_matches_the_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([\w-]+)` \| (.*) \| (.*) \|$", readme, flags=re.M)
+        assert [(stage, *(tuple(re.findall(r"`([^`]+)`", cell)) for cell in cells))
+                for stage, *cells in rows] == [
+            (stage, reads, writes) for stage, (_, _, reads, writes) in cli.STAGES.items()]
