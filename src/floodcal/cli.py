@@ -285,10 +285,13 @@ def _check(cfg: ExperimentConfig, template: str, path: Path | None = None) -> Pa
                             f"the {writer} stage writes it")
 
 
-def _finish(cfg: ExperimentConfig, stage: str, template: str, summary: str, **fields) -> None:
-    """Write the stage manifest ``template`` names and print the stage's summary line."""
-    write_manifest(_path(cfg, template), {"stage": stage, "config_digest": cfg.digest, **fields})
+def _finish(cfg: ExperimentConfig, stage: str, template: str, summary: str, **fields) -> bytes:
+    """Write the stage manifest ``template`` names and print the stage's summary line;
+    returns the manifest's sha256 digest."""
+    digest = write_manifest(_path(cfg, template),
+                            {"stage": stage, "config_digest": cfg.digest, **fields})
     print(summary)
+    return digest
 
 
 # --- stages -----------------------------------------------------------------
@@ -337,21 +340,23 @@ def cmd_run_synth(cfg: ExperimentConfig, seed: int | None = None, _threads: int 
     grids = [run_row(i) for i in range(len(design.points))]
     paths = [_path(cfg, RUN_GRIDS.replace("*", f"{i:04d}_{tag}"))
              for i, tag in enumerate(design.fidelity)]
-    for grid, path in zip(grids, paths):
-        write_ascii_grid(grid, path)
+    grid_digests = [write_ascii_grid(grid, path) for grid, path in zip(grids, paths)]
     write_ascii_grid(observation_grid(cfg.theta_star, cfg.synth, seed), _path(cfg, OBSERVATION))
 
-    _finish(cfg, "run-synth", RUNS_MANIFEST,
-            f"run-synth: {len(paths)} runs + observation written to {cfg.runs_dir}",
-            observation_seed=seed, theta_star=list(cfg.theta_star),
-            noise_sd=cfg.synth.noise_sd,
-            runs=[{"row": i, "file": path.name, "fidelity": design.fidelity[i],
-                   "theta": list(design.points[i])} for i, path in enumerate(paths)])
-    # %.17g grids read back as these floats, so the matrix is the one emulate would build
+    manifest_digest = _finish(
+        cfg, "run-synth", RUNS_MANIFEST,
+        f"run-synth: {len(paths)} runs + observation written to {cfg.runs_dir}",
+        observation_seed=seed, theta_star=list(cfg.theta_star), noise_sd=cfg.synth.noise_sd,
+        runs=[{"row": i, "file": path.name, "fidelity": design.fidelity[i],
+               "theta": list(design.points[i])} for i, path in enumerate(paths)])
+    # %.17g grids read back as these floats, so the matrix is the one emulate would build,
+    # under the key emulate computes from the files' bytes
     locations = shared_locations(cfg.synth)
     ensemble = build_ensemble(*([g for g, f in zip(grids, design.fidelity) if f == tag]
                                 for tag in (EXPENSIVE, CHEAP)), design, locations)
-    _store_ensemble(cfg, _ensemble_key(cfg, paths, locations), ensemble.depths)
+    key = _ensemble_key([_file_digest(_path(cfg, DESIGN)), manifest_digest, *grid_digests],
+                        locations)
+    _store_ensemble(cfg, key, ensemble.depths)
 
 
 def _load_ensemble(cfg: ExperimentConfig) -> RunEnsemble:
@@ -373,7 +378,8 @@ def _load_ensemble(cfg: ExperimentConfig) -> RunEnsemble:
     if unlisted:
         raise MalformedArtifact(f"{manifest_path} lists no run for design rows {unlisted}")
     locations = shared_locations(cfg.synth)
-    key = _ensemble_key(cfg, run_paths.values(), locations)
+    digests = map(_file_digest, (_path(cfg, DESIGN), manifest_path, *run_paths.values()))
+    key = _ensemble_key(digests, locations)
     depths = _cached_depths(cfg, key, (len(design.points), len(locations)))
     if depths is not None:
         return RunEnsemble(depths, design, locations)
@@ -385,13 +391,17 @@ def _load_ensemble(cfg: ExperimentConfig) -> RunEnsemble:
     return ensemble
 
 
-def _ensemble_key(cfg: ExperimentConfig, run_paths, locations) -> str:
-    """The run matrix's cache key: a sha256 over the package version, the bytes
-    of ``DESIGN``, ``RUNS_MANIFEST`` and ``run_paths`` (in manifest order), and
-    the location coordinates."""
+def _file_digest(path: Path) -> bytes:
+    return hashlib.sha256(path.read_bytes()).digest()  # one file in memory at a time
+
+
+def _ensemble_key(file_digests, locations) -> str:
+    """The run matrix's cache key: a sha256 over the package version, the
+    sha256 digests of ``DESIGN``, ``RUNS_MANIFEST`` and the run grids (in
+    manifest order), and the location coordinates."""
     digest = hashlib.sha256(__version__.encode())
-    for path in (_path(cfg, DESIGN), _path(cfg, RUNS_MANIFEST), *run_paths):
-        digest.update(hashlib.sha256(path.read_bytes()).digest())  # one file in memory at a time
+    for file_digest in file_digests:
+        digest.update(file_digest)
     digest.update(hashlib.sha256(np.ascontiguousarray(locations.coords)).digest())
     return digest.hexdigest()
 

@@ -160,14 +160,16 @@ def _mean_basis(theta: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((theta.shape[0], 1)), theta])
 
 
-def cholesky(m: np.ndarray) -> tuple[np.ndarray, int]:
+def cholesky(m: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, int]:
     """LAPACK ``potrf``: M's lower factor, upper triangle zeroed, and ``info``.
 
     ``info`` > 0 means M is not positive definite.  This is the call
     ``scipy.linalg.cholesky(m, lower=True)`` makes, without its finiteness
-    scan and shape checks; the factor is Fortran-ordered.
+    scan and shape checks; the factor is Fortran-ordered.  With
+    ``overwrite`` a Fortran-ordered ``m`` is factored in place, and after a
+    failure holds a partial factor.
     """
-    return dpotrf(m, lower=1, clean=1)
+    return dpotrf(m, lower=1, clean=1, overwrite_a=overwrite)
 
 
 def _chol_with_jitter(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,8 +179,11 @@ def _chol_with_jitter(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     once the jitter cap is reached.
     """
     chol, info = cholesky(m)
-    if not info:
-        return chol, m
+    return (chol, m) if not info else _jitter_ladder(m)
+
+
+def _jitter_ladder(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_chol_with_jitter` once the plain factorization of ``m`` failed."""
     base = np.trace(m) / m.shape[0]
     jitter = JITTER_START
     while jitter <= JITTER_MAX * (1 + 1e-12):
@@ -198,14 +203,33 @@ def _positives(params: EmulatorParams) -> np.ndarray:
                             params.nugget_exp], params.range_cheap, params.range_exp])
 
 
+def _symmetrize(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(V + V^T) / 2, into ``out`` when one is given."""
+    m = np.add(v, v.T, out=out)
+    m *= 0.5
+    return m
+
+
 class _FitWorkspace:
-    """Design-fixed pieces of one emulator's training gram.
+    """Design-fixed pieces of one emulator's training gram, and the buffers
+    the MAP objective builds each gram in.
 
     The squared-distance tensors, the trend basis, the trend prior's blocks
     and the diagonal's layout depend on the design only; each gram then
     costs two dense exponentials.  A nugget is independent per-run noise: it
     sits on the diagonal only, so two runs of one fidelity at the same
     setting are two noisy looks at one value.
+
+    The objective's first call allocates three n x n buffers and one
+    n_e x n_e buffer, and every gram-sized step of every call writes into
+    them (see :meth:`_assemble`): the symmetrized M is factored in place by
+    ``potrf`` and inverted in place by ``potri``, and W = alpha alpha^T - M^-1
+    replaces M before symmetrizing.  Each step does the float operations of
+    the allocating formulas in the same order, so values and gradients are
+    bitwise those of fresh arrays.  A workspace is not reentrant: one fit,
+    one thread.  :meth:`factored` forms a gram once per emulator component,
+    where buffers would only add to peak memory, so it allocates, and what
+    it returns owns its memory.
     """
 
     def __init__(self, theta_cheap, theta_exp, trend_prior: TrendPrior):
@@ -221,8 +245,6 @@ class _FitWorkspace:
         # cheap rows: BLAS rounds the two layouts differently, and fitted
         # parameters are pinned to these (tests/golden)
         self.d2_exp = np.ascontiguousarray(self.d2[:, p_c:, p_c:]) if p_c else self.d2
-        self.diag = np.diag_indices(n)
-        self.cheap_row = np.arange(n) < p_c
         self.b = trend_prior.block_cov
         self.b_sym = self.b + self.b.T
 
@@ -235,27 +257,34 @@ class _FitWorkspace:
         h1[p_c:, :k1] = he
         self.h0 = h0
         self.h1 = h1
+        self._buffers = None
 
-    def _assemble(self, pos: np.ndarray, rho: float):
-        """H, the cheap and expensive correlation matrices, and M = V + H B H^T.
+    def _assemble(self, pos: np.ndarray, rho: float, buffers=(None,) * 4):
+        """H, and M = V + H B H^T symmetrized and before any jitter.
 
         ``pos`` holds the positive parameters in :func:`_params_to_x` order.
-        The one place M is formed, symmetrized and before any jitter: the
-        MAP objective, its gradient and emulator construction share it.
+        The one place M is formed: the MAP objective, its gradient and
+        emulator construction share it.  ``buffers`` (a, b, c, e) receive the
+        cheap correlation C_c, M before symmetrizing, M itself and the
+        expensive correlation C_e; where one is None that step allocates.
         """
+        a, b, c, e = buffers
         k, p_c = self.k, self.p_c
         var_c, var_e, nug_c, nug_e = pos[:4].tolist()
-        corr_c = kernels.sq_exp_corr(self.d2, 1.0 / pos[4 : 4 + k])
-        corr_e = kernels.sq_exp_corr(self.d2_exp, 1.0 / pos[4 + k :])
-        m = kernels.gp_cov_from_corr(corr_c, corr_e, p_c, p_c, rho, var_c, var_e)
-        m[self.diag] += np.where(self.cheap_row, nug_c, nug_e)
+        corr_c = kernels.sq_exp_corr(self.d2, 1.0 / pos[4 : 4 + k], out=a)
+        corr_e = kernels.sq_exp_corr(self.d2_exp, 1.0 / pos[4 + k :], out=e)
+        v = kernels.cheap_cov(corr_c, p_c, p_c, rho, var_c, out=b)
+        v[p_c:, p_c:] += np.multiply(corr_e, var_e, out=None if c is None else c[p_c:, p_c:])
+        diag = v.reshape(-1)[:: len(v) + 1]
+        diag[:p_c] += nug_c
+        diag[p_c:] += nug_e
         h = self.h0 + rho * self.h1  # [[h(theta_c), 0], [rho h(theta_e), h(theta_e)]]
-        m += h @ self.b @ h.T
-        return h, corr_c, corr_e, 0.5 * (m + m.T)
+        v += np.matmul(h @ self.b, h.T, out=c)
+        return h, _symmetrize(v, out=c)
 
     def factored(self, params: EmulatorParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """H, M = V + H B H^T with any jitter it needed, and M's Cholesky factor."""
-        h, _, _, m = self._assemble(_positives(params), params.rho)
+        h, m = self._assemble(_positives(params), params.rho)
         chol, m = _chol_with_jitter(m)
         return h, m, chol
 
@@ -272,13 +301,21 @@ class _FitWorkspace:
         makes M factorable.
         """
         k, p_c = self.k, self.p_c
+        n = len(scores)
+        if self._buffers is None:
+            self._buffers = (*(np.empty((n, n)) for _ in range(3)),
+                             np.empty((n - p_c, n - p_c)))
+        a, b, c, e = self._buffers
         pos = np.exp(x[: 4 + 2 * k])  # the slice and the call _x_to_params makes
         rho = float(x[-1])
         var_c, var_e, nug_c, nug_e = pos[:4].tolist()
         range_c, range_e = pos[4 : 4 + k], pos[4 + k :]
-        h, corr_c, corr_e, m = self._assemble(pos, rho)
-        chol = _chol_with_jitter(m)[0]
-        del m
+        h, m = self._assemble(pos, rho, self._buffers)
+        # M is exactly symmetric, so its transpose is M in Fortran order: potrf
+        # factors it in place with the bits of a copy
+        chol, info = cholesky(m.T, overwrite=True)
+        if info:
+            chol = _jitter_ladder(_symmetrize(b, out=c))[0]  # potrf left c half-factored
         resid = scores - h @ self.trend.mean
         # the factor's diagonal is positive, so neither solve can fail
         white = dtrtrs(chol, resid, lower=1)[0]
@@ -286,35 +323,36 @@ class _FitWorkspace:
                     - np.sum(np.log(np.diag(chol))) + _log_hyperprior(pos, rho, hp))
         alpha = dpotrs(chol, resid, lower=1)[0]
 
-        # W in place of the factor: dpotri leaves M^-1 in its lower triangle
-        w, info = dpotri(chol, lower=1, overwrite_c=1)
+        # W into b: dpotri leaves M^-1 in the factor's lower triangle
+        inv, info = dpotri(chol, lower=1, overwrite_c=1)
         if info:
             raise NotPositiveDefinite("gram factor is singular")
-        w += w.T  # the upper triangle was zero
-        w[self.diag] *= 0.5
-        np.subtract(np.outer(alpha, alpha), w, out=w)
+        w = np.add(inv, inv.T, out=b)  # the upper triangle was zero
+        w.reshape(-1)[:: n + 1] *= 0.5
+        np.subtract(np.outer(alpha, alpha, out=c), w, out=w)
 
         # cheap kernel var_c (a a^T) o C_c, with a = 1 on cheap rows and rho on
         # expensive ones: d(a a^T)/drho = e a^T + a e^T, e the expensive indicator;
         # dC/dlog range_d = C o d2_d / range_d, so one dot gives all k traces
         amp = np.ones(len(resid))
         amp[p_c:] = rho
-        wc = np.multiply(corr_c, w, out=corr_c)
+        wc = np.multiply(a, w, out=a)
         u = wc @ amp
         g_var_c = 0.5 * var_c * (amp @ u)
         g_rho = var_c * np.sum(u[p_c:])
-        wc *= amp[:, None]
-        wc *= amp
+        wc[p_c:] *= rho  # wc *= a a^T: the cheap block's factor 1.0 is exact
+        wc[:, p_c:] *= rho
         g_range_c = 0.5 * var_c / range_c * np.dot(self.d2.reshape(k, -1), wc.ravel())
         # expensive kernel var_e C_e on the expensive block
-        we = np.multiply(corr_e, w[p_c:, p_c:], out=corr_e)
+        we = np.multiply(e, w[p_c:, p_c:], out=e)
         g_var_e = 0.5 * var_e * np.sum(we)
         g_range_e = 0.5 * var_e / range_e * np.dot(self.d2_exp.reshape(k, -1), we.ravel())
         # nuggets sit on the diagonal: dM/dlog nugget is nugget times I on its block
         g_nug_c = 0.5 * nug_c * np.trace(w[:p_c, :p_c])
         g_nug_e = 0.5 * nug_e * np.trace(w[p_c:, p_c:])
-        # d(H B H^T)/drho = h1 B H^T + H B h1^T, and the trend-mean term
-        g_rho += 0.5 * np.sum((h.T @ (w @ self.h1)) * self.b_sym)
+        # d(H B H^T)/drho = h1 B H^T + H B h1^T, and the trend-mean term; W is
+        # exactly symmetric, and w.T is the Fortran layout BLAS is pinned to
+        g_rho += 0.5 * np.sum((h.T @ (w.T @ self.h1)) * self.b_sym)
         g_rho += alpha @ (self.h1 @ self.trend.mean)
 
         grad = np.concatenate([[g_var_c, g_var_e, g_nug_c, g_nug_e], g_range_c, g_range_e, [g_rho]])

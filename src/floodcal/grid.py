@@ -8,6 +8,7 @@ readers/writers flip row order.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -262,8 +263,9 @@ def flatten(grid: Grid, locations: LocationSet) -> np.ndarray:
 NODATA_VALUE = -9999.0
 
 
-def write_ascii_grid(grid: Grid, path) -> None:
-    """Write a grid in the plain-text cell-center raster format.
+def write_ascii_grid(grid: Grid, path) -> bytes:
+    """Write a grid in the plain-text cell-center raster format; returns the
+    sha256 digest of the bytes written.
 
     Header keys: ncols, nrows, xllcenter, yllcenter, cellsize, nodata_value.
     Data rows run north to south.  Values are written as ``%.17g``, which
@@ -276,14 +278,19 @@ def write_ascii_grid(grid: Grid, path) -> None:
     bits, inverse = np.unique(vals[::-1].view(np.int64), return_inverse=True)
     texts = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
     row_format = " ".join(["%s"] * grid.n_cols) + "\n"
-    with open(path, "w") as fh:
-        fh.write(f"ncols {grid.n_cols}\n")
-        fh.write(f"nrows {grid.n_rows}\n")
-        fh.write(f"xllcenter {grid.origin_x:.17g}\n")
-        fh.write(f"yllcenter {grid.origin_y:.17g}\n")
-        fh.write(f"cellsize {grid.cell_size:.17g}\n")
-        fh.write(f"nodata_value {NODATA_VALUE:.17g}\n")
-        fh.write(row_format * grid.n_rows % tuple(texts[inverse.ravel()].tolist()))
+    head = (f"ncols {grid.n_cols}\n"
+            f"nrows {grid.n_rows}\n"
+            f"xllcenter {grid.origin_x:.17g}\n"
+            f"yllcenter {grid.origin_y:.17g}\n"
+            f"cellsize {grid.cell_size:.17g}\n"
+            f"nodata_value {NODATA_VALUE:.17g}\n").encode()
+    body = (row_format * grid.n_rows % tuple(texts[inverse.ravel()].tolist())).encode()
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.write(body)
+    digest = hashlib.sha256(head)
+    digest.update(body)
+    return digest.digest()
 
 
 _HEADER_KEYS = (b"ncols", b"nrows", b"xllcenter", b"yllcenter", b"cellsize", b"nodata_value")

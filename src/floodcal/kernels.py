@@ -2,8 +2,9 @@
 
 This module is the only place the squared-exponential covariance is
 written: :func:`sq_exp_corr` is the kernel and :func:`gp_cov` the stacked
-two-fidelity covariance built from it, serving the MAP objective and its
-gradient and emulator construction; :func:`cross_cov` forms the same
+two-fidelity covariance built from it.  The MAP objective and its gradient
+build the training gram from :func:`sq_exp_corr` and :func:`cheap_cov` in
+buffers they reuse (``out``); :func:`cross_cov` forms the same
 test-to-training block in place for :func:`predict_scores` and joint
 prediction.  The predictive distribution is evaluated once per
 Metropolis-Hastings proposal, i.e. hundreds of thousands of times per
@@ -33,28 +34,45 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.square(d, out=d)
 
 
-def sq_exp_corr(d2: np.ndarray, inv_range: np.ndarray) -> np.ndarray:
+def sq_exp_corr(d2: np.ndarray, inv_range: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Squared-exponential correlation ``exp(-sum_d d2_d inv_range_d)``.
 
     ``d2`` is a :func:`sq_dists` tensor (or a block of one); the result has
-    its trailing two-dimensional shape.
+    its trailing two-dimensional shape and is written into ``out``, a
+    C-contiguous float64 array of that shape, when one is given.  Rounding
+    is sign-symmetric, so negating ``inv_range`` before the ``dot`` is
+    bitwise negating after it.
     """
     k = d2.shape[0]
-    return np.exp(-np.dot(inv_range, d2.reshape(k, -1))).reshape(d2.shape[1:])
+    flat = np.dot(-inv_range, d2.reshape(k, -1), out=None if out is None else out.reshape(-1))
+    return np.exp(flat, out=flat).reshape(d2.shape[1:])
+
+
+def cheap_cov(corr_c, n_cheap_rows, n_cheap_cols, rho, var_c, out=None):
+    """The cheap process's share of :func:`gp_cov`: ``var_c (a_i a_j) C_c``.
+
+    ``a`` is 1 on cheap rows and columns and ``rho`` on expensive ones, so
+    ``var_c (a_i a_j)`` is one constant per block and each block costs one
+    product, written into ``out`` when one is given.
+    """
+    out = np.empty_like(corr_c) if out is None else out
+    r, c = n_cheap_rows, n_cheap_cols
+    for rows, cols, amp in ((slice(None, r), slice(None, c), 1.0),
+                            (slice(None, r), slice(c, None), rho),
+                            (slice(r, None), slice(None, c), rho),
+                            (slice(r, None), slice(c, None), rho * rho)):
+        np.multiply(corr_c[rows, cols], var_c * amp, out=out[rows, cols])
+    return out
 
 
 def gp_cov_from_corr(corr_c, corr_e, n_cheap_rows, n_cheap_cols, rho, var_c, var_e):
     """:func:`gp_cov` from its two correlation matrices.
 
     ``corr_c`` covers every row and column, ``corr_e`` the expensive block
-    only.  The MAP gradient reuses the correlations, so it assembles the
-    covariance through this step.
+    only.
     """
-    amp_rows = np.ones(corr_c.shape[0])
-    amp_rows[n_cheap_rows:] = rho
-    amp_cols = np.ones(corr_c.shape[1])
-    amp_cols[n_cheap_cols:] = rho
-    v = var_c * (amp_rows[:, None] * amp_cols) * corr_c
+    v = cheap_cov(corr_c, n_cheap_rows, n_cheap_cols, rho, var_c)
     v[n_cheap_rows:, n_cheap_cols:] += var_e * corr_e
     return v
 

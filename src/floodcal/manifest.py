@@ -31,10 +31,13 @@ def _jsonable(value):
     return value
 
 
-def write_manifest(path, data: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(_jsonable(data), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_manifest(path, data: dict) -> bytes:
+    """Write ``data`` as indented JSON with sorted keys; returns the sha256
+    digest of the bytes written."""
+    raw = (json.dumps(_jsonable(data), indent=2, sort_keys=True) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    return hashlib.sha256(raw).digest()
 
 
 def read_manifest(path) -> dict:

@@ -143,7 +143,7 @@ def fit_basis(ensemble: RunEnsemble, target_fraction: float = 0.95) -> ReducedBa
     centered = depths - mean
     gram_values, gram_vectors = eigh(centered @ centered.T)
     gram_values, gram_vectors = np.clip(gram_values[::-1], 0.0, None), gram_vectors[:, ::-1]
-    scale = max(1.0, float(np.abs(depths).max()))
+    scale = max(1.0, float(depths.max()), float(-depths.min()))  # max |depth|, no temporary
     if np.sqrt(gram_values[0]) <= max(depths.shape) * np.finfo(float).eps * scale:
         raise DegenerateEnsemble("all runs identical: zero variance to reduce")
 

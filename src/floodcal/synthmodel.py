@@ -9,6 +9,7 @@ runs can be validated at desk scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -168,12 +169,15 @@ def _add_noise(truth: np.ndarray, config: SynthConfig, seed: int) -> np.ndarray:
     return np.where(truth > 0, np.maximum(truth + noise, 0.0), 0.0)
 
 
+@functools.lru_cache(maxsize=1)
 def shared_locations(config: SynthConfig) -> LocationSet:
     """Fine cell centers inside the coarse cell-center hull.
 
     Cheap runs are matched to expensive runs by interpolation, which is
     only defined inside the coarse hull; fine centers in the boundary
-    half-cell band are excluded rather than extrapolated.
+    half-cell band are excluded rather than extrapolated.  The last result
+    is kept (configs are frozen and compare by value) and shared by every
+    caller, so its coordinates are read-only.
     """
     fine = config.fine_grid_template()
     coarse = config.coarse_grid_template()
@@ -188,7 +192,9 @@ def shared_locations(config: SynthConfig) -> LocationSet:
         & (all_locs[:, 1] >= ymin)
         & (all_locs[:, 1] <= ymax)
     )
-    return LocationSet(all_locs[keep])
+    locations = LocationSet(all_locs[keep])
+    locations.coords.flags.writeable = False
+    return locations
 
 
 def expensive_model_adapter(config: SynthConfig):

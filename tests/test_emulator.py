@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,7 +319,7 @@ class TestFit:
         lo = np.array([LOG_BOUNDS[0]] * 8 + [RHO_BOUNDS[0]])
         hi = np.array([LOG_BOUNDS[1]] * 8 + [RHO_BOUNDS[1]])
         assert np.all((x > lo + 1e-6) & (x < hi - 1e-6)), x
-        m = _FitWorkspace(theta_c, theta_e, trend)._assemble(_positives(fitted), fitted.rho)[3]
+        m = _FitWorkspace(theta_c, theta_e, trend)._assemble(_positives(fitted), fitted.rho)[1]
         assert _chol_with_jitter(m)[1] is m  # factored without jitter
 
     def test_preconditions(self, unit_space):
@@ -330,8 +331,8 @@ class TestFit:
         infos, nfevs = [], []
         cholesky, minimize = emulator.cholesky, emulator.minimize
 
-        def counting_cholesky(m):
-            chol, info = cholesky(m)
+        def counting_cholesky(m, **kwargs):
+            chol, info = cholesky(m, **kwargs)
             infos.append(info)
             return chol, info
 
@@ -402,9 +403,10 @@ def _random_x(rng, k):
                            [rng.normal(0.8, 0.4)]])
 
 
-def _reference_objective(ws, x, scores, hp):
+def _reference_objective(ws, x, scores, hp, jitter=0.0):
     """The MAP objective as scipy's ``cholesky``, ``solve_triangular`` and
-    ``cho_solve`` and a per-evaluation :class:`EmulatorParams` computed it."""
+    ``cho_solve`` and a per-evaluation :class:`EmulatorParams` computed it,
+    on M plus ``jitter`` times trace(M)/n on the diagonal when that is not 0."""
     k, p_c = ws.d2.shape[0], ws.p_c
     p = _x_to_params(x, k)
     corr_c = kernels.sq_exp_corr(ws.d2, 1.0 / p.range_cheap)
@@ -413,7 +415,10 @@ def _reference_objective(ws, x, scores, hp):
     m[np.diag_indices_from(m)] += np.where(np.arange(len(m)) < p_c, p.nugget_cheap, p.nugget_exp)
     h = ws.h0 + p.rho * ws.h1
     m += h @ ws.trend.block_cov @ h.T
-    chol = scipy.linalg.cholesky(0.5 * (m + m.T), lower=True)
+    m = 0.5 * (m + m.T)
+    if jitter:
+        m = m + jitter * (np.trace(m) / len(m)) * np.eye(len(m))
+    chol = scipy.linalg.cholesky(m, lower=True)
     resid = scores - h @ ws.trend.mean
     white = scipy.linalg.solve_triangular(chol, resid, lower=True)
     log_post = (-0.5 * (len(resid) * math.log(2 * math.pi) + white @ white)
@@ -462,7 +467,8 @@ def _reference_objective(ws, x, scores, hp):
 
 
 class TestObjectiveBitwise:
-    """The LAPACK-direct objective reproduces the scipy-wrapper formula bit for bit."""
+    """The LAPACK-direct objective, built in the workspace's reused buffers,
+    reproduces the scipy-wrapper formula on fresh arrays bit for bit."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("multires", [True, False])
@@ -481,6 +487,84 @@ class TestObjectiveBitwise:
             ref_val, ref_grad = _reference_objective(ws, x, t, hp)
             assert val == ref_val
             assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("n_exp, n_cheap, repeat", [
+        (60, 300, False), (40, 310, True), (300, 0, False), (30, 0, True)],
+        ids=["mr-360", "mr-350-repeats", "hr-300", "hr-30-repeats"])
+    def test_matches_the_scipy_formula_at_fit_sizes(self, n_exp, n_cheap, repeat):
+        # grams as large as the benchmark's, and designs that repeat a setting
+        rng = np.random.default_rng(n_exp + n_cheap)
+        theta_e = rng.random((n_exp, 2))
+        if repeat:
+            theta_e[1] = theta_e[0]
+        theta_c = np.zeros((0, 2))
+        if n_cheap:
+            theta_c = np.vstack([theta_e, rng.random((n_cheap - n_exp, 2))])
+            if repeat:
+                theta_c[-1] = theta_c[-2]
+        t = rng.standard_normal(len(theta_c) + n_exp)
+        hp = HyperPriors()
+        ws = _FitWorkspace(theta_c, theta_e, default_trend_prior(2))
+        for _ in range(3):
+            x = _random_x(rng, 2)
+            if not n_cheap:
+                x[np.r_[0, 2, 4:6, -1]] = 0.0
+            val, grad = ws.neg_log_posterior_and_grad(x, t, hp)
+            ref_val, ref_grad = _reference_objective(ws, x, t, hp)
+            assert val == ref_val
+            assert np.array_equal(grad, ref_grad)
+
+    def test_reused_buffers_match_a_fresh_workspace(self, monkeypatch):
+        # x1, x2, x1 on one workspace, the factorization at x2 failing once:
+        # each result is a fresh workspace's, and the jittered gram's formula
+        rng = np.random.default_rng(210)
+        theta_e = rng.random((20, 2))
+        theta_c = np.vstack([theta_e, rng.random((40, 2))])
+        t = rng.standard_normal(80)
+        hp = HyperPriors()
+        x1, x2 = _random_x(rng, 2), _random_x(rng, 2)
+        real, fail_next = emulator.cholesky, []
+
+        def fails_once(m, **kwargs):
+            chol, info = real(m, **kwargs)  # an in-place factor is left in m, as on failure
+            return (chol, 1) if fail_next and fail_next.pop() else (chol, info)
+
+        monkeypatch.setattr(emulator, "cholesky", fails_once)
+
+        def evaluate(ws, x, fail):
+            fail_next[:] = [fail]
+            return ws.neg_log_posterior_and_grad(x, t, hp)
+
+        def fresh():
+            return _FitWorkspace(theta_c, theta_e, default_trend_prior(2))
+
+        ws = fresh()
+        for x, fail in ((x1, False), (x2, True), (x1, False)):
+            val, grad = evaluate(ws, x, fail)
+            assert fail_next == []
+            for ref_val, ref_grad in (evaluate(fresh(), x, fail),
+                                      _reference_objective(ws, x, t, hp, JITTER_START * fail)):
+                assert val == ref_val
+                assert np.array_equal(grad, ref_grad)
+        assert evaluate(fresh(), x2, True)[0] != evaluate(fresh(), x2, False)[0]
+
+    def test_an_evaluation_allocates_no_gram(self):
+        # after the first call, the gram-sized steps run in the workspace's buffers
+        rng = np.random.default_rng(211)
+        theta_e = rng.random((60, 2))
+        theta_c = np.vstack([theta_e, rng.random((180, 2))])
+        n = len(theta_c) + len(theta_e)
+        t = rng.standard_normal(n)
+        ws = _FitWorkspace(theta_c, theta_e, default_trend_prior(2))
+        ws.neg_log_posterior_and_grad(_random_x(rng, 2), t, HyperPriors())
+        x = _random_x(rng, 2)
+        tracemalloc.start()
+        try:
+            ws.neg_log_posterior_and_grad(x, t, HyperPriors())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n  # one n x n float64 array
 
 
 class TestGradient:

@@ -1,3 +1,4 @@
+import hashlib
 import weakref
 
 import numpy as np
@@ -247,7 +248,7 @@ class TestAsciiFormat:
 
     @staticmethod
     def assert_bytes_match_per_value_formatter(path, g):
-        write_ascii_grid(g, path)
+        assert write_ascii_grid(g, path) == hashlib.sha256(path.read_bytes()).digest()
         # reference: one f-string per value
         written = g.values.copy()
         written[g.nodata_mask] = NODATA_VALUE

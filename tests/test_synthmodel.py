@@ -167,6 +167,12 @@ class TestSharedStructure:
         got = shared_locations(config).coords
         assert got.tobytes() == np.array(expected).tobytes()
 
+    def test_shared_locations_are_kept_read_only_for_an_equal_config(self, config):
+        locs = shared_locations(config)
+        assert shared_locations(SynthConfig(**vars(config))) is locs
+        with pytest.raises(ValueError, match="read-only"):
+            locs.coords[0, 0] = 1.0
+
     def test_cross_fidelity_correlation(self, config):
         # premise of the multiresolution emulator: cheap runs informative
         rng = np.random.default_rng(6)
