@@ -28,7 +28,7 @@ def deferred(namespace: dict, module: str, *names: str) -> tuple:
         return call
     return tuple(map(stand_in, names))
 
-from .design import Design, ParameterSpace, augment_cheap, edge_filter, maximin_lhs
+from .design import Design, ParameterSpace, augment_cheap, maximin_lhs
 from .grid import Grid, LocationSet, bilinear_interpolate, flatten, grid_locations
 from .reduce import ReducedBasis, RunEnsemble, build_ensemble, fit_basis, project, reconstruct
 from .emulator import (
@@ -59,7 +59,6 @@ __all__ = [
     "Design",
     "ParameterSpace",
     "augment_cheap",
-    "edge_filter",
     "maximin_lhs",
     "Grid",
     "LocationSet",

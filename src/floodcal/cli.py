@@ -58,6 +58,7 @@ from .design import (
 )
 from .diagnostics import d_mr_hr, extent_metrics, format_d_table, rmse, summarize_d, uspe
 from .emulator import (
+    EMULATOR_ARCHIVE,
     child_seeds,
     fit_multires,
     fit_singleres,
@@ -80,6 +81,7 @@ from .errors import (
 from .grid import flatten, read_ascii_grid, write_ascii_grid
 from .manifest import config_digest, read_manifest, write_manifest
 from .reduce import (
+    BASIS_ARCHIVE,
     RunEnsemble,
     build_ensemble,
     fit_basis,
@@ -272,13 +274,14 @@ def _path(cfg: ExperimentConfig, template: str, approach: str | None = None) -> 
 
 def _check(cfg: ExperimentConfig, template: str, path: Path | None = None) -> Path:
     """``path``, by default the one ``template`` names, if it is a directory where the
-    template ends in / and a file elsewhere; else raise, naming the stage that writes it."""
-    want_dir = template.endswith("/")
-    path = _path(cfg, template) if path is None else path
+    template ends in / and a file elsewhere; else raise, naming the stage that writes it
+    (for a file inside an archive, the stage that writes the archive)."""
+    want_dir, target = template.endswith("/"), _path(cfg, template)
+    path = target if path is None else path
     if path.is_dir() if want_dir else path.is_file():
         return path
     writer = next(name for name, (*_, writes) in STAGES.items()
-                  if _path(cfg, template) in [_path(cfg, t) for t in writes])
+                  if any(_path(cfg, t) in (target, *target.parents) for t in writes))
     if not path.exists():
         raise MissingArtifact(f"{path} not found; the {writer} stage writes it")
     raise MalformedArtifact(f"{path} is not a {'directory' if want_dir else 'file'}; "
@@ -716,11 +719,14 @@ CROSSVAL_TEXT, CROSSVAL_JSON = "{out}/crossval.txt", "{out}/crossval.json"
 EMULATORS = tuple(EMULATOR.replace("{approach}", a) for a in ("mr", "hr"))
 USPES = tuple(USPE.replace("{approach}", a) for a in ("mr", "hr"))
 RUN_MATRIX = (DESIGN, RUNS_MANIFEST, RUN_GRIDS)  # what _load_ensemble reads
+# each archive directory -> its table, which names the files in it (manifest.py)
+ARCHIVES = {BASIS: BASIS_ARCHIVE, **dict.fromkeys((EMULATOR, *EMULATORS), EMULATOR_ARCHIVE)}
 
 # stage name -> (function, help text, reads, writes), reads and writes being the templates
 # above.  Every stage takes --config, --seed and --out and is called as function(cfg, seed);
 # the _threads of four is unused, for perfbench's _call_stage.  main checks a stage's
-# reads before calling it, but the run grids, which _load_ensemble checks.
+# reads before calling it, each file in an archive too, but the run grids, which
+# _load_ensemble checks.
 # ``run`` is not a stage: it calls these in this order in one process.
 STAGES = {
     "design": (cmd_design, "generate the nested maximin LHS design",
@@ -780,6 +786,8 @@ def main(argv=None) -> int:
                 for template in reads:
                     if "*" not in template:
                         _check(cfg, template)
+                        for name in ARCHIVES.get(template, ()):
+                            _check(cfg, template + name)
                 function(cfg, seed)
     except ConfigError as err:
         print(f"floodcal: config error: {err}", file=sys.stderr)

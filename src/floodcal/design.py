@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllExpensiveRemoved, MalformedArtifact
+from .errors import MalformedArtifact
 from .manifest import read_csv
 
 EXPENSIVE = "expensive"
@@ -229,22 +229,6 @@ def edge_mask(design: Design, bands) -> np.ndarray:
     hi_cut = hi - bands[:, 1] * width
     in_band = np.any((design.points < lo_cut) | (design.points > hi_cut), axis=1)
     return in_band & (design.fidelity == EXPENSIVE)
-
-
-def edge_filter(design: Design, bands) -> tuple[Design, Design]:
-    """Split off expensive points lying in per-dimension edge bands.
-
-    An expensive point with any coordinate in an edge band moves to the
-    hold-out.  Cheap points are never removed, so after filtering only
-    cheap runs inform the edges.  The hold-out is an expensive-only design
-    (no nesting).
-    """
-    held = edge_mask(design, bands)
-    kept = Design(design.points[~held], design.fidelity[~held], design.space)
-    held_out = Design(design.points[held], design.fidelity[held], design.space)
-    if kept.n_expensive == 0:
-        raise AllExpensiveRemoved("edge bands removed every expensive design point")
-    return kept, held_out
 
 
 def write_design_csv(design: Design, path) -> None:

@@ -16,7 +16,6 @@ operations expect scaled inputs.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -27,7 +26,7 @@ import numpy as np
 from . import deferred
 from .design import EXPENSIVE, Design, ParameterSpace
 from .errors import AllStartsFailed, ExtrapolationWarning, MalformedArtifact, NotPositiveDefinite
-from .manifest import load_array, read_csv, read_manifest, write_manifest
+from .manifest import read_archive, read_csv, read_manifest, write_archive
 from . import kernels
 
 cho_solve, solve_triangular = deferred(globals(), "scipy.linalg", "cho_solve", "solve_triangular")
@@ -423,28 +422,6 @@ def _log_hyperprior_grad(pos: np.ndarray, rho: float, hp: HyperPriors) -> np.nda
         gamma(pos[4 + k :], hp.range_exp),
         [(hp.rho_mean - rho) / hp.rho_var],
     ])
-
-
-def log_posterior(
-    params: EmulatorParams,
-    hyperpriors: HyperPriors,
-    scores: np.ndarray,
-    theta_cheap: np.ndarray,
-    theta_exp: np.ndarray,
-    trend_prior: TrendPrior,
-) -> float:
-    """Marginal log posterior of one component's hyperparameters: minus the
-    MAP objective at ``params``.
-
-    Non-positive-definite grams count as rejected points (-inf).
-    """
-    ws = _FitWorkspace(theta_cheap, theta_exp, trend_prior)
-    try:
-        val, _ = ws.neg_log_posterior_and_grad(_params_to_x(params),
-                                               np.asarray(scores, dtype=float), hyperpriors)
-    except NotPositiveDefinite:
-        return -np.inf
-    return -val
 
 
 # --- MAP fitting -------------------------------------------------------------
@@ -863,9 +840,14 @@ def predict_joint(emulator, thetas: np.ndarray) -> list[tuple[np.ndarray, np.nda
 
 # --- archive --------------------------------------------------------------
 
-
-_ARCHIVE_ARRAYS = ("theta_cheap", "theta_exp", "scores_cheap", "scores_exp",
-                   "trend_mean", "trend_cov_cheap", "trend_cov_exp")
+# The emulator archive's files and array shapes (manifest.py); settings are unit-scaled.
+EMULATOR_ARCHIVE = {
+    "emulator.json": None, "params.csv": None,
+    "theta_cheap.npy": ("n_cheap", "k"), "theta_exp.npy": ("n_exp", "k"),
+    "scores_cheap.npy": ("n_cheap", "J"), "scores_exp.npy": ("n_exp", "J"),
+    "trend_mean.npy": ("2(k+1)",),
+    "trend_cov_cheap.npy": ("k+1", "k+1"), "trend_cov_exp.npy": ("k+1", "k+1"),
+}
 
 
 def save_emulator(emulator, directory) -> None:
@@ -874,31 +856,22 @@ def save_emulator(emulator, directory) -> None:
     Every emulator writes the same files.  The single-resolution baseline is
     the case with zero-row cheap arrays, rho = 0 and cheap parameters at 1.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_manifest(directory / "emulator.json", {
-        "type": "multires",
-        "space": emulator.space.dims,
-        "seed": emulator.seed,
-        "n_starts": emulator.n_starts,
-        "hyperpriors": asdict(emulator.hyperpriors),
-        "input_scaling": "unit-hypercube",
+    k, prior = emulator.space.k, emulator.trend_prior
+    header = ["component", "rho", "var_cheap", "var_exp", "nugget_cheap", "nugget_exp",
+              *(f"range_{fidelity}_{d}" for fidelity in ("cheap", "exp") for d in range(k))]
+    rows = [[j] + [f"{v:.17g}" for v in (prm.rho, prm.var_cheap, prm.var_exp, prm.nugget_cheap,
+                                         prm.nugget_exp, *prm.range_cheap, *prm.range_exp)]
+            for j, prm in enumerate(emulator.params_list)]
+    write_archive(directory, EMULATOR_ARCHIVE, {
+        "emulator.json": {"type": "multires", "space": emulator.space.dims, "seed": emulator.seed,
+                          "n_starts": emulator.n_starts, "input_scaling": "unit-hypercube",
+                          "hyperpriors": asdict(emulator.hyperpriors)},
+        "params.csv": [header, *rows],
+        **{f"{name}.npy": getattr(emulator, name)
+           for name in ("theta_cheap", "theta_exp", "scores_cheap", "scores_exp")},
+        "trend_mean.npy": prior.mean, "trend_cov_cheap.npy": prior.cov_cheap,
+        "trend_cov_exp.npy": prior.cov_exp,
     })
-    for name in _ARCHIVE_ARRAYS:  # trend_mean is emulator.trend_prior.mean, and so on
-        owner = emulator.trend_prior if name.startswith("trend_") else emulator
-        np.save(directory / f"{name}.npy", getattr(owner, name.removeprefix("trend_")))
-
-    k = emulator.theta_exp.shape[1]
-    with open(directory / "params.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["component", "rho", "var_cheap", "var_exp", "nugget_cheap", "nugget_exp"]
-        header += [f"range_cheap_{d}" for d in range(k)]
-        header += [f"range_exp_{d}" for d in range(k)]
-        writer.writerow(header)
-        for j, prm in enumerate(emulator.params_list):
-            row = [prm.rho, prm.var_cheap, prm.var_exp, prm.nugget_cheap, prm.nugget_exp]
-            row += list(prm.range_cheap) + list(prm.range_exp)
-            writer.writerow([j] + [f"{v:.17g}" for v in row])
 
 
 def load_emulator(directory) -> MultiResEmulator:
@@ -914,75 +887,37 @@ def read_emulator_archive(directory) -> dict:
     """Parse and validate an emulator archive without building the emulator.
 
     Returns :class:`MultiResEmulator`'s constructor arguments by name, so
-    ``params_list`` costs no gram factorization.
-
-    Raises
-    ------
-    MalformedArtifact
-        If a file is unreadable or lacks a manifest key, the type is not
-        ``multires``, the hyperpriors lack a key or have an unknown one, an
-        array or parameter is not finite, a settings array and its scores
-        disagree in row count, the parameter rows disagree with the score
-        columns or the space's dimension count, a trend array is not sized
-        for ``k + 1`` coefficients, or a parameter is not positive.
+    ``params_list`` costs no gram factorization.  Raises MalformedArtifact if
+    a file is unreadable or lacks a manifest key, the type is not
+    ``multires``, the hyperprior keys are not :class:`HyperPriors`' fields, a
+    params.csv row does not hold ``5 + 2k`` values or a positive parameter,
+    a value is not finite, or an array disagrees with ``EMULATOR_ARCHIVE``
+    for the space's k and params.csv's J rows.
     """
     directory = Path(directory)
     try:
         manifest = read_manifest(directory / "emulator.json")
-        kind, seed, n_starts = manifest["type"], manifest["seed"], manifest["n_starts"]
-        if kind != "multires":
-            raise MalformedArtifact(f"{directory}: emulator type {kind!r}, expected 'multires'")
+        if manifest["type"] != "multires":
+            raise MalformedArtifact(f"{directory}: emulator type {manifest['type']!r}, "
+                                    "expected 'multires'")
         space = ParameterSpace(tuple((n, lo, hi) for n, lo, hi in manifest["space"]))
         hp_raw, hp_names = manifest["hyperpriors"], sorted(f.name for f in fields(HyperPriors))
-        if sorted(hp_raw) != hp_names:
-            raise MalformedArtifact(f"{directory}: hyperprior keys {sorted(hp_raw)}, "
-                                    f"expected {hp_names}")
+        if not isinstance(hp_raw, dict) or sorted(hp_raw) != hp_names:
+            raise MalformedArtifact(f"{directory}: hyperpriors {hp_raw!r}, expected a mapping "
+                                    f"with keys {hp_names}")
         hyperpriors = HyperPriors(**{name: tuple(v) if isinstance(v, list) else v
                                      for name, v in hp_raw.items()})
-        arrays = {name: load_array(directory / f"{name}.npy") for name in _ARCHIVE_ARRAYS}
-        rows = read_csv(directory / "params.csv", slice(1, None))[2]
-    except (EOFError, KeyError, TypeError, ValueError) as err:
+        k, rows = space.k, read_csv(directory / "params.csv", slice(1, None))[2]
+        if any(len(r) != 5 + 2 * k for r in rows):
+            raise MalformedArtifact(f"{directory}: params.csv rows need {5 + 2 * k} values "
+                                    f"for {k} dimensions")
+        params_list = [EmulatorParams(*r[:5], r[5 : 5 + k], r[5 + k :]) for r in rows]
+        seed, n_starts = manifest["seed"], manifest["n_starts"]
+    except (KeyError, TypeError, ValueError) as err:
         raise MalformedArtifact(f"{directory}: unreadable emulator archive: {err!r}") from err
-
-    k = space.k
-    for fidelity in ("exp", "cheap"):
-        theta, scores = arrays[f"theta_{fidelity}"], arrays[f"scores_{fidelity}"]
-        if theta.ndim != 2 or scores.ndim != 2 or theta.shape != (len(scores), k):
-            raise MalformedArtifact(
-                f"{directory}: theta_{fidelity} has shape {theta.shape}, "
-                f"scores_{fidelity} {scores.shape}, the space has {k} dimensions"
-            )
-        if scores.shape[1] != len(rows):
-            raise MalformedArtifact(
-                f"{directory}: scores_{fidelity} has {scores.shape[1]} columns, "
-                f"params.csv {len(rows)} rows"
-            )
-    if any(len(r) != 5 + 2 * k for r in rows):
-        raise MalformedArtifact(
-            f"{directory}: params.csv rows need {5 + 2 * k} values for {k} dimensions"
-        )
-    k1 = k + 1
-    for name, shape in (("trend_mean", (2 * k1,)), ("trend_cov_cheap", (k1, k1)),
-                        ("trend_cov_exp", (k1, k1))):
-        if arrays[name].shape != shape:
-            raise MalformedArtifact(
-                f"{directory}: {name} has shape {arrays[name].shape}, expected {shape}"
-            )
-
-    try:
-        params_list = [
-            EmulatorParams(
-                rho=r[0], var_cheap=r[1], var_exp=r[2], nugget_cheap=r[3],
-                nugget_exp=r[4], range_cheap=np.array(r[5 : 5 + k]),
-                range_exp=np.array(r[5 + k :]),
-            )
-            for r in rows
-        ]
-    except ValueError as err:
-        raise MalformedArtifact(f"{directory}: params.csv: {err}") from err
-    trend_prior = TrendPrior(arrays["trend_mean"], arrays["trend_cov_cheap"],
-                             arrays["trend_cov_exp"])
-    return dict(space=space, theta_cheap=arrays["theta_cheap"], theta_exp=arrays["theta_exp"],
-                scores_cheap=arrays["scores_cheap"], scores_exp=arrays["scores_exp"],
-                params_list=params_list, trend_prior=trend_prior, hyperpriors=hyperpriors,
-                seed=seed, n_starts=n_starts)
+    arrays = read_archive(directory, EMULATOR_ARCHIVE,
+                          {"k": k, "k+1": k + 1, "2(k+1)": 2 * (k + 1), "J": len(rows)})
+    trend_prior = TrendPrior(*(arrays.pop(f"trend_{name}") for name in ("mean", "cov_cheap",
+                                                                        "cov_exp")))
+    return dict(space=space, params_list=params_list, trend_prior=trend_prior,
+                hyperpriors=hyperpriors, seed=seed, n_starts=n_starts, **arrays)

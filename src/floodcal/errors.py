@@ -27,7 +27,7 @@ class LocationNotOnGrid(FloodcalError):
 # --- design -------------------------------------------------------------
 
 class AllExpensiveRemoved(FloodcalError):
-    """Edge filtering removed every expensive design point, or a hold-out left fewer than 2."""
+    """A hold-out of expensive runs left fewer than 2 to fit the emulators."""
 
 
 # --- reduce -------------------------------------------------------------

@@ -74,12 +74,6 @@ class Grid:
     def n_cols(self) -> int:
         return self.values.shape[1]
 
-    def cell_center(self, row: int, col: int) -> tuple[float, float]:
-        return (
-            self.origin_x + col * self.cell_size,
-            self.origin_y + row * self.cell_size,
-        )
-
     def extent(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) of the full cell extent."""
         half = 0.5 * self.cell_size

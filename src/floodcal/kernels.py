@@ -66,17 +66,6 @@ def cheap_cov(corr_c, n_cheap_rows, n_cheap_cols, rho, var_c, out=None):
     return out
 
 
-def gp_cov_from_corr(corr_c, corr_e, n_cheap_rows, n_cheap_cols, rho, var_c, var_e):
-    """:func:`gp_cov` from its two correlation matrices.
-
-    ``corr_c`` covers every row and column, ``corr_e`` the expensive block
-    only.
-    """
-    v = cheap_cov(corr_c, n_cheap_rows, n_cheap_cols, rho, var_c)
-    v[n_cheap_rows:, n_cheap_cols:] += var_e * corr_e
-    return v
-
-
 def gp_cov(d2, n_cheap_rows, n_cheap_cols, rho, var_c, var_e, inv_range_c, inv_range_e):
     """GP covariance between two stacked point sets, without nuggets or trend.
 
@@ -89,7 +78,9 @@ def gp_cov(d2, n_cheap_rows, n_cheap_cols, rho, var_c, var_e, inv_range_c, inv_r
     """
     corr_c = sq_exp_corr(d2, inv_range_c)
     corr_e = sq_exp_corr(d2[:, n_cheap_rows:, n_cheap_cols:], inv_range_e)
-    return gp_cov_from_corr(corr_c, corr_e, n_cheap_rows, n_cheap_cols, rho, var_c, var_e)
+    v = cheap_cov(corr_c, n_cheap_rows, n_cheap_cols, rho, var_c)
+    v[n_cheap_rows:, n_cheap_cols:] += var_e * corr_e
+    return v
 
 
 def cross_cov(d2: np.ndarray, n_cheap: int, cross_terms):

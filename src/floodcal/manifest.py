@@ -1,7 +1,11 @@
-"""Deterministic JSON manifests, and the CSV and array readers, for pipeline artifacts.
+"""Deterministic JSON manifests, the CSV and array readers, and the archive
+writer and reader, for pipeline artifacts.
 
 Every stage writes a manifest carrying the config digest and the seeds it
 consumed; no timestamps or environment data, so reruns are byte-identical.
+An archive is a directory whose files a table names, each with its array's
+shape in sizes ``p`` (locations), ``J`` (components), ``k`` (parameters),
+``n_cheap``, ``n_exp`` (runs), ``k+1`` and ``2(k+1)``; None for JSON and CSV.
 """
 
 from __future__ import annotations
@@ -86,3 +90,40 @@ def load_array(path) -> np.ndarray:
     if not np.all(np.isfinite(array)):
         raise MalformedArtifact(f"{path}: holds values that are not finite")
     return array
+
+
+def write_archive(directory, table: dict, contents: dict) -> None:
+    """Write each file ``table`` names from ``contents``, keyed alike: a dict as a
+    manifest, CSV rows through ``csv.writer``, an array through ``np.save``."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name in table:
+        if name.endswith(".json"):
+            write_manifest(directory / name, contents[name])
+        elif name.endswith(".csv"):
+            with open(directory / name, "w", newline="") as fh:
+                csv.writer(fh).writerows(contents[name])
+        else:
+            np.save(directory / name, contents[name])
+
+
+def read_archive(directory, table: dict, sizes: dict) -> dict:
+    """The arrays of ``table`` in ``directory``, through :func:`load_array`, keyed
+    by name without ``.npy``.  A shape symbol takes its size from ``sizes``, or
+    else from the first array that has it; MalformedArtifact naming the
+    archive if an array is unreadable or disagrees with a size so bound."""
+    directory, sizes, arrays = Path(directory), dict(sizes), {}
+    for name, shape in table.items():
+        if shape is None:
+            continue
+        try:
+            array = load_array(directory / name)
+        except (EOFError, TypeError, ValueError) as err:
+            raise MalformedArtifact(f"{directory}: unreadable {name}: {err!r}") from err
+        bound = [sizes.setdefault(symbol, size) for symbol, size in zip(shape, array.shape)]
+        if array.ndim != len(shape) or list(array.shape) != bound:
+            bindings = ", ".join(f"{symbol} = {sizes.get(symbol)!r}" for symbol in shape)
+            raise MalformedArtifact(f"{directory}: {name} has shape {array.shape}, expected "
+                                    f"({', '.join(shape)}) with {bindings}")
+        arrays[name.removesuffix(".npy")] = array
+    return arrays

@@ -19,7 +19,7 @@ from . import deferred
 from .design import Design
 from .errors import DegenerateEnsemble, DimensionMismatch, MalformedArtifact
 from .grid import Grid, LocationSet, bilinear_interpolate, bilinear_stencil, flatten
-from .manifest import load_array, read_manifest, write_manifest
+from .manifest import read_archive, read_manifest, write_archive
 
 (eigh,) = deferred(globals(), "scipy.linalg", "eigh")
 
@@ -194,55 +194,48 @@ def reduce_runs(basis: ReducedBasis, ensemble: RunEnsemble) -> ReducedRuns:
 
 # --- archive --------------------------------------------------------------
 
+# The basis archive's files and array shapes (manifest.py): p locations, J components.
+BASIS_ARCHIVE = {"basis.json": None, "column_mean.npy": ("p",), "components.npy": ("p", "J"),
+                 "eigenvalues.npy": ("J",)}
+_SUMMARY = ("variance_fraction", "total_variance", "target_fraction")  # kept in basis.json
+ORTHOGONALITY_TOL = 1e-10  # on |K^T K - diag(eigenvalues)|, relative to the first eigenvalue
+
 
 def save_basis(basis: ReducedBasis, directory) -> None:
     """Write the basis as .npy arrays plus a JSON manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    np.save(directory / "column_mean.npy", basis.column_mean)
-    np.save(directory / "components.npy", basis.components)
-    np.save(directory / "eigenvalues.npy", basis.eigenvalues)
-    write_manifest(directory / "basis.json", {
-        "n_components": basis.n_components,
-        "target_fraction": basis.target_fraction,
-        "variance_fraction": basis.variance_fraction,
-        "total_variance": basis.total_variance,
-        "centering_divisor": CENTERING_DIVISOR,
+    write_archive(directory, BASIS_ARCHIVE, {
+        "basis.json": {"n_components": basis.n_components, "centering_divisor": CENTERING_DIVISOR,
+                       **{key: getattr(basis, key) for key in _SUMMARY}},
+        **{f"{name}.npy": getattr(basis, name)
+           for name in ("column_mean", "components", "eigenvalues")},
     })
 
 
 def load_basis(directory) -> ReducedBasis:
     """Read a basis written by :func:`save_basis`.
 
-    Raises
-    ------
-    MalformedArtifact
-        If a file is unreadable or lacks a manifest key, the arrays disagree
-        in shape with each other or with the manifest's component count, an
-        array holds a value that is not finite, or an eigenvalue is not > 0.
+    Raises MalformedArtifact if a file is unreadable or lacks a manifest key,
+    an array disagrees with ``BASIS_ARCHIVE`` for the manifest's component
+    count or holds a value that is not finite, the eigenvalues are not > 0
+    and descending, or ``K^T K`` is not ``diag(eigenvalues)`` to
+    ``ORTHOGONALITY_TOL`` times the first eigenvalue.
     """
     directory = Path(directory)
     try:
         manifest = read_manifest(directory / "basis.json")
-        n_components = manifest["n_components"]
-        summary = {key: manifest[key]
-                     for key in ("variance_fraction", "total_variance", "target_fraction")}
-        mean = load_array(directory / "column_mean.npy")
-        components = load_array(directory / "components.npy")
-        eigenvalues = load_array(directory / "eigenvalues.npy")
-    except (EOFError, KeyError, TypeError, ValueError) as err:
+        n_components, summary = manifest["n_components"], {key: manifest[key] for key in _SUMMARY}
+    except (KeyError, TypeError, ValueError) as err:
         raise MalformedArtifact(f"{directory}: unreadable basis archive: {err!r}") from err
-    if components.ndim != 2 or mean.shape != components.shape[:1]:
-        raise MalformedArtifact(
-            f"{directory}: column_mean has shape {mean.shape}, "
-            f"components {components.shape}"
-        )
-    if eigenvalues.shape != (n_components,) or components.shape[1] != n_components:
-        raise MalformedArtifact(
-            f"{directory}: eigenvalues have shape {eigenvalues.shape}, components "
-            f"{components.shape}, the manifest says {n_components} components"
-        )
+    arrays = read_archive(directory, BASIS_ARCHIVE, {"J": n_components})
+    components, eigenvalues = arrays["components"], arrays["eigenvalues"]
     if not np.all(eigenvalues > 0):
         raise MalformedArtifact(f"{directory}: eigenvalues must be finite and > 0")
-    return ReducedBasis(column_mean=mean, components=components, eigenvalues=eigenvalues,
-                        **summary)
+    if np.any(eigenvalues[1:] > eigenvalues[:-1]):
+        raise MalformedArtifact(f"{directory}: eigenvalues must be in descending order")
+    with np.errstate(over="ignore"):  # an overflow is a failed check, reported below
+        gram = components.T @ components
+    gram[np.diag_indices_from(gram)] -= eigenvalues
+    if not np.all(np.abs(gram) <= ORTHOGONALITY_TOL * eigenvalues[:1]):  # NaN fails too
+        raise MalformedArtifact(f"{directory}: components.T @ components is not "
+                                f"diag(eigenvalues) to {ORTHOGONALITY_TOL:g} of the first")
+    return ReducedBasis(**arrays, **summary)

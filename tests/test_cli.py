@@ -16,10 +16,17 @@ import floodcal
 import floodcal.cli as cli
 from floodcal.cli import main
 from floodcal.design import Design, read_design_csv, write_design_csv
-from floodcal.emulator import EmulatorParams
-from floodcal.errors import DimensionMismatch
+from floodcal.emulator import EMULATOR_ARCHIVE, EmulatorParams
+from floodcal.errors import DimensionMismatch, MalformedArtifact
 from floodcal.grid import Grid, read_ascii_grid, write_ascii_grid
-from floodcal.reduce import ReducedBasis, build_ensemble
+from floodcal.reduce import (
+    BASIS_ARCHIVE,
+    ReducedBasis,
+    build_ensemble,
+    fit_basis,
+    load_basis,
+    save_basis,
+)
 from floodcal.synthmodel import SynthConfig, shared_locations
 from golden.digests import APPROACHES, GOLDEN, tree_digests, write_config
 
@@ -201,6 +208,17 @@ def _move_last_row_first(text: str) -> str:
     """``design.csv`` text with its last row, a cheap-only one, above the expensive block."""
     lines = text.splitlines(keepends=True)
     return "".join([lines[0], lines[-1], *lines[1:-1]])
+
+
+def _swap_eigenvalues(components, eigenvalues):
+    eigenvalues[[0, 1]] = eigenvalues[[1, 0]]
+
+
+def _scale_largest_entry(components, eigenvalues):
+    # that entry squared is at least lambda_1 / p, so (K^T K)_11 moves by
+    # 2e-6 * lambda_1 / p, above the 1e-10 * lambda_1 tolerance for p < 2e4
+    i = np.argmax(np.abs(components[:, 0]))
+    components[i, 0] *= 1 + 1e-6
 
 
 class TestExitCodes:
@@ -393,6 +411,56 @@ class TestExitCodes:
         np.save(eigenvalues, -np.load(eigenvalues))
         assert main(["calibrate", "--config", str(root / "experiment.ini")]) == 3
         assert "eigenvalues must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("archive, name", [
+        *(("basis", name) for name in BASIS_ARCHIVE),
+        *(("emulator", name) for name in EMULATOR_ARCHIVE)])
+    def test_file_missing_from_an_archive_names_its_stage(self, pipeline, tmp_path, capsys,
+                                                          archive, name):
+        # once "missing artifact: [Errno 2] No such file or directory", naming no stage
+        root = tmp_path / "missing"
+        shutil.copytree(pipeline, root)
+        readers = ([("basis", "calibrate")] if archive == "basis" else
+                   [("emulator_mr", "calibrate"), ("emulator_hr", "diagnose")])
+        for directory, stage in readers:
+            path = root / "out" / directory / name
+            kept = path.read_bytes()
+            path.unlink()
+            assert main([stage, "--config", str(root / "experiment.ini")]) == 3
+            assert f"{path} not found; the emulate stage writes it" in capsys.readouterr().err
+            path.write_bytes(kept)
+
+    @pytest.mark.parametrize("corrupt", [_swap_eigenvalues, _scale_largest_entry],
+                             ids=["eigenvalues-swapped", "component-scaled"])
+    def test_basis_that_is_not_an_eigenbasis(self, pipeline, tmp_path, capsys, corrupt):
+        # no shape or sign is wrong: the eigenvalue order or K^T K = diag(eigenvalues) fails
+        basis = tmp_path / "basis"
+        shutil.copytree(pipeline / "out" / "basis", basis)
+        components, eigenvalues = (np.load(basis / f"{n}.npy") for n in ("components",
+                                                                          "eigenvalues"))
+        assert len(eigenvalues) > 1
+        corrupt(components, eigenvalues)
+        np.save(basis / "components.npy", components)
+        np.save(basis / "eigenvalues.npy", eigenvalues)
+        with pytest.raises(MalformedArtifact, match="eigenvalues"):
+            load_basis(basis)
+        root = tmp_path / "run"
+        shutil.copytree(pipeline, root)
+        shutil.rmtree(root / "out" / "basis")
+        shutil.copytree(basis, root / "out" / "basis")
+        assert main(["calibrate", "--config", str(root / "experiment.ini")]) == 3
+        assert str(root / "out" / "basis") in capsys.readouterr().err
+
+    def test_basis_at_every_component_loads(self, pipeline, tmp_path):
+        # target_fraction = 1 keeps eigenvalues down to roundoff in lambda_1; the
+        # orthogonality tolerance is relative to lambda_1, so they pass
+        ensemble = cli._load_ensemble(cli.load_config(pipeline / "experiment.ini"))
+        basis = fit_basis(ensemble, target_fraction=1.0)
+        assert basis.n_components > 20
+        save_basis(basis, tmp_path / "basis")
+        back = load_basis(tmp_path / "basis")
+        assert back.components.tobytes() == basis.components.tobytes()
+        assert back.eigenvalues.tobytes() == basis.eigenvalues.tobytes()
 
     def test_malformed_run_grid(self, pipeline, tmp_path, capsys):
         root = tmp_path / "malformed"
@@ -983,6 +1051,19 @@ class TestStageTable:
         assert [(stage, *(tuple(re.findall(r"`([^`]+)`", cell)) for cell in cells))
                 for stage, *cells in rows] == [
             (stage, reads, writes) for stage, (_, _, reads, writes) in cli.STAGES.items()]
+
+
+class TestArchiveTables:
+    """``reduce.BASIS_ARCHIVE`` and ``emulator.EMULATOR_ARCHIVE``: the files in each archive."""
+
+    def test_readme_archive_lists_match_the_tables(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        for heading, table in (("Emulator archives", EMULATOR_ARCHIVE),
+                               ("Principal-component basis", BASIS_ARCHIVE)):
+            section = readme.split(f"\n## {heading}\n")[1].split("\n## ")[0]
+            rows = re.findall(r"^\| `([\w.]+)` \| (.*) \|$", section, flags=re.M)
+            assert rows == [(name, " × ".join(shape) if shape else "—")
+                            for name, shape in table.items()], heading
 
 
 class TestBenchmarkContract:

@@ -7,13 +7,12 @@ from floodcal.design import (
     Design,
     ParameterSpace,
     augment_cheap,
-    edge_filter,
+    edge_mask,
     maximin_lhs,
     min_pairwise_distance,
     read_design_csv,
     write_design_csv,
 )
-from floodcal.errors import AllExpensiveRemoved
 
 
 @pytest.fixture
@@ -101,6 +100,8 @@ class TestAugmentCheap:
 
 
 class TestEdgeFilter:
+    """``edge_mask``: the expensive rows an edge-band hold-out removes."""
+
     def band_design(self, flood_space, pts):
         pts = np.asarray(pts)
         fid = np.array(["expensive"] * len(pts), dtype=object)
@@ -108,53 +109,54 @@ class TestEdgeFilter:
 
     def test_zero_bands_keep_all(self, flood_space):
         d = self.band_design(flood_space, [[0.05, 1.0], [0.09, 0.96]])
-        kept, held = edge_filter(d, [(0, 0), (0, 0)])
-        assert held.points.shape[0] == 0
-        assert kept.points.shape[0] == 2
+        assert edge_mask(d, [(0, 0), (0, 0)]).tolist() == [False, False]
 
     def test_rwe_top_5_percent(self, flood_space):
         # top 5% of (0.95, 1.05) is (1.045, 1.05)
         d = self.band_design(
             flood_space, [[0.05, 1.046], [0.05, 1.044], [0.05, 1.045]]
         )
-        kept, held = edge_filter(d, [(0, 0), (0, 0.05)])
-        assert held.points[:, 1].tolist() == [1.046]
-        assert sorted(kept.points[:, 1].tolist()) == [1.044, 1.045]
+        held = edge_mask(d, [(0, 0), (0, 0.05)])
+        assert d.points[held, 1].tolist() == [1.046]
+        assert sorted(d.points[~held, 1].tolist()) == [1.044, 1.045]
 
     def test_nch_bottom_10_percent(self, flood_space):
         # bottom 10% of (0.02, 0.1) is (0.02, 0.028)
         d = self.band_design(flood_space, [[0.0275, 1.0], [0.028, 1.0], [0.03, 1.0]])
-        kept, held = edge_filter(d, [(0.10, 0), (0, 0)])
-        assert held.points[:, 0].tolist() == [0.0275]
-        assert sorted(kept.points[:, 0].tolist()) == [0.028, 0.03]
+        held = edge_mask(d, [(0.10, 0), (0, 0)])
+        assert d.points[held, 0].tolist() == [0.0275]
+        assert sorted(d.points[~held, 0].tolist()) == [0.028, 0.03]
 
     def test_partition_of_expensive(self, flood_space):
+        # oracle: each row tested coordinate by coordinate against its cuts
         exp = maximin_lhs(flood_space, 30, seed=5, n_candidates=10)
         full = augment_cheap(exp, flood_space, extra=20, seed=6)
         bands = [(0.10, 0.0), (0.0, 0.05)]
-        kept, held = edge_filter(full, bands)
-        total = kept.n_expensive + held.points.shape[0]
-        assert total == full.n_expensive
-        merged = np.vstack([kept.expensive_points, held.points])
-        assert (
-            np.unique(merged, axis=0).shape == np.unique(full.expensive_points, axis=0).shape
-        )
+        lo, hi = flood_space.lower, flood_space.upper
+        expected = [tag == "expensive" and any(
+            x < lo[d] + low * (hi[d] - lo[d]) or x > hi[d] - high * (hi[d] - lo[d])
+            for d, (x, (low, high)) in enumerate(zip(point, bands)))
+            for point, tag in zip(full.points, full.fidelity)]
+        held = edge_mask(full, bands)
+        assert held.tolist() == expected
+        assert 0 < held.sum() < full.n_expensive
 
     def test_cheap_never_removed(self, flood_space):
         exp = maximin_lhs(flood_space, 10, seed=7, n_candidates=10)
         full = augment_cheap(exp, flood_space, extra=15, seed=8)
-        kept, _ = edge_filter(full, [(0.2, 0.2), (0.2, 0.2)])
-        assert kept.n_cheap == full.n_cheap
+        held = edge_mask(full, [(0.2, 0.2), (0.2, 0.2)])
+        assert not held[full.fidelity == "cheap"].any()
 
     def test_all_expensive_removed(self, flood_space):
+        # the mask flags every row; the hold-out that then leaves fewer than 2
+        # is refused by the CLI (test_cli: "the emulators need at least 2")
         d = self.band_design(flood_space, [[0.021, 1.0]])
-        with pytest.raises(AllExpensiveRemoved):
-            edge_filter(d, [(0.10, 0.0), (0.0, 0.0)])
+        assert edge_mask(d, [(0.10, 0.0), (0.0, 0.0)]).tolist() == [True]
 
     def test_fraction_bounds_checked(self, flood_space):
         d = self.band_design(flood_space, [[0.05, 1.0]])
         with pytest.raises(ValueError):
-            edge_filter(d, [(0.5, 0.0), (0.0, 0.0)])
+            edge_mask(d, [(0.5, 0.0), (0.0, 0.0)])
 
 
 class TestDesignIO:

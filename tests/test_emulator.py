@@ -13,6 +13,7 @@ import floodcal.emulator as emulator
 from floodcal import kernels
 from floodcal.design import ParameterSpace
 from floodcal.emulator import (
+    EMULATOR_ARCHIVE,
     JITTER_START,
     LOG_BOUNDS,
     RHO_BOUNDS,
@@ -33,7 +34,6 @@ from floodcal.emulator import (
     fit,
     joint_gram,
     load_emulator,
-    log_posterior,
     predict,
     predict_hr,
     predict_joint,
@@ -51,6 +51,18 @@ from floodcal.errors import (
 
 from conftest import build_hr, build_mr, draw_scores, make_nested_design
 from oracles import cov_cc, cov_ce, cov_ee
+
+
+def log_posterior(params, hyperpriors, scores, theta_cheap, theta_exp, trend_prior) -> float:
+    """One component's marginal log posterior: minus the MAP objective at
+    ``params``, or -inf where the gram is not positive definite."""
+    ws = _FitWorkspace(theta_cheap, theta_exp, trend_prior)
+    try:
+        val, _ = ws.neg_log_posterior_and_grad(_params_to_x(params),
+                                               np.asarray(scores, dtype=float), hyperpriors)
+    except NotPositiveDefinite:
+        return -np.inf
+    return -val
 
 
 def basic_params(k=2, **overrides):
@@ -411,7 +423,8 @@ def _reference_objective(ws, x, scores, hp, jitter=0.0):
     p = _x_to_params(x, k)
     corr_c = kernels.sq_exp_corr(ws.d2, 1.0 / p.range_cheap)
     corr_e = kernels.sq_exp_corr(ws.d2[:, p_c:, p_c:], 1.0 / p.range_exp)
-    m = kernels.gp_cov_from_corr(corr_c, corr_e, p_c, p_c, p.rho, p.var_cheap, p.var_exp)
+    m = kernels.gp_cov(ws.d2, p_c, p_c, p.rho, p.var_cheap, p.var_exp,
+                       1.0 / p.range_cheap, 1.0 / p.range_exp)
     m[np.diag_indices_from(m)] += np.where(np.arange(len(m)) < p_c, p.nugget_cheap, p.nugget_exp)
     h = ws.h0 + p.rho * ws.h1
     m += h @ ws.trend.block_cov @ h.T
@@ -899,6 +912,12 @@ class TestArchive:
         assert np.load(tmp_path / "hr" / "theta_cheap.npy").shape == (0, 2)
         assert np.load(tmp_path / "hr" / "trend_mean.npy").shape == (6,)
 
+    @pytest.mark.parametrize("label", ["emu_mr", "emu_hr"])
+    def test_archive_holds_exactly_the_tables_files(self, gp_setup, tmp_path, label):
+        # the stage checks (and any hash of an archive) see only the files the table lists
+        save_emulator(gp_setup[label], tmp_path / "emu")
+        assert sorted(f.name for f in (tmp_path / "emu").iterdir()) == sorted(EMULATOR_ARCHIVE)
+
     def test_archive_deterministic(self, gp_setup, tmp_path):
         save_emulator(gp_setup["emu_mr"], tmp_path / "a")
         save_emulator(gp_setup["emu_mr"], tmp_path / "b")
@@ -1007,6 +1026,7 @@ MR_CORRUPTIONS = {
     "unknown-type": _edit_manifest(lambda m: m.update(type="quadres")),
     "hyperprior-unknown": _edit_manifest(lambda m: m["hyperpriors"].update(rho_sd=1.0)),
     "hyperprior-shape": _edit_manifest(lambda m: m["hyperpriors"].update(var_exp=[1.0])),
+    "hyperprior-list": _edit_manifest(lambda m: m.update(hyperpriors=sorted(m["hyperpriors"]))),
     "space-dims": _edit_manifest(lambda m: m.update(space=m["space"][:1])),
     "exp-rows": _edit_array("scores_exp", lambda a: a[:-1]),
     "cheap-rows": _edit_array("theta_cheap", lambda a: a[:-1]),

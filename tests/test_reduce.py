@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from floodcal.errors import DegenerateEnsemble, DimensionMismatch, MalformedArtifact
 from floodcal.grid import Grid, LocationSet, bilinear_interpolate, flatten
 from floodcal.reduce import (
+    BASIS_ARCHIVE,
     ReducedBasis,
     RunEnsemble,
     build_ensemble,
@@ -233,11 +234,16 @@ class TestBasisArchive:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
     def test_roundtrip_bitwise_property(self, tmp_path_factory, n_loc, n_comp, seed):
+        # components are orthogonal with squared norms the (descending) eigenvalues,
+        # as load_basis requires: sqrt(eigenvalue)-scaled orthonormal columns
         rng = np.random.default_rng(seed)
+        n_comp = min(n_comp, n_loc)
+        eigenvalues = np.sort(np.exp(rng.uniform(-300.0, 300.0, n_comp)))[::-1]
+        orthonormal = np.linalg.qr(rng.standard_normal((n_loc, n_comp)))[0]
         basis = ReducedBasis(
             column_mean=rng.standard_normal(n_loc) * 10.0 ** rng.integers(-300, 300, n_loc),
-            components=rng.standard_normal((n_loc, n_comp)),
-            eigenvalues=np.exp(rng.uniform(-300.0, 300.0, n_comp)),
+            components=orthonormal * np.sqrt(eigenvalues),
+            eigenvalues=eigenvalues,
             variance_fraction=rng.random(),
             total_variance=rng.exponential(),
             target_fraction=rng.random(),
@@ -251,6 +257,11 @@ class TestBasisArchive:
             assert before.tobytes() == after.tobytes()
         for name in ("variance_fraction", "total_variance", "target_fraction"):
             assert getattr(back, name) == getattr(basis, name)
+
+    def test_archive_holds_exactly_the_tables_files(self, random_ensemble, tmp_path):
+        # the stage checks (and any hash of an archive) see only the files the table lists
+        save_basis(fit_basis(random_ensemble), tmp_path / "basis")
+        assert sorted(f.name for f in (tmp_path / "basis").iterdir()) == sorted(BASIS_ARCHIVE)
 
     def test_archive_deterministic(self, random_ensemble, tmp_path):
         basis = fit_basis(random_ensemble)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from floodcal.grid import bilinear_interpolate, flatten, grid_locations
+from floodcal.grid import bilinear_interpolate, cell_centers, flatten, grid_locations
 from floodcal.synthmodel import (
     SURFACE_OFFSET,
     SynthConfig,
@@ -84,7 +84,7 @@ class TestRunCheap:
     def test_hand_evaluated_cell(self, config):
         theta = np.array([0.055, 0.98])
         coarse = run_cheap(theta, config)
-        x, y = coarse.cell_center(1, 3)
+        x, y = cell_centers(coarse)[1 * coarse.n_cols + 3]
         amp = config.amplitude(theta)
         width = config.ridge_width(theta)
         dist = abs(y - x) / math.sqrt(2)
@@ -161,7 +161,7 @@ class TestSharedStructure:
                              coarse_shape=coarse_shape, coarse_cell=coarse_cell)
         coarse = config.coarse_grid_template()
         lo = (coarse.origin_x, coarse.origin_y)
-        hi = coarse.cell_center(coarse.n_rows - 1, coarse.n_cols - 1)
+        hi = cell_centers(coarse)[-1]
         expected = [p for p in grid_locations(config.fine_grid_template()).coords
                     if lo[0] <= p[0] <= hi[0] and lo[1] <= p[1] <= hi[1]]
         got = shared_locations(config).coords
