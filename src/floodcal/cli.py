@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -46,7 +47,6 @@ from .calibrate import (
     thin,
 )
 from .design import (
-    CHEAP,
     EXPENSIVE,
     Design,
     ParameterSpace,
@@ -79,16 +79,16 @@ from .errors import (
     NonPositiveDf,
 )
 from .grid import flatten, read_ascii_grid, write_ascii_grid
-from .manifest import config_digest, read_manifest, write_manifest
+from .manifest import config_digest, npy_header, read_manifest, write_manifest
 from .reduce import (
     BASIS_ARCHIVE,
     RunEnsemble,
     build_ensemble,
-    fit_basis,
+    fit_basis,  # noqa: F401 - unused here, but perfbench's tracer wraps it here
+    fit_basis_in_place,
     load_basis,
     project,
     reconstruct,
-    reduce_runs,
     save_basis,
 )
 from .synthmodel import (
@@ -355,22 +355,29 @@ def cmd_run_synth(cfg: ExperimentConfig, seed: int | None = None, _threads: int 
     # %.17g grids read back as these floats, so the matrix is the one emulate would build,
     # under the key emulate computes from the files' bytes
     locations = shared_locations(cfg.synth)
-    ensemble = build_ensemble(*([g for g, f in zip(grids, design.fidelity) if f == tag]
-                                for tag in (EXPENSIVE, CHEAP)), design, locations)
+    ensemble = build_ensemble(grids[:design.n_expensive], grids[design.n_expensive:], design,
+                              locations)
     key = _ensemble_key([_file_digest(_path(cfg, DESIGN)), manifest_digest, *grid_digests],
                         locations)
     _store_ensemble(cfg, key, ensemble.depths)
 
 
 def _load_ensemble(cfg: ExperimentConfig) -> RunEnsemble:
-    """The design's runs, as listed in the runs manifest, on the shared locations.
+    """The design's runs on the shared locations: :func:`_load_split` holding none out."""
+    return _load_split(cfg, _load_design(cfg), [])[0]
 
-    The run matrix is kept in the ``ENSEMBLE`` pair under ``_ensemble_key``,
-    stored by ``run-synth`` or by the first load after it.  When the key and
-    the matrix's own checksum match, the matrix is loaded instead of parsing
-    and interpolating the grids again; anything else rebuilds and rewrites it.
+
+def _load_split(cfg: ExperimentConfig, design: Design, held_idx):
+    """The runs the runs manifest lists, on the shared locations: the ensemble
+    without the expensive rows ``held_idx``, its depths an array no one else
+    holds, and those rows' depths and settings.
+
+    The run matrix is cached in the ``ENSEMBLE`` pair under ``_ensemble_key``
+    by ``run-synth`` or the first load after it.  When the key and the matrix's
+    own checksum match, its rows are read straight into the two depth arrays;
+    anything else rebuilds it from the grids, one at a time, and rewrites it.
     """
-    design = _load_design(cfg)
+    held, train_design, test_thetas = _holdout(design, held_idx)
     manifest_path = _path(cfg, RUNS_MANIFEST)
     try:
         run_paths = {entry["row"]: _check(cfg, RUN_GRIDS, cfg.runs_dir / entry["file"])
@@ -383,19 +390,34 @@ def _load_ensemble(cfg: ExperimentConfig) -> RunEnsemble:
     locations = shared_locations(cfg.synth)
     digests = map(_file_digest, (_path(cfg, DESIGN), manifest_path, *run_paths.values()))
     key = _ensemble_key(digests, locations)
-    depths = _cached_depths(cfg, key, (len(design.points), len(locations)))
-    if depths is not None:
-        return RunEnsemble(depths, design, locations)
+    split = _cached_split(cfg, key, held, len(locations))
+    if split is None:
+        paths, p_e = [run_paths[i] for i in range(len(design.points))], design.n_expensive
+        depths = build_ensemble(map(read_ascii_grid, paths[:p_e]),
+                                map(read_ascii_grid, paths[p_e:]), design, locations).depths
+        _store_ensemble(cfg, key, depths)
+        split = (depths[~held], depths[held]) if held.any() else (depths, depths[:0])
+    return RunEnsemble(split[0], train_design, locations), split[1], test_thetas
 
-    grids = {row: read_ascii_grid(path) for row, path in run_paths.items()}
-    ensemble = build_ensemble(*([grids[i] for i, f in enumerate(design.fidelity) if f == tag]
-                                for tag in (EXPENSIVE, CHEAP)), design, locations)
-    _store_ensemble(cfg, key, ensemble.depths)
-    return ensemble
+
+def _holdout(design: Design, held_idx):
+    """The row mask of expensive rows ``held_idx``, the design without them, their settings."""
+    n_left = design.n_expensive - len(held_idx)
+    if n_left < 2:
+        raise AllExpensiveRemoved(f"holding out {len(held_idx)} of {design.n_expensive} "
+                                  f"expensive runs leaves {n_left}; the emulators need at least 2")
+    held = np.zeros(len(design.points), dtype=bool)
+    held[held_idx] = True  # expensive rows come first
+    train_design = Design(design.points[~held], design.fidelity[~held], design.space)
+    return held, train_design, design.points[held]
 
 
 def _file_digest(path: Path) -> bytes:
-    return hashlib.sha256(path.read_bytes()).digest()  # one file in memory at a time
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):  # a read of 1 MiB added 0.8 MB to peak RSS
+            digest.update(chunk)
+    return digest.digest()
 
 
 def _ensemble_key(file_digests, locations) -> str:
@@ -420,33 +442,41 @@ def _store_ensemble(cfg: ExperimentConfig, key: str, depths: np.ndarray) -> None
     os.replace(f"{meta}.tmp", meta)
 
 
-def _cached_depths(cfg: ExperimentConfig, key: str, shape: tuple) -> np.ndarray | None:
-    """The cached run matrix if it was built under ``key`` and is intact, else None."""
+def _cached_split(cfg: ExperimentConfig, key: str, held: np.ndarray, n_locations: int):
+    """The cached run matrix's rows outside and inside the row mask ``held``, read into
+    an array each, if it was built under ``key`` and is intact: C-ordered float64,
+    ``len(held)`` x ``n_locations``, with the recorded sha256 of the bytes read.  Else None."""
     matrix, meta = (_path(cfg, template) for template in ENSEMBLE)
     try:
         meta = read_manifest(meta)
         if meta["key"] != key:
             return None
-        depths = np.load(matrix, allow_pickle=False)
-        intact = (isinstance(depths, np.ndarray) and depths.shape == shape
-                  and depths.dtype == np.float64 and depths.flags.c_contiguous
-                  and hashlib.sha256(depths).hexdigest() == meta["sha256"])
-    except (OSError, EOFError, ValueError, KeyError, TypeError):
+        with open(matrix, "rb") as fh:  # the header is checked before anything is allocated
+            if npy_header(fh, matrix) != ((len(held), n_locations), False, np.float64):
+                return None
+            blocks = [np.empty((np.count_nonzero(held == side), n_locations)) for side in (0, 1)]
+            digest, filled = hashlib.sha256(), [0, 0]
+            for side, run in itertools.groupby(held.tolist()):  # a range of rows on one side
+                rows = blocks[side][filled[side]:filled[side] + len(list(run))]
+                fh.readinto(rows)  # a short read leaves bytes the digest then fails on
+                digest.update(rows)
+                filled[side] += len(rows)
+    except (OSError, ValueError, KeyError, TypeError, MalformedArtifact):
         return None
-    return depths if intact else None
+    return blocks if digest.hexdigest() == meta["sha256"] else None
 
 
 def cmd_emulate(cfg: ExperimentConfig, seed: int | None = None, _threads: int = 1) -> None:
     seed = cfg.seeds["emulator"] if seed is None else seed
-    ensemble = _load_ensemble(cfg)
-    design = ensemble.design
+    design = _load_design(cfg)
     held = np.flatnonzero(edge_mask(design, cfg.edge_bands)) if cfg.apply_edge_bands else []
-    basis, emulators, _, _, _ = _fit_holdout(cfg, design, ensemble, held, seed)
+    train, test_depths, _ = _load_split(cfg, design, held)
+    basis, emulators, _ = _fit_holdout(cfg, train, test_depths, seed)
 
     save_basis(basis, _path(cfg, BASIS))
     for label, emu in emulators.items():
         save_emulator(emu, _path(cfg, EMULATOR, label))
-    n_locations = len(ensemble.locations)
+    n_locations = len(train.locations)
     _finish(cfg, "emulate", EMULATE_MANIFEST,
             f"emulate: {basis.n_components} components capture "
             f"{100 * basis.variance_fraction:.2f}% variance at {n_locations} locations",
@@ -513,8 +543,7 @@ def cmd_diagnose(cfg: ExperimentConfig, seed: int | None = None) -> None:
     projection = read_ascii_grid(_path(cfg, PROJECTION))
     obs_grid = read_ascii_grid(_path(cfg, OBSERVATION))
     archive = _warm_archive(cfg)
-    ensemble = _load_ensemble(cfg)  # every input is read before the first output is written
-    design = ensemble.design
+    design = _load_design(cfg)
     report = extent_metrics(projection, obs_grid, cfg.flood_threshold)
 
     # emulator validation: hold out expensive runs, whiten errors per leading PC
@@ -527,6 +556,7 @@ def cmd_diagnose(cfg: ExperimentConfig, seed: int | None = None) -> None:
         raise NonPositiveDf(f"{p_e} expensive runs are too few for USPE validation "
                             f"(need {n_min} test + 2 training points)")
     held_idx = np.sort(rng.choice(p_e, size=n_hold, replace=False))
+    split = _load_split(cfg, design, held_idx)  # every input is read before an output is written
 
     metrics = {"approach": cfg.approach, "flood_threshold": cfg.flood_threshold}
     metrics.update(report.to_dict())
@@ -537,7 +567,7 @@ def cmd_diagnose(cfg: ExperimentConfig, seed: int | None = None) -> None:
                  f"{'Percent bias':<16}{report.percent_bias:.2f}\n"
                  f"{'Fit':<16}{report.fit:.3f}\n"
                  f"{'Correctness':<16}{report.correctness:.3f}\n")
-    uspe_written = _uspe_validation(cfg, design, ensemble, held_idx, seed, archive)
+    uspe_written = _uspe_validation(cfg, split, seed, archive)
 
     _finish(cfg, "diagnose", DIAGNOSE_MANIFEST,
             f"diagnose[{cfg.approach}]: rmse {report.rmse:.4f} m, bias "
@@ -545,21 +575,6 @@ def cmd_diagnose(cfg: ExperimentConfig, seed: int | None = None) -> None:
             f"correctness {report.correctness:.3f}",
             seed=seed, flood_threshold=cfg.flood_threshold,
             held_out_rows=[int(i) for i in held_idx], uspe_files=uspe_written)
-
-
-def _train_test_split(design: Design, ensemble: RunEnsemble, held_exp_idx: np.ndarray):
-    """The ensemble without the given expensive rows, and those rows' depths and settings."""
-    n_left = design.n_expensive - len(held_exp_idx)
-    if n_left < 2:
-        raise AllExpensiveRemoved(f"holding out {len(held_exp_idx)} of {design.n_expensive} "
-                                  f"expensive runs leaves {n_left}; the emulators need at least 2")
-    if len(held_exp_idx) == 0:  # no copy of the depth matrix when nothing is held out
-        return ensemble, ensemble.depths[:0], design.points[:0]
-    held_rows = np.zeros(len(design.points), dtype=bool)
-    held_rows[held_exp_idx] = True  # expensive rows come first
-    train = RunEnsemble(ensemble.depths[~held_rows], Design(
-        design.points[~held_rows], design.fidelity[~held_rows], design.space), ensemble.locations)
-    return train, ensemble.depths[held_rows], design.points[held_rows]
 
 
 def _warm_archive(cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
@@ -601,27 +616,23 @@ def _warm_starts(basis, archive) -> dict:
     return {label: [p[i] for i in match] for label, p in params.items()}
 
 
-def _fit_holdout(cfg, design, ensemble, held_idx, seed, archive=None):
-    """Basis and MR/HR emulators fitted without the held-out expensive rows.
+def _fit_holdout(cfg, train, test_depths, seed, archive=None):
+    """Basis and MR/HR emulators fitted to ``train``, its depths centered in place.
 
     Fits are cold, from ``cfg.n_starts`` random starts per component, unless
     ``archive`` (see :func:`_warm_archive`) gives warm starts.  Returns the
-    basis, the emulators keyed ``mr``/``hr``, and the held-out settings,
-    depths and scores.
+    basis, the emulators keyed ``mr``/``hr``, and the scores of ``test_depths``.
     """
-    train, test_depths, test_thetas = _train_test_split(design, ensemble, held_idx)
-    basis = fit_basis(train, cfg.target_fraction)
-    scores = reduce_runs(basis, train)
-    test_scores = project(basis, test_depths)
+    basis, scores = fit_basis_in_place(train.depths, cfg.target_fraction)
     mr_seed, hr_seed = child_seeds(seed, 2)
     warm = _warm_starts(basis, archive) if archive is not None else {"mr": None, "hr": None}
     emulators = {
-        "mr": fit_multires(train.design, scores.scores, n_starts=cfg.n_starts,
+        "mr": fit_multires(train.design, scores, n_starts=cfg.n_starts,
                            seed=mr_seed, warm=warm["mr"]),
-        "hr": fit_singleres(train.design, scores.expensive, n_starts=cfg.n_starts,
-                            seed=hr_seed, warm=warm["hr"]),
+        "hr": fit_singleres(train.design, scores[:train.design.n_expensive],
+                            n_starts=cfg.n_starts, seed=hr_seed, warm=warm["hr"]),
     }
-    return basis, emulators, test_thetas, test_depths, test_scores
+    return basis, emulators, project(basis, test_depths)
 
 
 def _leading_components(basis, fraction: float = 0.75) -> int:
@@ -629,9 +640,9 @@ def _leading_components(basis, fraction: float = 0.75) -> int:
     return int(min(np.searchsorted(cum, fraction) + 1, basis.n_components))
 
 
-def _uspe_validation(cfg, design, ensemble, held_idx, seed, archive) -> list:
-    basis, emulators, test_thetas, _, test_scores = _fit_holdout(
-        cfg, design, ensemble, held_idx, seed, archive=archive)
+def _uspe_validation(cfg, split, seed, archive) -> list:
+    train, test_depths, test_thetas = split
+    basis, emulators, test_scores = _fit_holdout(cfg, train, test_depths, seed, archive)
     n_lead = _leading_components(basis)
     written = []
     for label, emu in emulators.items():
@@ -664,10 +675,10 @@ def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, _threads: int =
     for fold, fold_seed in zip(folds, fold_seeds[:-1]):
         if len(fold) == 0:
             continue
-        cv_d.extend(_holdout_d_values(cfg, design, ensemble, np.sort(fold), fold_seed, archive))
+        cv_d.extend(_holdout_d_values(cfg, ensemble, np.sort(fold), fold_seed, archive))
 
     held_edge = np.flatnonzero(edge_mask(design, cfg.edge_bands)[:p_e])
-    edge_d = (_holdout_d_values(cfg, design, ensemble, held_edge, fold_seeds[-1], archive)
+    edge_d = (_holdout_d_values(cfg, ensemble, held_edge, fold_seeds[-1], archive)
               if held_edge.size else None)
 
     q = summarize_d(cv_d)
@@ -686,10 +697,13 @@ def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, _threads: int =
             seed=seed, **result)
 
 
-def _holdout_d_values(cfg, design, ensemble, held_idx, seed, archive) -> list:
-    """Per-held-out-point RMSE difference between the MR and HR emulators."""
-    basis, emulators, test_thetas, test_depths, _ = _fit_holdout(
-        cfg, design, ensemble, held_idx, seed, archive)
+def _holdout_d_values(cfg, ensemble, held_idx, seed, archive) -> list:
+    """Per-held-out-point RMSE difference between the MR and HR emulators, fitted
+    to one fancy-index copy of the rows not in ``held_idx``."""
+    held, train_design, test_thetas = _holdout(ensemble.design, held_idx)
+    train = RunEnsemble(ensemble.depths[~held], train_design, ensemble.locations)
+    test_depths = ensemble.depths[held]
+    basis, emulators, _ = _fit_holdout(cfg, train, test_depths, seed, archive)
     pred_mr, pred_hr = (reconstruct(basis, predict_many(emu, test_thetas)[0])
                         for emu in emulators.values())
     return [d_mr_hr(rmse(mr, depths), rmse(hr, depths))

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -80,13 +81,31 @@ def read_csv(path, float_columns: slice) -> tuple[list, list, list]:
     return header, rows, values
 
 
+def npy_header(fh, path) -> tuple[tuple, bool, np.dtype]:
+    """The shape, Fortran-order flag and dtype of the ``.npy`` file open as ``fh``, left
+    at its data.  Allocates nothing, so a huge shape is no MemoryError: MalformedArtifact
+    naming ``path`` unless the header gives a numeric dtype and the file's size."""
+    fmt = np.lib.format
+    try:
+        version = fmt.read_magic(fh)
+        read = {(1, 0): fmt.read_array_header_1_0, (2, 0): fmt.read_array_header_2_0}[version]
+        shape, fortran, dtype = read(fh)
+    except (KeyError, ValueError) as err:
+        raise MalformedArtifact(f"{path}: unreadable .npy header: {err!r}") from err
+    size, actual = fh.tell() + math.prod(shape) * dtype.itemsize, os.fstat(fh.fileno()).st_size
+    if dtype.kind not in "biufc" or size != actual:
+        raise MalformedArtifact(f"{path}: not a numeric array filling the file: {dtype} of "
+                                f"shape {shape} takes {size} bytes, the file has {actual}")
+    return shape, fortran, dtype
+
+
 def load_array(path) -> np.ndarray:
-    """An array saved by ``np.save``; MalformedArtifact naming ``path`` if bytes
-    follow the array's data or a value is not finite."""
+    """An array saved by ``np.save``; MalformedArtifact naming ``path`` if
+    :func:`npy_header` rejects it or a value is not finite."""
     with open(path, "rb") as fh:
+        npy_header(fh, path)
+        fh.seek(0)
         array = np.load(fh, allow_pickle=False)
-        if fh.read(1):
-            raise MalformedArtifact(f"{path}: bytes follow the array's data")
     if not np.all(np.isfinite(array)):
         raise MalformedArtifact(f"{path}: holds values that are not finite")
     return array
@@ -110,16 +129,13 @@ def write_archive(directory, table: dict, contents: dict) -> None:
 def read_archive(directory, table: dict, sizes: dict) -> dict:
     """The arrays of ``table`` in ``directory``, through :func:`load_array`, keyed
     by name without ``.npy``.  A shape symbol takes its size from ``sizes``, or
-    else from the first array that has it; MalformedArtifact naming the
-    archive if an array is unreadable or disagrees with a size so bound."""
+    else from the first array that has it; MalformedArtifact if an array is
+    unreadable or disagrees with a size so bound."""
     directory, sizes, arrays = Path(directory), dict(sizes), {}
     for name, shape in table.items():
         if shape is None:
             continue
-        try:
-            array = load_array(directory / name)
-        except (EOFError, TypeError, ValueError) as err:
-            raise MalformedArtifact(f"{directory}: unreadable {name}: {err!r}") from err
+        array = load_array(directory / name)
         bound = [sizes.setdefault(symbol, size) for symbol, size in zip(shape, array.shape)]
         if array.ndim != len(shape) or list(array.shape) != bound:
             bindings = ", ".join(f"{symbol} = {sizes.get(symbol)!r}" for symbol in shape)

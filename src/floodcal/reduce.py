@@ -10,13 +10,14 @@ covariance) are retained to explain the target variance fraction.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import deferred
-from .design import Design
+from .design import CHEAP, EXPENSIVE, Design
 from .errors import DegenerateEnsemble, DimensionMismatch, MalformedArtifact
 from .grid import Grid, LocationSet, bilinear_interpolate, bilinear_stencil, flatten
 from .manifest import read_archive, read_manifest, write_archive
@@ -72,25 +73,9 @@ class ReducedBasis:
         return self.components.shape[0]
 
 
-@dataclass(frozen=True)
-class ReducedRuns:
-    """Score matrix of an ensemble, expensive rows first."""
-
-    scores: np.ndarray
-    n_expensive: int
-
-    @property
-    def expensive(self) -> np.ndarray:
-        return self.scores[: self.n_expensive]
-
-    @property
-    def cheap(self) -> np.ndarray:
-        return self.scores[self.n_expensive:]
-
-
 def build_ensemble(
-    expensive_grids: list[Grid],
-    cheap_grids: list[Grid],
+    expensive_grids: Iterable[Grid],
+    cheap_grids: Iterable[Grid],
     design: Design,
     locations: LocationSet,
 ) -> RunEnsemble:
@@ -98,28 +83,40 @@ def build_ensemble(
 
     Expensive grids are read off directly (locations must be their cell
     centers); cheap grids are matched by bilinear interpolation, with the
-    neighbours and weights computed once per coarse geometry.
+    neighbours and weights computed once per coarse geometry.  Each grid is
+    dropped once placed, so lazy iterables hold one grid at a time.
     """
     design.validate_nesting()
-    if len(expensive_grids) != design.n_expensive:
-        raise ValueError("expensive grid count does not match design")
-    if len(cheap_grids) != design.n_cheap:
-        raise ValueError("cheap grid count does not match design")
-    depths = np.empty((len(expensive_grids) + len(cheap_grids), len(locations)))
-    for i, grid in enumerate(expensive_grids):
-        depths[i] = flatten(grid, locations)
-    stencil = None
-    for i, grid in enumerate(cheap_grids, start=len(expensive_grids)):
+    depths, stencil = np.empty((len(design.points), len(locations))), None
+    grids = {EXPENSIVE: iter(expensive_grids), CHEAP: iter(cheap_grids)}
+    for i, tag in enumerate(design.fidelity):
+        grid = next(grids[tag], None)
+        if grid is None:
+            raise ValueError(f"{tag} grid count does not match design")
+        if tag == EXPENSIVE:
+            depths[i] = flatten(grid, locations)
+            continue
         if stencil is None or not stencil.fits(grid):
             stencil = bilinear_stencil(grid, locations)
         depths[i] = bilinear_interpolate(grid, locations, stencil)
+    for tag, rest in grids.items():
+        if next(rest, None) is not None:
+            raise ValueError(f"{tag} grid count does not match design")
     return RunEnsemble(depths, design, locations)
 
 
 def fit_basis(ensemble: RunEnsemble, target_fraction: float = 0.95) -> ReducedBasis:
-    """Retain the fewest principal components explaining ``target_fraction``.
+    """:func:`fit_basis_in_place`'s basis, from a copy of ``ensemble.depths``."""
+    return fit_basis_in_place(ensemble.depths.copy(), target_fraction)[0]
 
-    With ``X`` the centered p x N run matrix, the nonzero eigenvalues of the
+
+def fit_basis_in_place(depths: np.ndarray, target_fraction: float = 0.95
+                       ) -> tuple[ReducedBasis, np.ndarray]:
+    """Retain the fewest principal components explaining ``target_fraction``; returns
+    the basis and the scores of ``depths`` as given, bitwise ``project(basis, depths)``.
+
+    ``depths``, a C-ordered p x N run matrix, is centered in place.  With
+    ``X`` the centered run matrix, the nonzero eigenvalues of the
     sample covariance ``X^T X / (p-1)`` are those of the p x p Gram matrix
     ``G = X X^T`` over p-1, and an eigenvector ``u`` of ``G`` gives the
     scaled component ``X^T u / sqrt(p-1)``.  This costs O(p^2 N) instead of
@@ -133,17 +130,16 @@ def fit_basis(ensemble: RunEnsemble, target_fraction: float = 0.95) -> ReducedBa
     DegenerateEnsemble
         If all rows are identical (zero total variance).
     """
-    depths = ensemble.depths
     p = depths.shape[0]
     if p < 2:
         raise ValueError("need at least two runs")
     if not 0 < target_fraction <= 1:
         raise ValueError("target_fraction must be in (0, 1]")
+    scale = max(1.0, float(depths.max()), float(-depths.min()))  # max |depth|, no temporary
     mean = depths.mean(axis=0)
-    centered = depths - mean
+    centered = np.subtract(depths, mean, out=depths)
     gram_values, gram_vectors = eigh(centered @ centered.T)
     gram_values, gram_vectors = np.clip(gram_values[::-1], 0.0, None), gram_vectors[:, ::-1]
-    scale = max(1.0, float(depths.max()), float(-depths.min()))  # max |depth|, no temporary
     if np.sqrt(gram_values[0]) <= max(depths.shape) * np.finfo(float).eps * scale:
         raise DegenerateEnsemble("all runs identical: zero variance to reduce")
 
@@ -158,7 +154,7 @@ def fit_basis(ensemble: RunEnsemble, target_fraction: float = 0.95) -> ReducedBa
         lead = np.argmax(np.abs(components[:, j]))
         if components[lead, j] < 0:
             components[:, j] = -components[:, j]
-    return ReducedBasis(
+    basis = ReducedBasis(
         column_mean=mean,
         components=components,
         eigenvalues=eigenvalues[:n_keep].copy(),
@@ -166,6 +162,7 @@ def fit_basis(ensemble: RunEnsemble, target_fraction: float = 0.95) -> ReducedBa
         total_variance=total,
         target_fraction=float(target_fraction),
     )
+    return basis, centered @ basis.components / basis.eigenvalues
 
 
 def project(basis: ReducedBasis, rows: np.ndarray) -> np.ndarray:
@@ -186,10 +183,6 @@ def reconstruct(basis: ReducedBasis, scores: np.ndarray) -> np.ndarray:
             f"scores have {scores.shape[1]} columns, basis has {basis.n_components}"
         )
     return scores @ basis.components.T + basis.column_mean
-
-
-def reduce_runs(basis: ReducedBasis, ensemble: RunEnsemble) -> ReducedRuns:
-    return ReducedRuns(project(basis, ensemble.depths), ensemble.design.n_expensive)
 
 
 # --- archive --------------------------------------------------------------

@@ -35,7 +35,7 @@ from floodcal.emulator import (
     predict_many,
 )
 from floodcal.grid import Grid
-from floodcal.reduce import RunEnsemble, build_ensemble, fit_basis, project, reconstruct, reduce_runs
+from floodcal.reduce import RunEnsemble, build_ensemble, fit_basis, project, reconstruct
 from floodcal.synthmodel import (
     SynthConfig,
     run_cheap,
@@ -307,8 +307,7 @@ def test_criterion_09_end_to_end_recovery(flood_space):
         cheap_grids = [run_cheap(p, config) for p in design.cheap_points]
         ensemble = build_ensemble(exp_grids, cheap_grids, design, locations)
         basis = fit_basis(ensemble, 0.95)
-        scores = reduce_runs(basis, ensemble)
-        emulator = fit_multires(design, scores.scores, n_starts=8, seed=303)
+        emulator = fit_multires(design, project(basis, ensemble.depths), n_starts=8, seed=303)
 
         obs = simulate_observation(theta_star, config, seed=304, locations=locations)
         z_r = reduce_observation(obs, basis)
@@ -349,9 +348,10 @@ def test_criterion_10_edge_case_direction(flood_space):
             test_thetas = design.points[held]
 
             basis = fit_basis(train_ens, 0.95)
-            scores = reduce_runs(basis, train_ens)
-            emu_mr = fit_multires(train_design, scores.scores, n_starts=4, seed=seed + 60)
-            emu_hr = fit_singleres(train_design, scores.expensive, n_starts=4, seed=seed + 70)
+            scores = project(basis, train_ens.depths)
+            emu_mr = fit_multires(train_design, scores, n_starts=4, seed=seed + 60)
+            emu_hr = fit_singleres(train_design, scores[:train_design.n_expensive], n_starts=4,
+                                   seed=seed + 70)
             mean_mr, _ = predict_many(emu_mr, test_thetas)
             mean_hr, _ = predict_many(emu_hr, test_thetas)
             pred_mr = reconstruct(basis, mean_mr)

@@ -7,6 +7,8 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,9 @@ from floodcal.reduce import (
     ReducedBasis,
     build_ensemble,
     fit_basis,
+    fit_basis_in_place,
     load_basis,
+    project,
     save_basis,
 )
 from floodcal.synthmodel import SynthConfig, shared_locations
@@ -404,6 +408,16 @@ class TestExitCodes:
             assert main([stage, "--config", str(config)]) == 4
             assert "emulator_mr has 2 components" in capsys.readouterr().err
 
+    def test_huge_shape_in_an_archive_header(self, pipeline, tmp_path, capsys):
+        # np.load once raised MemoryError before any check ran: a traceback, not exit 3
+        root = tmp_path / "huge"
+        shutil.copytree(pipeline, root)
+        components = root / "out" / "basis" / "components.npy"
+        _claim_huge_shape(components)
+        assert main(["calibrate", "--config", str(root / "experiment.ini")]) == 3
+        assert (f"malformed artifact: {components}: not a numeric array filling the file"
+                in capsys.readouterr().err)
+
     def test_malformed_basis_archive(self, pipeline, tmp_path, capsys):
         root = tmp_path / "malformed"
         shutil.copytree(pipeline, root)
@@ -747,7 +761,91 @@ def _edit_manifest(root: Path) -> None:
     path.write_text(json.dumps(meta))
 
 
+def _claim_huge_shape(path: Path) -> None:
+    """Give the .npy at ``path`` a header claiming 10^18 float64s, before its own data;
+    loading it would ask for 8 EB, which fails at once."""
+    with open(path, "rb") as fh:
+        np.lib.format.read_magic(fh)
+        np.lib.format.read_array_header_1_0(fh)
+        data = fh.read()
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": (10**9, 10**9)})
+        fh.write(data)
+
+
+def _resave_matrix(convert):
+    def change(root: Path) -> None:
+        path = root / "out" / "ensemble.npy"
+        np.save(path, convert(np.load(path)))
+    return change
+
+
+def _flip_a_data_byte(root: Path) -> None:
+    path = root / "out" / "ensemble.npy"
+    raw = bytearray(path.read_bytes())
+    raw[-1000] ^= 0x01  # a byte of the last row's data
+    path.write_bytes(bytes(raw))
+
+
 class TestEnsembleCache:
+    @pytest.mark.parametrize("held_idx", [[], [0], [3], [1, 2, 5], [0, 4, 9], list(range(8))])
+    def test_streamed_split_equals_fancy_indexing(self, pipeline, monkeypatch, held_idx):
+        cfg = cli.load_config(pipeline / "experiment.ini")
+        design, depths = cli._load_design(cfg), np.load(pipeline / "out" / "ensemble.npy")
+        builds = _counting(monkeypatch, "build_ensemble")
+        train, test_depths, test_thetas = cli._load_split(cfg, design, held_idx)
+        assert builds == []
+        held = np.isin(np.arange(len(depths)), held_idx)
+        assert train.depths.tobytes() == depths[~held].tobytes()
+        assert test_depths.tobytes() == depths[held].tobytes()
+        assert np.array_equal(test_thetas, design.points[held])
+        assert np.array_equal(train.design.points, design.points[~held])
+        assert train.design.n_expensive == design.n_expensive - len(held_idx)
+
+    @pytest.mark.parametrize("held_idx", [[], [1, 2, 5]])
+    def test_in_place_basis_and_scores_equal_fit_basis_and_project(self, pipeline, held_idx):
+        cfg = cli.load_config(pipeline / "experiment.ini")
+        train, _, _ = cli._load_split(cfg, cli._load_design(cfg), held_idx)
+        expected = fit_basis(train, cfg.target_fraction)
+        expected_scores = project(expected, train.depths)
+        basis, scores = fit_basis_in_place(train.depths, cfg.target_fraction)
+        for name in ("column_mean", "components", "eigenvalues"):
+            assert getattr(basis, name).tobytes() == getattr(expected, name).tobytes(), name
+        for name in ("variance_fraction", "total_variance", "target_fraction"):
+            assert getattr(basis, name) == getattr(expected, name), name
+        assert scores.tobytes() == expected_scores.tobytes()
+
+    def test_a_rebuild_holds_one_run_grid_at_a_time(self, pipeline, tmp_path, monkeypatch):
+        root = tmp_path / "rebuild"
+        shutil.copytree(pipeline, root)
+        (root / "out" / "ensemble.npy").unlink()
+        alive, held_before_read, original = weakref.WeakSet(), [], cli.read_ascii_grid
+
+        def tracked(path):
+            held_before_read.append(len(alive))
+            grid = original(path)
+            alive.add(grid)
+            return grid
+
+        monkeypatch.setattr(cli, "read_ascii_grid", tracked)
+        depths = cli._load_ensemble(cli.load_config(root / "experiment.ini")).depths
+        assert len(held_before_read) == len(depths) == 50
+        # the previous grid may live until the next is read; no earlier one does
+        assert max(held_before_read) <= 1
+
+    def test_emulate_rebuilds_past_a_huge_shape_header(self, pipeline, tmp_path, monkeypatch):
+        # np.load once raised MemoryError here, a traceback where a rebuild is promised
+        root = tmp_path / "huge"
+        shutil.copytree(pipeline, root)
+        _claim_huge_shape(root / "out" / "ensemble.npy")
+        builds = _counting(monkeypatch, "build_ensemble")
+        assert main(["emulate", "--config", str(root / "experiment.ini")]) == 0
+        assert len(builds) == 1
+        for name in ("ensemble.npy", "ensemble.manifest.json",
+                     *(f"basis/{name}" for name in BASIS_ARCHIVE)):
+            assert (root / "out" / name).read_bytes() == (pipeline / "out" / name).read_bytes()
+
     def test_warm_load_equals_cold_and_fresh_builds(self, pipeline, tmp_path, monkeypatch):
         root = tmp_path / "cache"
         shutil.copytree(pipeline, root)
@@ -797,8 +895,13 @@ class TestEnsembleCache:
         _edit_manifest,
         lambda root: (root / "out" / "ensemble.npy").unlink(),
         lambda root: (root / "out" / "ensemble.manifest.json").unlink(),
+        lambda root: _claim_huge_shape(root / "out" / "ensemble.npy"),
+        _resave_matrix(np.asfortranarray),
+        _resave_matrix(lambda depths: depths.astype(np.float32)),
+        _flip_a_data_byte,
     ], ids=["run-grid", "design", "truncated-matrix", "edited-manifest",
-            "deleted-matrix", "deleted-manifest"])
+            "deleted-matrix", "deleted-manifest", "huge-shape", "fortran-order", "float32",
+            "flipped-byte"])
     def test_stale_or_damaged_cache_is_rebuilt(self, pipeline, tmp_path, monkeypatch, change):
         root = tmp_path / "stale"
         shutil.copytree(pipeline, root)
@@ -820,6 +923,35 @@ class TestEnsembleCache:
 def _basis(components) -> ReducedBasis:
     j = components.shape[1]
     return ReducedBasis(np.zeros(len(components)), components, np.ones(j), 1.0, float(j), 1.0)
+
+
+class TestRunMatrixMemory:
+    # At 128x128 fine cells (a 6.2 MB run matrix), emulate's traced peak was 2.09 and
+    # diagnose's 3.04 times the matrix when each held a second and third copy of it;
+    # reading the matrix straight into the training and held-out rows and centering
+    # those in place brought them to 1.10 and 1.31.
+    BOUND = 1.6  # times the run matrix's bytes
+
+    def test_emulate_and_diagnose_hold_one_run_matrix(self, tmp_path):
+        config = tmp_path / "experiment.ini"
+        config.write_text(CONFIG_TEMPLATE.replace("[synth]\n", (
+            "[synth]\nfine_rows = 128\nfine_cols = 128\nfine_cell = 0.25\n"
+            "coarse_rows = 32\ncoarse_cols = 32\ncoarse_cell = 1.0\n")).replace(
+            "n_starts = 3", "n_starts = 1").replace("iterations = 1500", "iterations = 200")
+            .replace("n_thinned = 8", "n_thinned = 2"))
+        cfg = cli.load_config(config)
+        n_runs = 2 * cfg.n_expensive + cfg.extra_cheap
+        bound = self.BOUND * n_runs * len(shared_locations(cfg.synth)) * 8
+        stages = "design,run-synth,emulate,calibrate,project,diagnose"
+        assert main(["run", "--config", str(config), "--stages", stages]) == 0
+        for stage in ("emulate", "diagnose"):  # steady state: imports paid, the cache warm
+            tracemalloc.start()
+            try:
+                assert main([stage, "--config", str(config)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, f"{stage}: {peak / bound * self.BOUND:.2f} x the run matrix"
 
 
 class TestWarmStarts:

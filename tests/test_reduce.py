@@ -13,10 +13,10 @@ from floodcal.reduce import (
     RunEnsemble,
     build_ensemble,
     fit_basis,
+    fit_basis_in_place,
     load_basis,
     project,
     reconstruct,
-    reduce_runs,
     save_basis,
 )
 from floodcal.synthmodel import SynthConfig, run_cheap, run_expensive, shared_locations
@@ -55,6 +55,30 @@ class TestBuildEnsemble:
         rows += [bilinear_interpolate(g, locations) for g in cheap_grids]
         assert np.array_equal(ensemble.depths, np.array(rows))
         assert ensemble.depths.flags.c_contiguous
+
+    def test_grids_may_come_one_at_a_time(self, flood_space):
+        config = SynthConfig(space=flood_space)
+        design = make_nested_design(flood_space, 3, 4, seed=6)
+        locations = shared_locations(config)
+        exp_grids = [run_expensive(p, config) for p in design.expensive_points]
+        cheap_grids = [run_cheap(p, config) for p in design.cheap_points]
+        lazy = build_ensemble(iter(exp_grids), (g for g in cheap_grids), design, locations)
+        listed = build_ensemble(exp_grids, cheap_grids, design, locations)
+        assert lazy.depths.tobytes() == listed.depths.tobytes()
+
+    @pytest.mark.parametrize("tag, change", [
+        ("expensive", lambda grids: grids[:-1]), ("expensive", lambda grids: grids + grids[:1]),
+        ("cheap", lambda grids: grids[:-1]), ("cheap", lambda grids: grids + grids[:1])],
+        ids=["expensive-short", "expensive-long", "cheap-short", "cheap-long"])
+    def test_grid_count_must_match_the_design(self, flood_space, tag, change):
+        config = SynthConfig(space=flood_space)
+        design = make_nested_design(flood_space, 3, 4, seed=6)
+        grids = {"expensive": [run_expensive(p, config) for p in design.expensive_points],
+                 "cheap": [run_cheap(p, config) for p in design.cheap_points]}
+        grids[tag] = change(grids[tag])
+        with pytest.raises(ValueError, match=f"{tag} grid count does not match design"):
+            build_ensemble(iter(grids["expensive"]), iter(grids["cheap"]), design,
+                           shared_locations(config))
 
 
 class TestFitBasis:
@@ -98,6 +122,24 @@ class TestFitBasis:
         assert np.max(np.abs(off)) < 1e-10 * np.max(np.diag(gram))
         rel = np.abs(np.diag(gram) - basis.eigenvalues) / basis.eigenvalues
         assert rel.max() < 1e-10
+
+    def test_fit_basis_leaves_its_input_unchanged(self, random_ensemble):
+        before = random_ensemble.depths.copy()
+        fit_basis(random_ensemble)
+        assert random_ensemble.depths.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("target", [0.95, 1.0])
+    def test_in_place_fit_equals_fit_basis_and_project(self, random_ensemble, target):
+        expected = fit_basis(random_ensemble, target)
+        depths = random_ensemble.depths.copy()
+        basis, scores = fit_basis_in_place(depths, target)
+        for name in ("column_mean", "components", "eigenvalues"):
+            assert getattr(basis, name).tobytes() == getattr(expected, name).tobytes(), name
+        for name in ("variance_fraction", "total_variance", "target_fraction"):
+            assert getattr(basis, name) == getattr(expected, name), name
+        assert scores.tobytes() == project(expected, random_ensemble.depths).tobytes()
+        # the matrix given is the centered one the basis was taken from
+        assert depths.tobytes() == (random_ensemble.depths - basis.column_mean).tobytes()
 
     def test_sign_convention_deterministic(self, random_ensemble):
         a = fit_basis(random_ensemble)
@@ -214,11 +256,8 @@ class TestProjectReconstruct:
     def test_score_columns_have_unit_sample_variance(self, random_ensemble):
         # divisor p-1, matching the eigenvalue convention
         basis = fit_basis(random_ensemble)
-        runs = reduce_runs(basis, random_ensemble)
-        variances = runs.scores.var(axis=0, ddof=1)
+        variances = project(basis, random_ensemble.depths).var(axis=0, ddof=1)
         assert np.max(np.abs(variances - 1.0)) < 1e-10
-        assert runs.expensive.shape[0] == random_ensemble.design.n_expensive
-        assert runs.cheap.shape[0] == random_ensemble.design.n_cheap
 
 
 class TestBasisArchive:
