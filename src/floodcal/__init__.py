@@ -40,7 +40,6 @@ from .emulator import (
     fit_multires,
     fit_singleres,
     predict,
-    predict_hr,
 )
 from .calibrate import (
     CalibrationPriors,
@@ -79,7 +78,6 @@ __all__ = [
     "fit_multires",
     "fit_singleres",
     "predict",
-    "predict_hr",
     "CalibrationPriors",
     "McmcConfig",
     "Observation",

@@ -24,6 +24,8 @@ from .reduce import ReducedBasis, project
 DEFAULT_BURN_IN_FRACTION = 0.2
 DEFAULT_PROPOSAL_FRACTION = 0.05
 DEFAULT_LOG_VAR_PROPOSAL_SD = 0.3
+TARGET_ACCEPTANCE = 0.35  # burn-in adaptation steers each coordinate's rate toward this
+NOISE_SHAPE = 2.0  # of sigma2_eps's inverse-gamma prior
 ESS_TARGET = 3500  # reported against chain diagnostics, never enforced
 
 
@@ -55,12 +57,11 @@ class CalibrationPriors:
     """Priors for the calibration stage.
 
     Theta is uniform on the parameter space.  sigma2_eps is inverse-gamma
-    with shape 2 and rate noise_guess^2, so the prior mean equals the
-    squared noise-scale guess.
+    with shape ``NOISE_SHAPE`` = 2 and rate noise_guess^2, so the prior mean,
+    rate / (shape - 1), equals the squared noise-scale guess.
     """
 
     noise_guess: float = 0.03
-    noise_shape: float = 2.0
 
     @property
     def noise_rate(self) -> float:
@@ -74,7 +75,6 @@ class McmcConfig:
     burn_in: int | None = None  # default: 20% of iterations
     proposal_sds: np.ndarray | None = None  # default: 5% of each range
     adapt: bool = True
-    target_acceptance: float = 0.35
 
     def resolved_burn_in(self) -> int:
         if self.burn_in is None:
@@ -180,13 +180,12 @@ def random_walk_metropolis(
     seed: int,
     burn_in: int = 0,
     adapt: bool = True,
-    target_acceptance: float = 0.35,
 ):
     """Coordinate-wise Gaussian random-walk Metropolis-Hastings.
 
     Proposals falling outside ``bounds`` are rejected without evaluating
     the target.  During burn-in, proposal scales optionally follow a
-    Robbins-Monro recursion toward the target acceptance rate and freeze
+    Robbins-Monro recursion toward ``TARGET_ACCEPTANCE`` and freeze
     before any retained sample, preserving detailed balance for the kept
     part of the chain.
 
@@ -214,6 +213,7 @@ def random_walk_metropolis(
     masks = np.zeros(max(n_keep, 0), dtype=np.int64)
     accept_counts = np.zeros(n, dtype=np.int64)
 
+    target_acceptance = TARGET_ACCEPTANCE  # a local: no global lookup per move
     for it in range(iterations):
         adapting = adapt and it < burn_in
         gamma = (it + 1) ** -0.6 if adapting else 0.0
@@ -319,7 +319,7 @@ def run_mh(
 
     lower, span = space.lower, space.upper - space.lower
     z, inv_eig = z_r.values, 1.0 / basis.eigenvalues
-    shape, rate = priors.noise_shape, priors.noise_rate
+    shape, rate = NOISE_SHAPE, priors.noise_rate
     log_norm = shape * math.log(rate) - math.lgamma(shape)  # of the inverse-gamma prior
 
     # (squared residual, variance), keyed on theta's bytes.  The current theta
@@ -353,7 +353,6 @@ def run_mh(
         config.seed,
         burn_in=burn_in,
         adapt=config.adapt,
-        target_acceptance=config.target_acceptance,
     )
     samples = samples.copy()
     samples[:, k:] = np.exp(samples[:, k:])

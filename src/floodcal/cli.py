@@ -34,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .calibrate import (
+    DEFAULT_BURN_IN_FRACTION,
     ESS_TARGET,
     CalibrationPriors,
     McmcConfig,
@@ -175,7 +176,8 @@ CONFIG_KEYS = {
     ("emulator", "n_starts"): (int, 8, _at_least(1)),
     ("emulator", "apply_edge_bands"): (lambda raw: _BOOL[raw.lower()], False, None),
     ("mcmc", "iterations"): (int, 50_000, _at_least(1)),
-    ("mcmc", "burn_in_fraction"): (float, 0.2, (lambda v: 0 <= v < 1, "must lie in [0, 1)")),
+    ("mcmc", "burn_in_fraction"): (float, DEFAULT_BURN_IN_FRACTION,
+                                   (lambda v: 0 <= v < 1, "must lie in [0, 1)")),
     ("mcmc", "adapt"): (lambda raw: _BOOL[raw.lower()], True, None),
     ("mcmc", "approach"): (str, "mr", (lambda v: v in ("mr", "hr"), "must be mr or hr")),
     ("mcmc", "noise_guess"): (float, 0.03, _POSITIVE),

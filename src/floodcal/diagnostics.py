@@ -22,7 +22,7 @@ from .errors import (
 )
 from .grid import Grid
 
-cholesky, solve_triangular = deferred(globals(), "scipy.linalg", "cholesky", "solve_triangular")
+dpotrf, dtrtrs = deferred(globals(), "scipy.linalg.lapack", "dpotrf", "dtrtrs")
 (stdtrit,) = deferred(globals(), "scipy.special", "stdtrit")
 
 
@@ -123,20 +123,22 @@ def uspe(
     Whitens residuals with the lower Cholesky factor of the predictive
     covariance in natural point order (the factor convention matters and is
     fixed here).  Theoretical quantiles come from the T distribution with
-    ``len(test_values) - n_mean_params`` degrees of freedom.
+    ``len(test_values) - n_mean_params`` degrees of freedom.  LAPACK
+    ``potrf`` factors and ``trtrs`` whitens: the calls scipy's ``cholesky``
+    and ``solve_triangular`` make.  A non-finite input raises ValueError.
     """
-    y = np.asarray(test_values, dtype=float).ravel()
-    m = np.asarray(pred_mean, dtype=float).ravel()
-    if y.shape != m.shape:
-        raise LengthMismatch(f"{y.shape} vs {m.shape}")
+    y = np.asarray_chkfinite(test_values, dtype=float).ravel()
+    m = np.asarray_chkfinite(pred_mean, dtype=float).ravel()
+    cov = np.asarray_chkfinite(pred_cov, dtype=float)
+    if y.shape != m.shape or cov.shape != y.shape * 2:
+        raise LengthMismatch(f"{y.shape}, {m.shape} and {cov.shape}")
     df = y.shape[0] - n_mean_params
     if df <= 0:
         raise NonPositiveDf(f"test size {y.shape[0]} <= mean parameters {n_mean_params}")
-    try:
-        chol = cholesky(np.asarray(pred_cov, dtype=float), lower=True)
-    except np.linalg.LinAlgError as err:
-        raise NotPositiveDefinite("predictive covariance not positive definite") from err
-    values = solve_triangular(chol, y - m, lower=True)
+    chol, info = dpotrf(cov, lower=1, clean=1)
+    if info:
+        raise NotPositiveDefinite("predictive covariance not positive definite")
+    values = dtrtrs(chol, y - m, lower=1)[0]
     order = np.sort(values)
     probs = (np.arange(1, y.shape[0] + 1) - 0.5) / y.shape[0]
     # the T quantile function itself (what scipy.stats.t.ppf evaluates): scipy.stats

@@ -29,7 +29,6 @@ from .errors import AllStartsFailed, ExtrapolationWarning, MalformedArtifact, No
 from .manifest import read_archive, read_csv, read_manifest, write_archive
 from . import kernels
 
-cho_solve, solve_triangular = deferred(globals(), "scipy.linalg", "cho_solve", "solve_triangular")
 dpotrf, dpotri, dpotrs, dtrtrs = deferred(
     globals(), "scipy.linalg.lapack", "dpotrf", "dpotri", "dpotrs", "dtrtrs")
 (minimize,) = deferred(globals(), "scipy.optimize", "minimize")  # about 0.2 s more of import
@@ -67,20 +66,6 @@ class EmulatorParams:
                 raise ValueError(f"{name} must be positive")
         if np.any(self.range_cheap <= 0) or np.any(self.range_exp <= 0):
             raise ValueError("range parameters must be positive")
-
-
-@dataclass(frozen=True)
-class HrParams:
-    """Hyperparameters of one single-resolution (expensive-only) GP."""
-
-    var: float
-    nugget: float
-    range_: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "range_", np.atleast_1d(np.asarray(self.range_, dtype=float)))
-        if not (self.var > 0 and self.nugget > 0) or np.any(self.range_ <= 0):
-            raise ValueError("HR parameters must be positive")
 
 
 @dataclass(frozen=True)
@@ -358,21 +343,6 @@ class _FitWorkspace:
         return -log_post, -(grad + _log_hyperprior_grad(pos, rho, hp))
 
 
-def joint_gram(
-    theta_cheap: np.ndarray,
-    theta_exp: np.ndarray,
-    params: EmulatorParams,
-    trend_prior: TrendPrior,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Trend matrix H and marginal covariance M = V + H B H^T.
-
-    M comes back with whatever diagonal jitter was needed for a Cholesky
-    factorization to succeed.
-    """
-    h, m, _ = _FitWorkspace(theta_cheap, theta_exp, trend_prior).factored(params)
-    return h, m
-
-
 # --- posterior density -------------------------------------------------------
 
 
@@ -585,8 +555,8 @@ def fit(
 class MultiResEmulator:
     """Fitted per-component multiresolution GPs over a parameter space.
 
-    With no cheap rows and rho = 0 it is the single-resolution baseline;
-    :func:`singleres_emulator` builds that case.
+    With no cheap rows and rho = 0 it is the single-resolution baseline,
+    which :func:`fit_singleres` fits.
 
     Construction also sets the arrays :mod:`.kernels` predicts from, over
     the J components: the ``n`` stacked training settings ``theta``
@@ -617,7 +587,7 @@ class MultiResEmulator:
             t = np.concatenate([self.scores_cheap[:, j], self.scores_exp[:, j]])
             trend_w.append(trend_prior.block_cov @ h.T)
             chols.append(chol_m)
-            alphas.append(cho_solve((chol_m, True), t - h @ trend_prior.mean))
+            alphas.append(dpotrs(chol_m, t - h @ trend_prior.mean, lower=1)[0])
         p = self.params_list
         self.theta = np.vstack([self.theta_cheap, self.theta_exp])
         self.n_cheap = self.theta_cheap.shape[0]
@@ -657,41 +627,6 @@ class MultiResEmulator:
         case the cheap ones drop out."""
         k1 = self.theta_exp.shape[1] + 1
         return 2 * k1 if self.uses_cheap else k1
-
-
-def _hr_as_mr(hr: HrParams) -> EmulatorParams:
-    # inert cheap parameters: rho = 0 removes them from every formula
-    return EmulatorParams(
-        rho=0.0,
-        var_cheap=1.0,
-        var_exp=hr.var,
-        nugget_cheap=1.0,
-        nugget_exp=hr.nugget,
-        range_cheap=np.ones_like(hr.range_),
-        range_exp=hr.range_,
-    )
-
-
-def _singleres_trend(trend_mean, trend_cov) -> TrendPrior:
-    k1 = len(trend_mean)
-    return TrendPrior(np.concatenate([np.zeros(k1), trend_mean]), np.zeros((k1, k1)), trend_cov)
-
-
-def singleres_emulator(space, theta_exp, scores_exp, params_list, trend_mean, trend_cov,
-                       hyperpriors, seed, n_starts) -> MultiResEmulator:
-    """The expensive-only baseline: an emulator with no cheap rows and rho = 0.
-
-    ``params_list`` holds one :class:`HrParams` per score column;
-    ``trend_mean`` and ``trend_cov`` are the prior of the expensive trend.
-    """
-    theta_exp = np.atleast_2d(theta_exp)
-    scores_exp = np.atleast_2d(scores_exp)
-    return MultiResEmulator(
-        space, np.zeros((0, theta_exp.shape[1])), theta_exp,
-        np.zeros((0, scores_exp.shape[1])), scores_exp,
-        [_hr_as_mr(p) for p in params_list], _singleres_trend(trend_mean, trend_cov),
-        hyperpriors, seed, n_starts,
-    )
 
 
 def child_seeds(seed: int, n: int) -> list[int]:
@@ -754,24 +689,18 @@ def fit_singleres(
     design: Design,
     scores_exp: np.ndarray,
     hyperpriors: HyperPriors | None = None,
-    trend_mean: np.ndarray | None = None,
-    trend_cov: np.ndarray | None = None,
     n_starts: int = 8,
     seed: int = 0,
     warm: list | None = None,
 ) -> MultiResEmulator:
     """Fit the expensive-only baseline: :func:`fit_multires` on the expensive
-    block, with ``trend_mean`` and ``trend_cov`` the expensive trend's prior.
-    ``warm`` parameters are read in that form: only their expensive variance,
-    nugget and ranges count."""
-    space = design.space
-    if trend_mean is None:
-        trend_mean = np.zeros(space.k + 1)
-    if trend_cov is None:
-        trend_cov = np.eye(space.k + 1)
-    expensive = Design(design.expensive_points, [EXPENSIVE] * design.n_expensive, space)
-    return fit_multires(expensive, scores_exp, hyperpriors, _singleres_trend(trend_mean, trend_cov),
-                        n_starts, seed, warm)
+    block, whose trend carries a standard-normal prior and the cheap trend
+    none.  ``warm`` parameters are read in that form: only their expensive
+    variance, nugget and ranges count."""
+    k1 = design.space.k + 1
+    expensive = Design(design.expensive_points, [EXPENSIVE] * design.n_expensive, design.space)
+    trend = TrendPrior(np.zeros(2 * k1), np.zeros((k1, k1)), np.eye(k1))
+    return fit_multires(expensive, scores_exp, hyperpriors, trend, n_starts, seed, warm)
 
 
 # --- prediction ---------------------------------------------------------------
@@ -795,11 +724,6 @@ def predict(emulator, theta0: np.ndarray) -> PredictiveDistribution:
     return PredictiveDistribution(mean=mean, variance=var, extrapolated=extrapolated)
 
 
-def predict_hr(emulator: MultiResEmulator, theta0: np.ndarray) -> PredictiveDistribution:
-    """Single-resolution counterpart of :func:`predict`."""
-    return predict(emulator, theta0)
-
-
 def predict_many(emulator, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Means and variances, shape (m, n_components) each, at m settings."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -815,7 +739,8 @@ def predict_joint(emulator, thetas: np.ndarray) -> list[tuple[np.ndarray, np.nda
     """Joint predictive (mean vector, covariance matrix) per component.
 
     Used by validation diagnostics that whiten a whole test set at once;
-    cross-covariances between test settings are included.
+    cross-covariances between test settings are included.  The solve is
+    :func:`.kernels.predict_scores`' ``trtrs`` on the transposed factor.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     scaled = emulator.space.scale(thetas)
@@ -832,7 +757,7 @@ def predict_joint(emulator, thetas: np.ndarray) -> list[tuple[np.ndarray, np.nda
         prior = kernels.gp_cov(d2_test, 0, 0, e.rho[j], e.var_c[j], e.var_e[j],
                                e.inv_range_c[j], e.inv_range_e[j]) + a0 @ block_cov @ a0.T
         prior[np.diag_indices_from(prior)] += e.nug_e[j]
-        white = solve_triangular(e.chol[j], cross.T, lower=True)
+        white = dtrtrs(e.chol[j].T, cross.T, lower=0, trans=1)[0]
         cov = prior - white.T @ white
         out.append((mean, 0.5 * (cov + cov.T)))
     return out

@@ -13,13 +13,13 @@ import pytest  # noqa: E402
 from floodcal.design import Design, ParameterSpace
 from floodcal.emulator import (
     EmulatorParams,
-    HrParams,
     HyperPriors,
     MultiResEmulator,
+    TrendPrior,
+    _FitWorkspace,
     default_trend_prior,
     fit_multires,
     fit_singleres,
-    singleres_emulator,
 )
 from golden.digests import run_pipelines, tree_digests
 
@@ -59,16 +59,15 @@ def make_nested_design(space, p_exp, p_extra, seed):
 
 def draw_scores(design, params_list, trend_prior, seed):
     """Sample score columns from the marginalized generative model."""
-    from floodcal.emulator import joint_gram
-
     rng = np.random.default_rng(seed)
     space = design.space
     theta_c = space.scale(design.cheap_points)
     theta_e = space.scale(design.expensive_points)
     p_c, p_e = len(theta_c), len(theta_e)
+    ws = _FitWorkspace(theta_c, theta_e, trend_prior)
     cols = []
     for params in params_list:
-        h, m = joint_gram(theta_c, theta_e, params, trend_prior)
+        h, m = ws.factored(params)[:2]
         chol = np.linalg.cholesky(m)
         t = h @ trend_prior.mean + chol @ rng.standard_normal(p_c + p_e)
         cols.append(t)
@@ -120,25 +119,19 @@ def build_mr(space, theta_cheap, theta_exp, scores_cheap, scores_exp, params,
     )
 
 
-def build_hr(space, theta_exp, scores_exp, params, trend_mean=None, trend_cov=None):
+def build_hr(space, theta_exp, scores_exp, expensive, trend_mean=None, trend_cov=None):
+    """The single-resolution baseline from explicit pieces: a MultiResEmulator
+    with zero-row cheap arrays, rho = 0, cheap parameters at 1 and no cheap
+    trend.  ``expensive`` holds one (var_exp, nugget_exp, range_exp) per score
+    column; the expensive trend's prior defaults to a standard normal, as in
+    ``fit_singleres``."""
     k = theta_exp.shape[1]
-    if trend_mean is None:
-        trend_mean = np.zeros(k + 1)
-    if trend_cov is None:
-        trend_cov = np.eye(k + 1)
-    params_list = params if isinstance(params, list) else [params]
-    return singleres_emulator(
-        space, theta_exp, _as_columns(scores_exp), params_list,
-        trend_mean, trend_cov, HyperPriors(), seed=0, n_starts=0,
-    )
-
-
-def small_hr(space, n_comp, seed):
-    """A 10-run expensive-only emulator with hyperparameters like the
-    fine_grid benchmark's: at this size a C-ordered distance matrix once
-    moved predictions by an ulp where sq_dists' layout did not."""
-    rng = np.random.default_rng(seed)
-    k = space.k
-    params = [HrParams(var=0.7 + 0.02 * j, nugget=0.35 + 0.05 * j,
-                       range_=rng.uniform(0.4, 0.8, k)) for j in range(n_comp)]
-    return build_hr(space, rng.random((10, k)), rng.standard_normal((10, n_comp)), params)
+    params = [EmulatorParams(rho=0.0, var_cheap=1.0, var_exp=var, nugget_cheap=1.0,
+                             nugget_exp=nugget, range_cheap=np.ones(k), range_exp=range_exp)
+              for var, nugget, range_exp in expensive]
+    mean = np.zeros(k + 1) if trend_mean is None else trend_mean
+    cov = np.eye(k + 1) if trend_cov is None else trend_cov
+    trend = TrendPrior(np.concatenate([np.zeros(k + 1), mean]), np.zeros((k + 1, k + 1)), cov)
+    scores_exp = _as_columns(scores_exp)
+    return build_mr(space, np.zeros((0, k)), theta_exp, np.zeros((0, scores_exp.shape[1])),
+                    scores_exp, params, trend)

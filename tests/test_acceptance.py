@@ -25,13 +25,11 @@ from floodcal.design import ParameterSpace, augment_cheap, edge_mask, maximin_lh
 from floodcal.diagnostics import extent_metrics, rmse, uspe
 from floodcal.emulator import (
     EmulatorParams,
-    HrParams,
     TrendPrior,
+    _FitWorkspace,
     fit_multires,
     fit_singleres,
-    joint_gram,
     predict,
-    predict_hr,
     predict_many,
 )
 from floodcal.grid import Grid
@@ -116,20 +114,21 @@ def test_criterion_02_reduction_to_single_resolution(unit_space):
         rng = np.random.default_rng(102)
         theta_e = rng.random((6, 2))
         theta_c = np.vstack([theta_e, rng.random((8, 2))])
-        hr = HrParams(var=0.7, nugget=0.02, range_=[0.5, 0.8])
-        mr = EmulatorParams(rho=0.0, var_cheap=1.3, var_exp=hr.var,
-                            nugget_cheap=0.04, nugget_exp=hr.nugget,
-                            range_cheap=[0.6, 0.6], range_exp=hr.range_)
+        var_e, nug_e, range_e = 0.7, 0.02, [0.5, 0.8]
+        mr = EmulatorParams(rho=0.0, var_cheap=1.3, var_exp=var_e,
+                            nugget_cheap=0.04, nugget_exp=nug_e,
+                            range_cheap=[0.6, 0.6], range_exp=range_e)
         trend_mean_e = rng.standard_normal(3) * 0.2
         trend = TrendPrior(np.concatenate([np.zeros(3), trend_mean_e]),
                            np.zeros((3, 3)), np.eye(3))
         t_c = rng.standard_normal(14)
         t_e = rng.standard_normal(6)
         emu_mr = build_mr(unit_space, theta_c, theta_e, t_c, t_e, mr, trend)
-        emu_hr = build_hr(unit_space, theta_e, t_e, hr, trend_mean_e, np.eye(3))
+        emu_hr = build_hr(unit_space, theta_e, t_e, [(var_e, nug_e, range_e)], trend_mean_e,
+                          np.eye(3))
         for theta0 in rng.random((50, 2)):
             a = predict(emu_mr, theta0)
-            b = predict_hr(emu_hr, theta0)
+            b = predict(emu_hr, theta0)
             assert abs(a.mean[0] - b.mean[0]) < 1e-10
             assert abs(a.variance[0] - b.variance[0]) < 1e-10
 
@@ -160,7 +159,7 @@ def test_criterion_04_monte_carlo_gram_check(unit_space):
                                 nugget_cheap=0.05, nugget_exp=0.08,
                                 range_cheap=[0.6], range_exp=[0.4])
         trend = TrendPrior(rng.standard_normal(4) * 0.5, 0.8 * np.eye(2), 1.1 * np.eye(2))
-        h, m = joint_gram(theta_c, theta_e, params, trend)
+        h, m = _FitWorkspace(theta_c, theta_e, trend).factored(params)[:2]
 
         n_draws = 200_000
 

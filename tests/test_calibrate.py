@@ -27,7 +27,7 @@ from floodcal.errors import ChainTooShort, DimensionMismatch, ModelRunFailed
 from floodcal.grid import Grid, LocationSet
 from floodcal.reduce import ReducedBasis
 
-from conftest import build_mr, make_nested_design, small_hr
+from conftest import build_hr, build_mr, make_nested_design
 
 
 def synthetic_basis(n=40, n_comp=3, seed=0):
@@ -419,11 +419,16 @@ class TestRunMhHotPath:
     """run_mh reuses the current theta's prediction."""
 
     def test_chain_matches_uncached_target(self, gp_setup, emu_k3):
+        from floodcal.calibrate import NOISE_SHAPE
         from floodcal.emulator import _invgamma_logpdf
 
         # MR and HR (no cheap rows, rho = 0) on two parameters, MR on three,
-        # and the 10-run HR emulator of the bitwise kernel test
-        hr10 = small_hr(gp_setup["emu_hr"].space, n_comp=2, seed=39)
+        # and a 10-run HR emulator like the bitwise kernel test's
+        rng = np.random.default_rng(39)
+        hr10 = build_hr(gp_setup["emu_hr"].space, rng.random((10, 2)),
+                        rng.standard_normal((10, 2)),
+                        [(0.7 + 0.02 * j, 0.35 + 0.05 * j, rng.uniform(0.4, 0.8, 2))
+                         for j in range(2)])
         for emu in (gp_setup["emu_mr"], gp_setup["emu_hr"], emu_k3, hr10):
             space, k = emu.space, emu.space.k
             z_r, basis = _mh_problem(emu)
@@ -436,7 +441,7 @@ class TestRunMhHotPath:
                 # a fresh prediction on every call
                 sig2 = math.exp(state[k])
                 return float(log_likelihood_reduced(state[:k], sig2, z_r, emu, basis)
-                             + _invgamma_logpdf(sig2, priors.noise_shape, priors.noise_rate)
+                             + _invgamma_logpdf(sig2, NOISE_SHAPE, priors.noise_rate)
                              + state[k])
 
             initial = np.concatenate([0.5 * (space.lower + space.upper), [math.log(0.1**2)]])
@@ -505,7 +510,7 @@ class TestRunMhHotPath:
 def test_every_prediction_entry_point_calls_the_module_kernel(gp_setup, monkeypatch):
     # the benchmark's kernels.predict span wraps kernels.predict_scores on the module
     import floodcal.kernels as kernels
-    from floodcal.emulator import predict_hr, predict_many
+    from floodcal.emulator import predict_many
 
     emu_mr, emu_hr = gp_setup["emu_mr"], gp_setup["emu_hr"]
     z_r, basis = _mh_problem(emu_mr)
@@ -520,7 +525,7 @@ def test_every_prediction_entry_point_calls_the_module_kernel(gp_setup, monkeypa
     theta = np.array([0.3, 0.6])
     predict(emu_mr, theta)
     assert calls == [emu_mr]
-    predict_hr(emu_hr, theta)
+    predict(emu_hr, theta)
     assert calls[1:] == [emu_hr]
     predict_many(emu_mr, np.random.default_rng(38).random((5, 2)))
     assert calls[2:] == [emu_mr] * 5

@@ -17,6 +17,7 @@ from floodcal.errors import (
     LengthMismatch,
     NonPositiveDf,
     NoObservedFlood,
+    NotPositiveDefinite,
 )
 from floodcal.grid import Grid
 
@@ -167,6 +168,23 @@ class TestUspe:
     def test_non_positive_df(self):
         with pytest.raises(NonPositiveDf):
             uspe(np.zeros(3), np.zeros(3), np.eye(3), 3)
+
+    def test_indefinite_covariance(self):
+        with pytest.raises(NotPositiveDefinite):
+            uspe(np.zeros(3), np.zeros(3), np.diag([1.0, -1.0, 1.0]), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("argument", [0, 1, 2])
+    def test_non_finite_input(self, bad, argument):
+        args = [np.zeros(3), np.zeros(3), np.eye(3)]
+        args[argument].flat[1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            uspe(*args, 1)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (4, 4), (9,)])
+    def test_covariance_shape_must_match(self, shape):
+        with pytest.raises(LengthMismatch):
+            uspe(np.zeros(3), np.zeros(3), np.ones(shape), 1)
 
     def test_whitening_against_cholesky_oracle(self):
         rng = np.random.default_rng(5)

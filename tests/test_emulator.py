@@ -18,7 +18,6 @@ from floodcal.emulator import (
     LOG_BOUNDS,
     RHO_BOUNDS,
     EmulatorParams,
-    HrParams,
     HyperPriors,
     TrendPrior,
     _FitWorkspace,
@@ -32,15 +31,12 @@ from floodcal.emulator import (
     _x_to_params,
     default_trend_prior,
     fit,
-    joint_gram,
     load_emulator,
     predict,
-    predict_hr,
     predict_joint,
     predict_many,
     read_emulator_archive,
     save_emulator,
-    singleres_emulator,
 )
 from floodcal.errors import (
     AllStartsFailed,
@@ -177,7 +173,7 @@ class TestJointGram:
         p = basic_params(k=1, range_cheap=[0.5], range_exp=[0.5])
         trend = default_trend_prior(1)
         theta_c = np.array([[0.4]])
-        h, m = joint_gram(theta_c, np.zeros((0, 1)), p, trend)
+        h, m = _FitWorkspace(theta_c, np.zeros((0, 1)), trend).factored(p)[:2]
         hrow = np.array([1.0, 0.4])
         expected = p.var_cheap + p.nugget_cheap + hrow @ hrow
         assert m.shape == (1, 1)
@@ -188,7 +184,7 @@ class TestJointGram:
         theta_e = rng.random((3, 2))
         theta_c = np.vstack([theta_e, rng.random((4, 2))])
         p = basic_params()
-        h, m = joint_gram(theta_c, theta_e, p, default_trend_prior(2))
+        h, m = _FitWorkspace(theta_c, theta_e, default_trend_prior(2)).factored(p)[:2]
         assert np.max(np.abs(m - m.T)) < 1e-12
         np.linalg.cholesky(m)
         assert h.shape == (7 + 3, 6)
@@ -201,7 +197,7 @@ class TestLogPosterior:
         theta_c = np.vstack([theta_e, rng.random((3, 2))])
         p = basic_params()
         trend = TrendPrior(rng.standard_normal(6) * 0.4, np.eye(3), np.eye(3))
-        h, m = joint_gram(theta_c, theta_e, p, trend)
+        h, m = _FitWorkspace(theta_c, theta_e, trend).factored(p)[:2]
         t = h @ trend.mean
         hp = HyperPriors()
         val = log_posterior(p, hp, t, theta_c, theta_e, trend)
@@ -214,7 +210,7 @@ class TestLogPosterior:
         theta_c = np.vstack([theta_e, rng.random((3, 2))])
         p = basic_params()
         trend = default_trend_prior(2)
-        h, m = joint_gram(theta_c, theta_e, p, trend)
+        h, m = _FitWorkspace(theta_c, theta_e, trend).factored(p)[:2]
         w, v = np.linalg.eigh(m)
         t0 = h @ trend.mean
         hp = HyperPriors()
@@ -264,7 +260,7 @@ class TestFit:
         no_cheap = np.zeros((0, 2))
         truth = basic_params(rho=0.0, nugget_cheap=1.0, range_cheap=np.ones(2))
         trend = default_trend_prior(2)
-        _, m = joint_gram(no_cheap, theta_e, truth, trend)
+        _, m = _FitWorkspace(no_cheap, theta_e, trend).factored(truth)[:2]
         t = np.linalg.cholesky(m) @ rng.standard_normal(8)
         fitted = fit(t, no_cheap, theta_e, n_starts=1, seed=35, extra_starts=(truth,))
         assert fitted.rho == 0.0
@@ -701,20 +697,21 @@ class TestPredict:
         rng = np.random.default_rng(62)
         theta_e = rng.random((5, 2))
         theta_c = np.vstack([theta_e, rng.random((6, 2))])
-        hr = HrParams(var=0.6, nugget=0.03, range_=[0.4, 0.7])
-        mr = EmulatorParams(rho=0.0, var_cheap=1.0, var_exp=hr.var,
-                            nugget_cheap=0.01, nugget_exp=hr.nugget,
-                            range_cheap=[0.5, 0.5], range_exp=hr.range_)
+        var_e, nug_e, range_e = 0.6, 0.03, [0.4, 0.7]
+        mr = EmulatorParams(rho=0.0, var_cheap=1.0, var_exp=var_e,
+                            nugget_cheap=0.01, nugget_exp=nug_e,
+                            range_cheap=[0.5, 0.5], range_exp=range_e)
         trend_mean_e = rng.standard_normal(3) * 0.2
         trend_mr = TrendPrior(np.concatenate([np.zeros(3), trend_mean_e]),
                               np.zeros((3, 3)), np.eye(3))
         t_c = rng.standard_normal(11)
         t_e = rng.standard_normal(5)
         emu_mr = build_mr(unit_space, theta_c, theta_e, t_c, t_e, mr, trend_mr)
-        emu_hr = build_hr(unit_space, theta_e, t_e, hr, trend_mean_e, np.eye(3))
+        emu_hr = build_hr(unit_space, theta_e, t_e, [(var_e, nug_e, range_e)], trend_mean_e,
+                          np.eye(3))
         for theta0 in rng.random((10, 2)):
             a = predict(emu_mr, theta0)
-            b = predict_hr(emu_hr, theta0)
+            b = predict(emu_hr, theta0)
             assert abs(a.mean[0] - b.mean[0]) < 1e-10
             assert abs(a.variance[0] - b.variance[0]) < 1e-10
 
@@ -736,8 +733,9 @@ class TestPredict:
 
     def test_cached_factor_reproduces_gram(self, gp_setup):
         for emu in (gp_setup["emu_mr"], gp_setup["emu_hr"]):
+            ws = _FitWorkspace(emu.theta_cheap, emu.theta_exp, emu.trend_prior)
             for chol, params in zip(emu.chol, emu.params_list):
-                _, m = joint_gram(emu.theta_cheap, emu.theta_exp, params, emu.trend_prior)
+                _, m = ws.factored(params)[:2]
                 err = np.linalg.norm(chol @ chol.T - m)
                 assert err <= 5 * np.finfo(float).eps * np.linalg.norm(m) * m.shape[0]
 
@@ -772,10 +770,9 @@ class TestSingleRes:
         rng = np.random.default_rng(70)
         theta_e = rng.random((6, 2))
         t = rng.standard_normal(6)
-        hr = HrParams(var=0.8, nugget=1e-8, range_=[0.5, 0.5])
-        emu = build_hr(unit_space, theta_e, t, hr)
+        emu = build_hr(unit_space, theta_e, t, [(0.8, 1e-8, [0.5, 0.5])])
         for i in range(6):
-            out = predict_hr(emu, theta_e[i])
+            out = predict(emu, theta_e[i])
             assert abs(out.mean[0] - t[i]) < 1e-4
 
     def test_sine_rmse_improves_with_training_size(self):
@@ -802,13 +799,9 @@ class TestFitSingleres:
             assert p.rho == 0.0
             assert p.var_cheap == 1.0 and p.nugget_cheap == 1.0
             assert np.all(p.range_cheap == 1.0)
-        k = emu.space.k
-        rebuilt = singleres_emulator(
-            emu.space, emu.theta_exp, emu.scores_exp,
-            [HrParams(p.var_exp, p.nugget_exp, p.range_exp) for p in emu.params_list],
-            np.zeros(k + 1), np.eye(k + 1), emu.hyperpriors, emu.seed, emu.n_starts,
-        )
-        thetas = np.random.default_rng(95).random((6, k))
+        rebuilt = build_hr(emu.space, emu.theta_exp, emu.scores_exp,
+                           [(p.var_exp, p.nugget_exp, p.range_exp) for p in emu.params_list])
+        thetas = np.random.default_rng(95).random((6, emu.space.k))
         for a, b in zip(predict_many(emu, thetas), predict_many(rebuilt, thetas)):
             assert a.tobytes() == b.tobytes()
 
@@ -951,7 +944,7 @@ class TestArchiveProperty:
         theta_e = rng.random((p_e, k))
         if kind == "hr":
             emu = build_hr(space, theta_e, rng.standard_normal((p_e, n_comp)),
-                           [HrParams(p.var_exp, p.nugget_exp, p.range_exp)
+                           [(p.var_exp, p.nugget_exp, p.range_exp)
                             for p in (random_params(rng, k, 0.0) for _ in range(n_comp))],
                            rng.standard_normal(k + 1), np.diag(rng.uniform(0.5, 2.0, k + 1)))
         else:

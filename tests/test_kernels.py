@@ -1,27 +1,39 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from floodcal import kernels
 from floodcal.design import ParameterSpace
-from floodcal.emulator import EmulatorParams, HrParams, TrendPrior, joint_gram, predict_joint
+from floodcal.diagnostics import uspe
+from floodcal.emulator import EmulatorParams, TrendPrior, _FitWorkspace, predict_joint
 
-from conftest import build_hr, build_mr, small_hr
+from conftest import build_hr, build_mr
 from oracles import labelled, marginal_cov
 
 
+LAYOUTS = pytest.mark.parametrize("layout", ["mr", "hr", "hr10"])
+DIMS = pytest.mark.parametrize("k", [1, 2, 3])
+
+
+def _space(k):
+    return ParameterSpace(tuple((f"x{i}", 0.0, 1.0) for i in range(k)))
+
+
 def _emulator(layout, space, rng, n_comp=1):
-    """MR or HR emulator, or ``small_hr``'s 10-run HR one; the MR design is
+    """MR or HR emulator, or a 10-run HR one with hyperparameters like the
+    fine_grid benchmark's: at that size a C-ordered distance matrix once moved
+    predictions by an ulp where sq_dists' layout did not.  The MR design is
     nested, so cheap and expensive runs share settings and both nuggets meet
     cross-fidelity pairs.  Components differ in rho (MR) or variance (HR)."""
-    if layout == "hr10":
-        return small_hr(space, n_comp, seed=int(rng.integers(2**32)))
     k = space.k
+    if layout == "hr10":
+        return build_hr(space, rng.random((10, k)), rng.standard_normal((10, n_comp)),
+                        [(0.7 + 0.02 * j, 0.35 + 0.05 * j, rng.uniform(0.4, 0.8, k))
+                         for j in range(n_comp)])
     theta_e = rng.random((4, k))
     t_e = rng.standard_normal((4, n_comp))
     if layout == "hr":
-        hr = [HrParams(var=0.6 + 0.2 * j, nugget=0.04, range_=np.linspace(0.4, 0.7, k))
-              for j in range(n_comp)]
+        hr = [(0.6 + 0.2 * j, 0.04, np.linspace(0.4, 0.7, k)) for j in range(n_comp)]
         return build_hr(space, theta_e, t_e, hr, rng.standard_normal(k + 1) * 0.3,
                         1.2 * np.eye(k + 1))
     theta_c = np.vstack([theta_e, rng.random((3, k))])
@@ -44,7 +56,7 @@ def test_gram_and_joint_prediction_match_scalar_oracles(unit_space, layout):
     params, trend = emu.params_list[0], emu.trend_prior
     train = labelled(emu.theta_cheap, emu.theta_exp)
 
-    h, m = joint_gram(emu.theta_cheap, emu.theta_exp, params, trend)
+    h, m = _FitWorkspace(emu.theta_cheap, emu.theta_exp, trend).factored(params)[:2]
     m_o, h_o = marginal_cov(train, train, params, trend)
     assert np.array_equal(h, h_o)
     assert np.max(np.abs(m - m_o)) <= 1e-13 * np.max(np.abs(m_o))
@@ -73,7 +85,7 @@ def test_gram_with_repeated_settings_matches_oracle():
                             nugget_exp=0.05, range_cheap=[0.5, 0.7], range_exp=[0.4, 0.6])
     trend = TrendPrior(rng.standard_normal(6) * 0.3, 0.8 * np.eye(3), 1.2 * np.eye(3))
     train = labelled(theta_c, theta_e)
-    _, m = joint_gram(theta_c, theta_e, params, trend)
+    _, m = _FitWorkspace(theta_c, theta_e, trend).factored(params)[:2]
     m_o, _ = marginal_cov(train, train, params, trend)
     assert np.max(np.abs(m - m_o)) <= 1e-13 * np.max(np.abs(m_o))
 
@@ -103,15 +115,14 @@ def _reference_predict(theta0, e):
     return np.array(means), np.array(variances)
 
 
-@pytest.mark.parametrize("layout", ["mr", "hr", "hr10"])
-@pytest.mark.parametrize("k", [1, 2, 3])
+@LAYOUTS
+@DIMS
 def test_predict_matches_solve_triangular_reference(layout, k):
     # bitwise: BLAS rounds by operand layout, so a kernel that reorders or
     # re-lays its operands shows up here as an ulp somewhere
     rng = np.random.default_rng(40 + k)
-    space = ParameterSpace(tuple((f"x{i}", 0.0, 1.0) for i in range(k)))
     for n_comp in (1, 2, 3):
-        emu = _emulator(layout, space, rng, n_comp=n_comp)
+        emu = _emulator(layout, _space(k), rng, n_comp=n_comp)
         # training settings (variance at the nugget floor) and fresh settings
         points = np.vstack([emu.theta[0], emu.theta[-1], rng.random((200, k))])
         for x in points:
@@ -119,6 +130,64 @@ def test_predict_matches_solve_triangular_reference(layout, k):
             ref_mean, ref_var = _reference_predict(x, emu)
             assert np.array_equal(mean, ref_mean)
             assert np.array_equal(var, ref_var)
+
+
+@LAYOUTS
+@DIMS
+def test_construction_matches_cholesky_and_cho_solve_reference(layout, k):
+    # the factor from scipy's checked cholesky of the (jittered) gram, and the
+    # centred scores solved with cho_solve, bit for bit
+    rng = np.random.default_rng(50 + k)
+    emu = _emulator(layout, _space(k), rng, n_comp=3)
+    ws = _FitWorkspace(emu.theta_cheap, emu.theta_exp, emu.trend_prior)
+    for j, params in enumerate(emu.params_list):
+        h, m, _ = ws.factored(params)
+        chol = cholesky(m, lower=True)
+        t = np.concatenate([emu.scores_cheap[:, j], emu.scores_exp[:, j]])
+        alpha = cho_solve((chol, True), t - h @ emu.trend_prior.mean)
+        assert emu.chol[j].tobytes() == np.ascontiguousarray(chol).tobytes()
+        assert emu.alpha[j].tobytes() == alpha.tobytes()
+
+
+def _reference_joint(e, thetas):
+    """predict_joint written out, with scipy's checked solve_triangular on the
+    C-ordered factor."""
+    scaled = e.space.scale(thetas)
+    d2_train = kernels.sq_dists(scaled, e.theta)
+    d2_test = kernels.sq_dists(scaled, scaled)
+    basis = np.hstack([np.ones((len(scaled), 1)), scaled])
+    out = []
+    for j, cross in enumerate(kernels.cross_cov(d2_train, e.n_cheap, e.cross_terms)):
+        a0 = np.hstack([e.rho[j] * basis, basis])
+        cross = cross + a0 @ e.trend_w[j]
+        mean = a0 @ e.trend_prior.mean + cross @ e.alpha[j]
+        prior = kernels.gp_cov(d2_test, 0, 0, e.rho[j], e.var_c[j], e.var_e[j],
+                               e.inv_range_c[j], e.inv_range_e[j])
+        prior = prior + a0 @ e.trend_prior.block_cov @ a0.T
+        prior[np.diag_indices_from(prior)] += e.nug_e[j]
+        white = solve_triangular(e.chol[j], cross.T, lower=True)
+        cov = prior - white.T @ white
+        out.append((mean, 0.5 * (cov + cov.T)))
+    return out
+
+
+@LAYOUTS
+@DIMS
+def test_predict_joint_and_uspe_match_scipy_references(layout, k):
+    # predict_joint against its solve_triangular form, and uspe against scipy's
+    # cholesky and solve_triangular on that covariance, bit for bit
+    rng = np.random.default_rng(60 + k)
+    for n_comp in (1, 2, 3):
+        emu = _emulator(layout, _space(k), rng, n_comp=n_comp)
+        # a training setting, its repeat (an exact zero distance) and fresh settings
+        thetas = np.vstack([emu.theta[-1], emu.theta[-1], rng.random((10, k))])
+        for (mean, cov), (ref_mean, ref_cov) in zip(predict_joint(emu, thetas),
+                                                    _reference_joint(emu, thetas)):
+            assert mean.tobytes() == ref_mean.tobytes()
+            assert cov.tobytes() == ref_cov.tobytes()
+            y = mean + rng.standard_normal(len(mean))
+            white = solve_triangular(cholesky(cov, lower=True), y - mean, lower=True)
+            assert uspe(y, mean, cov, 1).values.tobytes() == white.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
