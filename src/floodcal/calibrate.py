@@ -373,20 +373,20 @@ def run_mh(
     )
 
 
-def thin(chain: PosteriorChain, m: int, seed: int) -> np.ndarray:
-    """``m`` equally spaced retained theta draws, offset randomized by seed.
+def thin(samples: np.ndarray, m: int, seed: int) -> np.ndarray:
+    """``m`` equally spaced rows of the retained ``samples``, offset
+    randomized by seed.
 
     With m dividing the retained length the spacing is exactly
-    ``n_kept // m``.  Returns the theta columns only.
+    ``len(samples) // m``.  Pass the theta columns to thin the theta draws.
     """
-    n_kept = chain.n_kept
+    n_kept = len(samples)
     if m < 1 or m > n_kept:
         raise ChainTooShort(f"cannot thin {n_kept} retained samples to {m}")
     stride = n_kept // m
     rng = np.random.default_rng(seed)
     offset = int(rng.integers(0, stride)) if stride > 1 else 0
-    idx = offset + stride * np.arange(m)
-    return chain.samples[idx, : len(chain.theta_names)]
+    return samples[offset + stride * np.arange(m)]
 
 
 def calibrated_projection(theta_samples: np.ndarray, model) -> Grid:

@@ -39,7 +39,6 @@ from .calibrate import (
     CalibrationPriors,
     McmcConfig,
     Observation,
-    PosteriorChain,
     calibrated_projection,
     load_chain_samples,
     reduce_observation,
@@ -463,9 +462,9 @@ def _cached_split(cfg: ExperimentConfig, key: str, held: np.ndarray, n_locations
                 fh.readinto(rows)  # a short read leaves bytes the digest then fails on
                 digest.update(rows)
                 filled[side] += len(rows)
+        return blocks if digest.hexdigest() == meta["sha256"] else None
     except (OSError, ValueError, KeyError, TypeError, MalformedArtifact):
         return None
-    return blocks if digest.hexdigest() == meta["sha256"] else None
 
 
 def cmd_emulate(cfg: ExperimentConfig, seed: int | None = None, _threads: int = 1) -> None:
@@ -528,10 +527,7 @@ def cmd_project(cfg: ExperimentConfig, seed: int | None = None, _threads: int = 
     if names[:-1] != list(cfg.space.names):  # every column but the last, sigma2_eps
         raise MalformedArtifact(f"{chain_path}: columns {names} do not match the parameters "
                                 f"{list(cfg.space.names)}")
-    n = len(samples)  # thin reads the samples and names only
-    chain = PosteriorChain(samples, np.zeros(n), np.zeros(n, dtype=np.int64),
-                           np.zeros(samples.shape[1]), names, seed, burn_in=0, iterations=n)
-    thetas = thin(chain, min(cfg.n_thinned, n), seed)
+    thetas = thin(samples[:, :-1], min(cfg.n_thinned, len(samples)), seed)
     projection = calibrated_projection(thetas, expensive_model_adapter(cfg.synth))
     write_ascii_grid(projection, _path(cfg, PROJECTION))
     _finish(cfg, "project", PROJECTION_MANIFEST,

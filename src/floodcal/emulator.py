@@ -138,12 +138,6 @@ class PredictiveDistribution:
 # --- gram assembly ----------------------------------------------------------
 
 
-def _mean_basis(theta: np.ndarray) -> np.ndarray:
-    """Linear trend basis (1, theta) per row."""
-    theta = np.atleast_2d(theta)
-    return np.hstack([np.ones((theta.shape[0], 1)), theta])
-
-
 def cholesky(m: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, int]:
     """LAPACK ``potrf``: M's lower factor, upper triangle zeroed, and ``info``.
 
@@ -233,12 +227,12 @@ class _FitWorkspace:
         self.b_sym = self.b + self.b.T
 
         k1 = self.k + 1
-        he = _mean_basis(theta_exp)
+        basis = np.hstack([np.ones((n, 1)), stacked])  # the linear trend basis (1, theta)
         h0 = np.zeros((n, 2 * k1))
-        h0[:p_c, :k1] = _mean_basis(theta_cheap)
-        h0[p_c:, k1:] = he
+        h0[:p_c, :k1] = basis[:p_c]
+        h0[p_c:, k1:] = basis[p_c:]
         h1 = np.zeros_like(h0)
-        h1[p_c:, :k1] = he
+        h1[p_c:, :k1] = basis[p_c:]
         self.h0 = h0
         self.h1 = h1
         self._buffers = None
@@ -558,14 +552,11 @@ class MultiResEmulator:
     With no cheap rows and rho = 0 it is the single-resolution baseline,
     which :func:`fit_singleres` fits.
 
-    Construction also sets the arrays :mod:`.kernels` predicts from, over
-    the J components: the ``n`` stacked training settings ``theta``
-    (``n_cheap`` cheap rows first); ``rho, var_c, var_e, nug_e, inv_range_c,
-    inv_range_e``; the trend-prior cross blocks ``trend_w`` (``B H^T``); the
-    lower gram factors ``chol`` and the gram-solved centred scores
-    ``alpha``; ``cross_coef``, a test row's rho-scaled ``var_c``; and, per
-    component, the operands a prediction reads: :func:`.kernels.cross_cov`'s
-    ``cross_terms`` and :func:`.kernels.predict_scores`' ``predict_terms``.
+    Construction factors each component's training gram once and keeps
+    what a prediction reads: the ``n`` stacked training settings ``theta``
+    (``n_cheap`` cheap rows first) and, per component, the operands of
+    :func:`.kernels.prediction_operands`, ``cross_terms`` and
+    ``predict_terms``.
     """
 
     def __init__(self, space, theta_cheap, theta_exp, scores_cheap, scores_exp,
@@ -580,37 +571,18 @@ class MultiResEmulator:
         self.hyperpriors = hyperpriors
         self.seed = seed
         self.n_starts = n_starts
-        ws = _FitWorkspace(self.theta_cheap, self.theta_exp, trend_prior)
-        trend_w, chols, alphas = [], [], []
-        for j, params in enumerate(self.params_list):
-            h, _, chol_m = ws.factored(params)
-            t = np.concatenate([self.scores_cheap[:, j], self.scores_exp[:, j]])
-            trend_w.append(trend_prior.block_cov @ h.T)
-            chols.append(chol_m)
-            alphas.append(dpotrs(chol_m, t - h @ trend_prior.mean, lower=1)[0])
-        p = self.params_list
         self.theta = np.vstack([self.theta_cheap, self.theta_exp])
         self.n_cheap = self.theta_cheap.shape[0]
-        self.rho = np.array([q.rho for q in p])
-        self.var_c = np.array([q.var_cheap for q in p])
-        self.var_e = np.array([q.var_exp for q in p])
-        self.nug_e = np.array([q.nugget_exp for q in p])
-        self.inv_range_c = np.array([1.0 / q.range_cheap for q in p])
-        self.inv_range_e = np.array([1.0 / q.range_exp for q in p])
-        self.trend_w = np.array(trend_w)
-        self.chol = np.array(chols)
-        self.alpha = np.array(alphas)
-        amp = np.ones((len(self.rho), self.theta.shape[0]))
-        amp[:, self.n_cheap:] = self.rho[:, None]
-        self.cross_coef = self.var_c[:, None] * (self.rho[:, None] * amp)
-        self.cross_terms = list(zip(self.cross_coef, -self.inv_range_c, self.var_e,
-                                    -self.inv_range_e))
-        k1 = self.theta.shape[1] + 1
-        self.predict_terms = [
-            (float(r), float(r**2), np.repeat([r, 1.0], k1), w, a, c.T,
-             float(r**2 * vc + ve + ne), float(ne))
-            for r, vc, ve, ne, w, a, c in zip(self.rho, self.var_c, self.var_e, self.nug_e,
-                                               self.trend_w, self.alpha, self.chol)]
+        ws = _FitWorkspace(self.theta_cheap, self.theta_exp, trend_prior)
+        self.cross_terms, self.predict_terms = [], []
+        for j, params in enumerate(self.params_list):
+            h, _, chol = ws.factored(params)
+            t = np.concatenate([self.scores_cheap[:, j], self.scores_exp[:, j]])
+            alpha = dpotrs(chol, t - h @ trend_prior.mean, lower=1)[0]
+            cross, terms = kernels.prediction_operands(
+                params, self.n_cheap, trend_prior.block_cov @ h.T, chol, alpha)
+            self.cross_terms.append(cross)
+            self.predict_terms.append(terms)
 
     @property
     def uses_cheap(self) -> bool:
@@ -736,31 +708,12 @@ def predict_many(emulator, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def predict_joint(emulator, thetas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Joint predictive (mean vector, covariance matrix) per component.
-
-    Used by validation diagnostics that whiten a whole test set at once;
-    cross-covariances between test settings are included.  The solve is
-    :func:`.kernels.predict_scores`' ``trtrs`` on the transposed factor.
-    """
+    """Joint predictive (mean vector, covariance matrix) per component at m
+    settings in native units, cross-covariances between them included: see
+    :func:`.kernels.predict_joint`.  Used by validation diagnostics that
+    whiten a whole test set at once."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    scaled = emulator.space.scale(thetas)
-    e = emulator
-    d2_train = kernels.sq_dists(scaled, e.theta)
-    d2_test = kernels.sq_dists(scaled, scaled)
-    basis = _mean_basis(scaled)
-    block_cov = e.trend_prior.block_cov
-    out = []
-    for j, cross in enumerate(kernels.cross_cov(d2_train, e.n_cheap, e.cross_terms)):
-        a0 = np.hstack([e.rho[j] * basis, basis])
-        cross = cross + a0 @ e.trend_w[j]
-        mean = a0 @ e.trend_prior.mean + cross @ e.alpha[j]
-        prior = kernels.gp_cov(d2_test, 0, 0, e.rho[j], e.var_c[j], e.var_e[j],
-                               e.inv_range_c[j], e.inv_range_e[j]) + a0 @ block_cov @ a0.T
-        prior[np.diag_indices_from(prior)] += e.nug_e[j]
-        white = dtrtrs(e.chol[j].T, cross.T, lower=0, trans=1)[0]
-        cov = prior - white.T @ white
-        out.append((mean, 0.5 * (cov + cov.T)))
-    return out
+    return kernels.predict_joint(emulator.space.scale(thetas), emulator)
 
 
 # --- archive --------------------------------------------------------------

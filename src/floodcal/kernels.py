@@ -1,15 +1,14 @@
 """Covariance and prediction kernels of the multiresolution GP.
 
 This module is the only place the squared-exponential covariance is
-written: :func:`sq_exp_corr` is the kernel and :func:`gp_cov` the stacked
-two-fidelity covariance built from it.  The MAP objective and its gradient
-build the training gram from :func:`sq_exp_corr` and :func:`cheap_cov` in
-buffers they reuse (``out``); :func:`cross_cov` forms the same
-test-to-training block in place for :func:`predict_scores` and joint
-prediction.  The predictive distribution is evaluated once per
-Metropolis-Hastings proposal, i.e. hundreds of thousands of times per
-calibration run, so :func:`predict_scores` reads operands that a
-:class:`~floodcal.emulator.MultiResEmulator` computes once, when built.
+written: :func:`sq_exp_corr` is the kernel.  The MAP objective and its
+gradient build the training gram from it and :func:`cheap_cov` in buffers
+they reuse (``out``); :func:`cross_cov` forms the same covariance between
+test settings and training runs, or among test settings, for
+:func:`predict_scores` and :func:`predict_joint`.  A prediction is made once
+per Metropolis-Hastings proposal, hundreds of thousands of times per
+calibration run, so both read the operands :func:`prediction_operands`
+builds once per component, when a :class:`~floodcal.emulator.MultiResEmulator` is built.
 
 All kernels work in unit-scaled parameter coordinates and use float64
 arrays.  Point sets are stacked cheap rows first, expensive rows after.
@@ -50,7 +49,7 @@ def sq_exp_corr(d2: np.ndarray, inv_range: np.ndarray,
 
 
 def cheap_cov(corr_c, n_cheap_rows, n_cheap_cols, rho, var_c, out=None):
-    """The cheap process's share of :func:`gp_cov`: ``var_c (a_i a_j) C_c``.
+    """The cheap process's share of a stacked covariance: ``var_c (a_i a_j) C_c``.
 
     ``a`` is 1 on cheap rows and columns and ``rho`` on expensive ones, so
     ``var_c (a_i a_j)`` is one constant per block and each block costs one
@@ -66,28 +65,12 @@ def cheap_cov(corr_c, n_cheap_rows, n_cheap_cols, rho, var_c, out=None):
     return out
 
 
-def gp_cov(d2, n_cheap_rows, n_cheap_cols, rho, var_c, var_e, inv_range_c, inv_range_e):
-    """GP covariance between two stacked point sets, without nuggets or trend.
-
-    ``d2`` comes from :func:`sq_dists`; the first ``n_cheap_rows`` rows and
-    ``n_cheap_cols`` columns are cheap runs.  Entries are ``var_c C_c``
-    cheap-cheap, ``rho var_c C_c`` cheap-expensive and
-    ``rho^2 var_c C_c + var_e C_e`` expensive-expensive, where
-    ``C(x, y) = exp(-sum_d (x_d - y_d)^2 inv_range_d)``.  The expensive
-    kernel is evaluated on the expensive block only.
-    """
-    corr_c = sq_exp_corr(d2, inv_range_c)
-    corr_e = sq_exp_corr(d2[:, n_cheap_rows:, n_cheap_cols:], inv_range_e)
-    v = cheap_cov(corr_c, n_cheap_rows, n_cheap_cols, rho, var_c)
-    v[n_cheap_rows:, n_cheap_cols:] += var_e * corr_e
-    return v
-
-
 def cross_cov(d2: np.ndarray, n_cheap: int, cross_terms):
-    """Yield ``gp_cov(d2, 0, n_cheap, ...)`` for each component's
-    ``(cross_coef, -inv_range_c, var_e, -inv_range_e)`` in ``cross_terms``:
-    per block one ``dot``, then ``exp`` and scale in place.  Rounding is
-    sign-symmetric, so this is bitwise :func:`gp_cov`'s block."""
+    """Yield, per ``(cross_coef, -inv_range_c, var_e, -inv_range_e)`` in
+    ``cross_terms``, the covariance of expensive rows with the columns of
+    ``d2`` (``n_cheap`` cheap first), no nugget or trend: ``cross_coef C_c``
+    plus ``var_e C_e`` on expensive columns.  Per block one ``dot``, then
+    ``exp`` and scale in place: bitwise :func:`sq_exp_corr` then :func:`cheap_cov`."""
     k, m, n = d2.shape
     d2_c = d2.reshape(k, -1)
     d2_e = d2[:, :, n_cheap:].reshape(k, -1)
@@ -100,6 +83,20 @@ def cross_cov(d2: np.ndarray, n_cheap: int, cross_terms):
         w *= var_e
         v[:, n_cheap:] += w.reshape(m, n - n_cheap)
         yield v
+
+
+def prediction_operands(params, n_cheap: int, trend_w, chol, alpha) -> tuple[tuple, tuple]:
+    """One component's ``cross_terms`` and ``predict_terms`` entries, the only copy
+    of what predictions read, from its parameters, trend cross block ``B H^T``,
+    lower gram factor and solved centred scores.  The factor is kept C-ordered:
+    its transpose is the Fortran-ordered upper factor ``trtrs`` reads uncopied."""
+    rho, var_c, var_e, nug_e = map(float, (params.rho, params.var_cheap, params.var_exp,
+                                           params.nugget_exp))  # Python floats for the MH loop
+    amp = np.ones(len(alpha))
+    amp[n_cheap:] = rho  # a test row's cheap coefficient is var_c rho, then var_c (rho rho)
+    return ((var_c * (rho * amp), -(1.0 / params.range_cheap), var_e, -(1.0 / params.range_exp)),
+            (rho, rho**2, np.repeat([rho, 1.0], len(params.range_cheap) + 1), trend_w, alpha,
+             np.ascontiguousarray(chol).T, rho**2 * var_c + var_e + nug_e, nug_e))
 
 
 def predict_scores(theta0: np.ndarray, emulator) -> tuple[np.ndarray, np.ndarray]:
@@ -144,3 +141,28 @@ def predict_scores(theta0: np.ndarray, emulator) -> tuple[np.ndarray, np.ndarray
         var = prior_var + rho2 * quad_c + quad_e - float(dot(white, white))
         variances.append(var if var > nug_e else nug_e)
     return np.array(means), np.array(variances)
+
+
+def predict_joint(thetas: np.ndarray, emulator) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Joint predictive (mean, covariance) per component at unit-scaled ``thetas``
+    (m, k), from :func:`predict_scores`' operands.  Every test row is expensive,
+    so the test-to-test prior is :func:`cross_cov` with no cheap columns and the
+    scalar coefficient ``var_c (rho rho)``; ``trtrs`` solves m right-hand sides."""
+    trend = emulator.trend_prior
+    block_cov = trend.block_cov
+    basis = np.hstack([np.ones((len(thetas), 1)), thetas])
+    hh = np.hstack([basis, basis])  # a test row's trend row (rho h, h) is hh * a_scale
+    d2_test = sq_dists(thetas, thetas)
+    out = []
+    for (_, _, a_scale, trend_w, alpha, chol_t, _, nug_e), (coef, *ranges), cross in zip(
+            emulator.predict_terms, emulator.cross_terms,
+            cross_cov(sq_dists(thetas, emulator.theta), emulator.n_cheap, emulator.cross_terms)):
+        a0 = hh * a_scale
+        cross += a0 @ trend_w
+        mean = a0 @ trend.mean + cross @ alpha
+        prior = next(cross_cov(d2_test, 0, [(coef[-1], *ranges)])) + a0 @ block_cov @ a0.T
+        prior[np.diag_indices_from(prior)] += nug_e
+        white = dtrtrs(chol_t, cross.T, 0, 1)[0]
+        cov = prior - white.T @ white
+        out.append((mean, 0.5 * (cov + cov.T)))
+    return out

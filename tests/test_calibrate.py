@@ -534,27 +534,12 @@ def test_every_prediction_entry_point_calls_the_module_kernel(gp_setup, monkeypa
 
 
 class TestThin:
-    def fake_chain(self, n, burn_in=0):
-        samples = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
-        return PosteriorChain(
-            samples=samples,
-            log_posterior=np.zeros(n),
-            accepted_mask=np.zeros(n, dtype=np.int64),
-            acceptance_rates=np.zeros(2),
-            names=["x", "sigma2_eps"],
-            seed=0,
-            burn_in=burn_in,
-            iterations=n + burn_in,
-        )
-
     def test_identity_when_m_equals_length(self):
-        chain = self.fake_chain(100)
-        out = thin(chain, 100, seed=0)
+        out = thin(np.arange(100.0)[:, None], 100, seed=0)
         assert np.array_equal(out[:, 0], np.arange(100.0))
 
     def test_spacing_100_from_300k(self):
-        chain = self.fake_chain(300_000)
-        out = thin(chain, 100, seed=1)
+        out = thin(np.arange(300_000.0)[:, None], 100, seed=1)
         gaps = np.diff(out[:, 0])
         assert np.all(np.abs(gaps - 3000) <= 1)
 
@@ -565,22 +550,23 @@ class TestThin:
         x[0] = 0.0
         for i in range(1, n):
             x[i] = 0.98 * x[i - 1] + rng.standard_normal()
-        chain = self.fake_chain(n)
-        chain.samples[:, 0] = x
 
         def acf1(v):
             v = v - v.mean()
             return float(v[:-1] @ v[1:] / (v @ v))
 
-        thinned = thin(chain, 200, seed=2)[:, 0]
+        thinned = thin(x[:, None], 200, seed=2)[:, 0]
         assert acf1(thinned) <= acf1(x)
 
     def test_chain_too_short(self):
         with pytest.raises(ChainTooShort):
-            thin(self.fake_chain(10), 11, seed=0)
+            thin(np.zeros((10, 1)), 11, seed=0)
 
     def test_theta_names_leave_out_the_variances(self):
-        chain = self.fake_chain(4)
+        chain = PosteriorChain(samples=np.zeros((4, 2)), log_posterior=np.zeros(4),
+                               accepted_mask=np.zeros(4, dtype=np.int64),
+                               acceptance_rates=np.zeros(2), names=["x", "sigma2_eps"], seed=0,
+                               burn_in=0, iterations=4)
         assert chain.theta_names == ["x"]
 
 

@@ -846,6 +846,24 @@ class TestEnsembleCache:
                      *(f"basis/{name}" for name in BASIS_ARCHIVE)):
             assert (root / "out" / name).read_bytes() == (pipeline / "out" / name).read_bytes()
 
+    @pytest.mark.parametrize("value", [KeyError, None, "x", [1], -1],
+                             ids=["deleted", "null", "string", "list", "minus-one"])
+    def test_emulate_rebuilds_past_any_edited_manifest_key(self, pipeline, tmp_path, monkeypatch,
+                                                           value):
+        # a manifest without its sha256 once ended emulate in a KeyError traceback
+        meta = json.loads((pipeline / "out" / "ensemble.manifest.json").read_text())
+        for key in meta:
+            root = tmp_path / key
+            shutil.copytree(pipeline, root)
+            edited = {k: v for k, v in meta.items() if k != key or value is not KeyError}
+            if value is not KeyError:
+                edited[key] = value
+            (root / "out" / "ensemble.manifest.json").write_text(json.dumps(edited))
+            builds = _counting(monkeypatch, "build_ensemble")
+            assert main(["emulate", "--config", str(root / "experiment.ini")]) == 0, key
+            assert len(builds) == 1, key
+            assert tree_digests(root) == tree_digests(pipeline), key
+
     def test_warm_load_equals_cold_and_fresh_builds(self, pipeline, tmp_path, monkeypatch):
         root = tmp_path / "cache"
         shutil.copytree(pipeline, root)

@@ -46,7 +46,7 @@ from floodcal.errors import (
 )
 
 from conftest import build_hr, build_mr, draw_scores, make_nested_design
-from oracles import cov_cc, cov_ce, cov_ee
+from oracles import cov_cc, cov_ce, cov_ee, gram
 
 
 def log_posterior(params, hyperpriors, scores, theta_cheap, theta_exp, trend_prior) -> float:
@@ -419,12 +419,8 @@ def _reference_objective(ws, x, scores, hp, jitter=0.0):
     p = _x_to_params(x, k)
     corr_c = kernels.sq_exp_corr(ws.d2, 1.0 / p.range_cheap)
     corr_e = kernels.sq_exp_corr(ws.d2[:, p_c:, p_c:], 1.0 / p.range_exp)
-    m = kernels.gp_cov(ws.d2, p_c, p_c, p.rho, p.var_cheap, p.var_exp,
-                       1.0 / p.range_cheap, 1.0 / p.range_exp)
-    m[np.diag_indices_from(m)] += np.where(np.arange(len(m)) < p_c, p.nugget_cheap, p.nugget_exp)
     h = ws.h0 + p.rho * ws.h1
-    m += h @ ws.trend.block_cov @ h.T
-    m = 0.5 * (m + m.T)
+    m = gram(ws.d2, p_c, h, ws.trend, p)
     if jitter:
         m = m + jitter * (np.trace(m) / len(m)) * np.eye(len(m))
     chol = scipy.linalg.cholesky(m, lower=True)
@@ -734,9 +730,9 @@ class TestPredict:
     def test_cached_factor_reproduces_gram(self, gp_setup):
         for emu in (gp_setup["emu_mr"], gp_setup["emu_hr"]):
             ws = _FitWorkspace(emu.theta_cheap, emu.theta_exp, emu.trend_prior)
-            for chol, params in zip(emu.chol, emu.params_list):
+            for (*_, chol_t, _, _), params in zip(emu.predict_terms, emu.params_list):
                 _, m = ws.factored(params)[:2]
-                err = np.linalg.norm(chol @ chol.T - m)
+                err = np.linalg.norm(chol_t.T @ chol_t - m)
                 assert err <= 5 * np.finfo(float).eps * np.linalg.norm(m) * m.shape[0]
 
     def test_predict_joint_matches_pointwise(self, gp_setup):
@@ -891,6 +887,8 @@ class TestArchive:
             m1, v1 = predict_many(back, thetas)
             assert np.array_equal(m0, m1)
             assert np.array_equal(v0, v1)
+            for before, after in zip(predict_joint(emu, thetas), predict_joint(back, thetas)):
+                assert [a.tobytes() for a in before] == [a.tobytes() for a in after]
 
     def test_singleres_archive_has_the_multires_layout(self, gp_setup, tmp_path):
         save_emulator(gp_setup["emu_mr"], tmp_path / "mr")
@@ -960,6 +958,8 @@ class TestArchiveProperty:
         thetas = space.unscale(rng.random((5, k)))
         for before, after in zip(predict_many(emu, thetas), predict_many(back, thetas)):
             assert before.tobytes() == after.tobytes()
+        for before, after in zip(predict_joint(emu, thetas), predict_joint(back, thetas)):
+            assert [a.tobytes() for a in before] == [a.tobytes() for a in after]
 
 
 def _edit_manifest(edit):

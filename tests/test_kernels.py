@@ -8,7 +8,7 @@ from floodcal.diagnostics import uspe
 from floodcal.emulator import EmulatorParams, TrendPrior, _FitWorkspace, predict_joint
 
 from conftest import build_hr, build_mr
-from oracles import labelled, marginal_cov
+from oracles import gram, labelled, marginal_cov, stacked_cov
 
 
 LAYOUTS = pytest.mark.parametrize("layout", ["mr", "hr", "hr10"])
@@ -90,28 +90,43 @@ def test_gram_with_repeated_settings_matches_oracle():
     assert np.max(np.abs(m - m_o)) <= 1e-13 * np.max(np.abs(m_o))
 
 
-def _reference_predict(theta0, e):
-    """predict_scores written out per call: the cross block from gp_cov on
-    distances laid out as sq_dists has always laid them out, the constants
-    from the emulator's parameters and the solve from scipy's checked
-    solve_triangular on the C-ordered factor."""
+def _reference_operands(e):
+    """Per component, from its ``params_list`` entry: the trend-prior cross
+    block B H^T, the lower factor of the written-out gram from scipy's checked
+    cholesky, C-ordered as the emulator keeps it, and the centred scores
+    solved with cho_solve."""
+    trend = e.trend_prior
+    ws = _FitWorkspace(e.theta_cheap, e.theta_exp, trend)
+    out = []
+    for j, params in enumerate(e.params_list):
+        h = ws.h0 + params.rho * ws.h1
+        chol = cholesky(gram(ws.d2, ws.p_c, h, trend, params), lower=True)
+        t = np.concatenate([e.scores_cheap[:, j], e.scores_exp[:, j]])
+        alpha = cho_solve((chol, True), t - h @ trend.mean)
+        out.append((trend.block_cov @ h.T, np.ascontiguousarray(chol), alpha))
+    return out
+
+
+def _reference_predict(theta0, e, operands):
+    """predict_scores written out per call: the cross block from stacked_cov
+    on distances laid out as sq_dists has always laid them out, the
+    constants from the emulator's parameters and the solve from scipy's
+    checked solve_triangular on the C-ordered factor."""
     k1 = theta0.shape[0] + 1
     h0 = np.concatenate(([1.0], theta0))
     trend = e.trend_prior
     d2 = (theta0[None, :].T[:, :, None] - e.theta.T[:, None, :]) ** 2
     means, variances = [], []
-    for j in range(len(e.rho)):
-        rho = e.rho[j]
-        cross = kernels.gp_cov(d2, 0, e.n_cheap, rho, e.var_c[j], e.var_e[j],
-                               e.inv_range_c[j], e.inv_range_e[j])[0]
-        cross = cross + np.concatenate((rho * h0, h0)) @ e.trend_w[j]
-        means.append(rho * (h0 @ trend.mean[:k1]) + h0 @ trend.mean[k1:]
-                     + cross @ e.alpha[j])
-        white = solve_triangular(e.chol[j], cross, lower=True)
-        var = (rho**2 * e.var_c[j] + e.var_e[j] + e.nug_e[j]
+    for p, (trend_w, chol, alpha) in zip(e.params_list, operands):
+        rho = p.rho
+        cross = stacked_cov(d2, 0, e.n_cheap, p)[0]
+        cross = cross + np.concatenate((rho * h0, h0)) @ trend_w
+        means.append(rho * (h0 @ trend.mean[:k1]) + h0 @ trend.mean[k1:] + cross @ alpha)
+        white = solve_triangular(chol, cross, lower=True)
+        var = (rho**2 * p.var_cheap + p.var_exp + p.nugget_exp
                + rho**2 * (h0 @ trend.cov_cheap @ h0) + h0 @ trend.cov_exp @ h0
                - white @ white)
-        variances.append(var if var > e.nug_e[j] else e.nug_e[j])
+        variances.append(var if var > p.nugget_exp else p.nugget_exp)
     return np.array(means), np.array(variances)
 
 
@@ -125,9 +140,10 @@ def test_predict_matches_solve_triangular_reference(layout, k):
         emu = _emulator(layout, _space(k), rng, n_comp=n_comp)
         # training settings (variance at the nugget floor) and fresh settings
         points = np.vstack([emu.theta[0], emu.theta[-1], rng.random((200, k))])
+        operands = _reference_operands(emu)
         for x in points:
             mean, var = kernels.predict_scores(x, emu)
-            ref_mean, ref_var = _reference_predict(x, emu)
+            ref_mean, ref_var = _reference_predict(x, emu, operands)
             assert np.array_equal(mean, ref_mean)
             assert np.array_equal(var, ref_var)
 
@@ -135,37 +151,29 @@ def test_predict_matches_solve_triangular_reference(layout, k):
 @LAYOUTS
 @DIMS
 def test_construction_matches_cholesky_and_cho_solve_reference(layout, k):
-    # the factor from scipy's checked cholesky of the (jittered) gram, and the
-    # centred scores solved with cho_solve, bit for bit
+    # the operands predictions read, bit for bit those of the written-out gram
     rng = np.random.default_rng(50 + k)
     emu = _emulator(layout, _space(k), rng, n_comp=3)
-    ws = _FitWorkspace(emu.theta_cheap, emu.theta_exp, emu.trend_prior)
-    for j, params in enumerate(emu.params_list):
-        h, m, _ = ws.factored(params)
-        chol = cholesky(m, lower=True)
-        t = np.concatenate([emu.scores_cheap[:, j], emu.scores_exp[:, j]])
-        alpha = cho_solve((chol, True), t - h @ emu.trend_prior.mean)
-        assert emu.chol[j].tobytes() == np.ascontiguousarray(chol).tobytes()
-        assert emu.alpha[j].tobytes() == alpha.tobytes()
+    for (*_, trend_w, alpha, chol_t, _, _), ref in zip(emu.predict_terms,
+                                                      _reference_operands(emu)):
+        assert [a.tobytes() for a in (trend_w, chol_t.T, alpha)] == [a.tobytes() for a in ref]
 
 
 def _reference_joint(e, thetas):
-    """predict_joint written out, with scipy's checked solve_triangular on the
-    C-ordered factor."""
+    """predict_joint written out, with both covariance blocks from
+    stacked_cov and scipy's checked solve_triangular on the C-ordered factor."""
     scaled = e.space.scale(thetas)
     d2_train = kernels.sq_dists(scaled, e.theta)
     d2_test = kernels.sq_dists(scaled, scaled)
     basis = np.hstack([np.ones((len(scaled), 1)), scaled])
     out = []
-    for j, cross in enumerate(kernels.cross_cov(d2_train, e.n_cheap, e.cross_terms)):
-        a0 = np.hstack([e.rho[j] * basis, basis])
-        cross = cross + a0 @ e.trend_w[j]
-        mean = a0 @ e.trend_prior.mean + cross @ e.alpha[j]
-        prior = kernels.gp_cov(d2_test, 0, 0, e.rho[j], e.var_c[j], e.var_e[j],
-                               e.inv_range_c[j], e.inv_range_e[j])
-        prior = prior + a0 @ e.trend_prior.block_cov @ a0.T
-        prior[np.diag_indices_from(prior)] += e.nug_e[j]
-        white = solve_triangular(e.chol[j], cross.T, lower=True)
+    for p, (trend_w, chol, alpha) in zip(e.params_list, _reference_operands(e)):
+        a0 = np.hstack([p.rho * basis, basis])
+        cross = stacked_cov(d2_train, 0, e.n_cheap, p) + a0 @ trend_w
+        mean = a0 @ e.trend_prior.mean + cross @ alpha
+        prior = stacked_cov(d2_test, 0, 0, p) + a0 @ e.trend_prior.block_cov @ a0.T
+        prior[np.diag_indices_from(prior)] += p.nugget_exp
+        white = solve_triangular(chol, cross.T, lower=True)
         cov = prior - white.T @ white
         out.append((mean, 0.5 * (cov + cov.T)))
     return out
