@@ -8,7 +8,6 @@ variable-at-a-time random-walk Metropolis-Hastings sweep.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ import numpy as np
 from . import kernels
 from .errors import ChainTooShort, DimensionMismatch, MalformedArtifact, ModelRunFailed
 from .grid import Grid, LocationSet
-from .manifest import read_csv
+from .manifest import csv_text, read_csv, write_file
 from .reduce import ReducedBasis, project
 
 DEFAULT_BURN_IN_FRACTION = 0.2
@@ -435,11 +434,10 @@ def save_chain(chain: PosteriorChain, path) -> None:
     # the rows a csv.writer gives for these fields: no number needs quoting
     row = "%d," + "%.17g," * (chain.samples.shape[1] + 1) + "%d\r\n"
     rows = zip(chain.samples.tolist(), chain.log_posterior.tolist(), chain.accepted_mask.tolist())
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["iter"] + [f"theta_{n}" for n in chain.theta_names]
-                                + chain.names[-1:] + ["log_post", "accepted_mask"])
-        fh.writelines(row % (chain.burn_in + i, *sample, lp, mask)
-                      for i, (sample, lp, mask) in enumerate(rows))
+    write_file(path, csv_text([["iter"] + [f"theta_{n}" for n in chain.theta_names]
+                               + chain.names[-1:] + ["log_post", "accepted_mask"]]),
+               "".join(row % (chain.burn_in + i, *sample, lp, mask)
+                       for i, (sample, lp, mask) in enumerate(rows)))
 
 
 def load_chain_samples(path) -> tuple[np.ndarray, list]:

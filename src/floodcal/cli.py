@@ -11,7 +11,7 @@ Every stage's outputs get a manifest with the config digest and the seeds it
 consumed; rerunning a stage with unchanged inputs reproduces its outputs
 byte for byte.  The run matrix is also cached under the output directory,
 keyed by the content it is built from: ``run-synth`` stores the matrix of
-the runs it wrote, and ``_load_ensemble`` builds and stores it on a miss.
+the runs it wrote, and ``_load_split`` builds and stores it on a miss.
 
 Exit codes: 0 success, 2 config error, 3 missing or malformed upstream
 artifact, a file where a directory belongs or the reverse included, 4
@@ -25,7 +25,6 @@ import argparse
 import configparser
 import hashlib
 import itertools
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,7 +78,7 @@ from .errors import (
     NonPositiveDf,
 )
 from .grid import flatten, read_ascii_grid, write_ascii_grid
-from .manifest import config_digest, npy_header, read_manifest, write_manifest
+from .manifest import file_digest, npy_header, npy_parts, read_manifest, write_file, write_manifest
 from .reduce import (
     BASIS_ARCHIVE,
     RunEnsemble,
@@ -253,7 +252,7 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"synth.fine_{axis}: no fine cell centre is inside the coarse hull")
 
     return ExperimentConfig(
-        path=path, digest=config_digest(path), space=space, synth=geometry, seeds=seeds,
+        path=path, digest=file_digest(path).hex(), space=space, synth=geometry, seeds=seeds,
         edge_bands=np.column_stack(bands), theta_star=np.array(theta_star),
         runs_dir=path.parent / paths["runs_dir"], out_dir=path.parent / paths["out_dir"],
         **{key: value for fields in values.values() for key, value in fields.items()},
@@ -358,14 +357,9 @@ def cmd_run_synth(cfg: ExperimentConfig, seed: int | None = None, _threads: int 
     locations = shared_locations(cfg.synth)
     ensemble = build_ensemble(grids[:design.n_expensive], grids[design.n_expensive:], design,
                               locations)
-    key = _ensemble_key([_file_digest(_path(cfg, DESIGN)), manifest_digest, *grid_digests],
+    key = _ensemble_key([file_digest(_path(cfg, DESIGN)), manifest_digest, *grid_digests],
                         locations)
     _store_ensemble(cfg, key, ensemble.depths)
-
-
-def _load_ensemble(cfg: ExperimentConfig) -> RunEnsemble:
-    """The design's runs on the shared locations: :func:`_load_split` holding none out."""
-    return _load_split(cfg, _load_design(cfg), [])[0]
 
 
 def _load_split(cfg: ExperimentConfig, design: Design, held_idx):
@@ -378,7 +372,12 @@ def _load_split(cfg: ExperimentConfig, design: Design, held_idx):
     own checksum match, its rows are read straight into the two depth arrays;
     anything else rebuilds it from the grids, one at a time, and rewrites it.
     """
-    held, train_design, test_thetas = _holdout(design, held_idx)
+    n_left = design.n_expensive - len(held_idx)
+    if n_left < 2:
+        raise AllExpensiveRemoved(f"holding out {len(held_idx)} of {design.n_expensive} "
+                                  f"expensive runs leaves {n_left}; the emulators need at least 2")
+    held = np.zeros(len(design.points), dtype=bool)
+    held[held_idx] = True  # expensive rows come first
     manifest_path = _path(cfg, RUNS_MANIFEST)
     try:
         run_paths = {entry["row"]: _check(cfg, RUN_GRIDS, cfg.runs_dir / entry["file"])
@@ -389,7 +388,7 @@ def _load_split(cfg: ExperimentConfig, design: Design, held_idx):
     if unlisted:
         raise MalformedArtifact(f"{manifest_path} lists no run for design rows {unlisted}")
     locations = shared_locations(cfg.synth)
-    digests = map(_file_digest, (_path(cfg, DESIGN), manifest_path, *run_paths.values()))
+    digests = map(file_digest, (_path(cfg, DESIGN), manifest_path, *run_paths.values()))
     key = _ensemble_key(digests, locations)
     split = _cached_split(cfg, key, held, len(locations))
     if split is None:
@@ -398,27 +397,8 @@ def _load_split(cfg: ExperimentConfig, design: Design, held_idx):
                                 map(read_ascii_grid, paths[p_e:]), design, locations).depths
         _store_ensemble(cfg, key, depths)
         split = (depths[~held], depths[held]) if held.any() else (depths, depths[:0])
-    return RunEnsemble(split[0], train_design, locations), split[1], test_thetas
-
-
-def _holdout(design: Design, held_idx):
-    """The row mask of expensive rows ``held_idx``, the design without them, their settings."""
-    n_left = design.n_expensive - len(held_idx)
-    if n_left < 2:
-        raise AllExpensiveRemoved(f"holding out {len(held_idx)} of {design.n_expensive} "
-                                  f"expensive runs leaves {n_left}; the emulators need at least 2")
-    held = np.zeros(len(design.points), dtype=bool)
-    held[held_idx] = True  # expensive rows come first
     train_design = Design(design.points[~held], design.fidelity[~held], design.space)
-    return held, train_design, design.points[held]
-
-
-def _file_digest(path: Path) -> bytes:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 16):  # a read of 1 MiB added 0.8 MB to peak RSS
-            digest.update(chunk)
-    return digest.digest()
+    return RunEnsemble(split[0], train_design, locations), split[1], design.points[held]
 
 
 def _ensemble_key(file_digests, locations) -> str:
@@ -433,14 +413,11 @@ def _ensemble_key(file_digests, locations) -> str:
 
 
 def _store_ensemble(cfg: ExperimentConfig, key: str, depths: np.ndarray) -> None:
-    """Save the run matrix under ``key``, each file through a temporary name."""
+    """Save the run matrix under ``key``, with the sha256 of its data alone."""
     matrix, meta = (_path(cfg, template) for template in ENSEMBLE)
     # matrix first: a manifest left over from an earlier build then fails the checksum
-    with open(f"{matrix}.tmp", "wb") as fh:
-        np.save(fh, depths)
-    os.replace(f"{matrix}.tmp", matrix)
-    write_manifest(f"{meta}.tmp", {"key": key, "sha256": hashlib.sha256(depths).hexdigest()})
-    os.replace(f"{meta}.tmp", meta)
+    write_file(matrix, *npy_parts(depths))
+    write_manifest(meta, {"key": key, "sha256": hashlib.sha256(depths).hexdigest()})
 
 
 def _cached_split(cfg: ExperimentConfig, key: str, held: np.ndarray, n_locations: int):
@@ -521,7 +498,7 @@ def cmd_project(cfg: ExperimentConfig, seed: int | None = None, _threads: int = 
         n_kept = meta["iterations"] - meta["burn_in"]
     except (KeyError, TypeError, ValueError) as err:
         raise MalformedArtifact(f"{meta_path}: unreadable chain manifest: {err!r}") from err
-    if len(samples) != n_kept:  # a calibrate that died mid-write leaves a short chain
+    if len(samples) != n_kept:  # a chain paired with another calibrate's manifest
         raise MalformedArtifact(f"{chain_path}: {len(samples)} samples, but {meta_path.name} "
                                 f"records iterations - burn_in = {n_kept}")
     if names[:-1] != list(cfg.space.names):  # every column but the last, sigma2_eps
@@ -559,12 +536,11 @@ def cmd_diagnose(cfg: ExperimentConfig, seed: int | None = None) -> None:
     metrics = {"approach": cfg.approach, "flood_threshold": cfg.flood_threshold}
     metrics.update(report.to_dict())
     write_manifest(_path(cfg, METRICS_JSON), metrics)
-    with open(_path(cfg, METRICS_TEXT), "w") as fh:
-        fh.write(f"projection vs observation ({cfg.approach})\n"
-                 f"{'RMSE (m)':<16}{report.rmse:.4f}\n"
-                 f"{'Percent bias':<16}{report.percent_bias:.2f}\n"
-                 f"{'Fit':<16}{report.fit:.3f}\n"
-                 f"{'Correctness':<16}{report.correctness:.3f}\n")
+    write_file(_path(cfg, METRICS_TEXT), f"projection vs observation ({cfg.approach})\n"
+               f"{'RMSE (m)':<16}{report.rmse:.4f}\n"
+               f"{'Percent bias':<16}{report.percent_bias:.2f}\n"
+               f"{'Fit':<16}{report.fit:.3f}\n"
+               f"{'Correctness':<16}{report.correctness:.3f}\n")
     uspe_written = _uspe_validation(cfg, split, seed, archive)
 
     _finish(cfg, "diagnose", DIAGNOSE_MANIFEST,
@@ -644,15 +620,10 @@ def _uspe_validation(cfg, split, seed, archive) -> list:
     n_lead = _leading_components(basis)
     written = []
     for label, emu in emulators.items():
-        joint = predict_joint(emu, test_thetas)
-        path = _path(cfg, USPE, label)
-        with open(path, "w") as fh:
-            fh.write("component,empirical,theoretical\n")
-            for j in range(n_lead):
-                mean, cov = joint[j]
-                report = uspe(test_scores[:, j], mean, cov, emu.n_trend_params)
-                for emp, theo in report.qq:
-                    fh.write(f"{j},{emp:.17g},{theo:.17g}\n")
+        joint, path = predict_joint(emu, test_thetas), _path(cfg, USPE, label)
+        qq = (uspe(test_scores[:, j], *joint[j], emu.n_trend_params).qq for j in range(n_lead))
+        write_file(path, "component,empirical,theoretical\n", *(
+            f"{j},{emp:.17g},{theo:.17g}\n" for j, rows in enumerate(qq) for emp, theo in rows))
         written.append(path.name)
     return written
 
@@ -660,8 +631,7 @@ def _uspe_validation(cfg, split, seed, archive) -> list:
 def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, _threads: int = 1) -> None:
     seed = cfg.seeds["crossval"] if seed is None else seed
     archive = _warm_archive(cfg)
-    ensemble = _load_ensemble(cfg)
-    design = ensemble.design
+    design = _load_design(cfg)
     label = f"{design.n_expensive}e{design.n_cheap}c"
 
     rng = np.random.default_rng(seed)
@@ -673,34 +643,32 @@ def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, _threads: int =
     for fold, fold_seed in zip(folds, fold_seeds[:-1]):
         if len(fold) == 0:
             continue
-        cv_d.extend(_holdout_d_values(cfg, ensemble, np.sort(fold), fold_seed, archive))
+        cv_d.extend(_holdout_d_values(cfg, design, np.sort(fold), fold_seed, archive))
 
     held_edge = np.flatnonzero(edge_mask(design, cfg.edge_bands)[:p_e])
-    edge_d = (_holdout_d_values(cfg, ensemble, held_edge, fold_seeds[-1], archive)
+    edge_d = (_holdout_d_values(cfg, design, held_edge, fold_seeds[-1], archive)
               if held_edge.size else None)
 
     q = summarize_d(cv_d)
     result = {"label": label, "cross_validation": {"quartiles": list(q), "n_points": len(cv_d)}}
-    with open(_path(cfg, CROSSVAL_TEXT), "w") as fh:
-        fh.write("Cross validation: difference in RMSE between MR and HR (m)\n")
-        fh.write(format_d_table({label: q}))
-        if edge_d is not None:
-            edge_q = summarize_d(edge_d)
-            result["edge_case"] = {"quartiles": list(edge_q), "n_points": len(edge_d)}
-            fh.write("\nEdge cases: difference in RMSE between MR and HR (m)\n")
-            fh.write(format_d_table({label: edge_q}))
+    text = ["Cross validation: difference in RMSE between MR and HR (m)\n",
+            format_d_table({label: q})]
+    if edge_d is not None:
+        edge_q = summarize_d(edge_d)
+        result["edge_case"] = {"quartiles": list(edge_q), "n_points": len(edge_d)}
+        text += ["\nEdge cases: difference in RMSE between MR and HR (m)\n",
+                 format_d_table({label: edge_q})]
+    write_file(_path(cfg, CROSSVAL_TEXT), *text)
     _finish(cfg, "crossval", CROSSVAL_JSON,
             f"crossval[{label}]: D(MR-HR) Q1 {q[0]:.3f} median {q[1]:.3f} "
             f"mean {q[2]:.3f} Q3 {q[3]:.3f}",
             seed=seed, **result)
 
 
-def _holdout_d_values(cfg, ensemble, held_idx, seed, archive) -> list:
+def _holdout_d_values(cfg, design, held_idx, seed, archive) -> list:
     """Per-held-out-point RMSE difference between the MR and HR emulators, fitted
-    to one fancy-index copy of the rows not in ``held_idx``."""
-    held, train_design, test_thetas = _holdout(ensemble.design, held_idx)
-    train = RunEnsemble(ensemble.depths[~held], train_design, ensemble.locations)
-    test_depths = ensemble.depths[held]
+    without the expensive rows ``held_idx``, which :func:`_load_split` reads apart."""
+    train, test_depths, test_thetas = _load_split(cfg, design, held_idx)
     basis, emulators, _ = _fit_holdout(cfg, train, test_depths, seed, archive)
     pred_mr, pred_hr = (reconstruct(basis, predict_many(emu, test_thetas)[0])
                         for emu in emulators.values())
@@ -730,7 +698,7 @@ CROSSVAL_TEXT, CROSSVAL_JSON = "{out}/crossval.txt", "{out}/crossval.json"
 # emulate and the hold-out fits of diagnose and crossval fit both approaches
 EMULATORS = tuple(EMULATOR.replace("{approach}", a) for a in ("mr", "hr"))
 USPES = tuple(USPE.replace("{approach}", a) for a in ("mr", "hr"))
-RUN_MATRIX = (DESIGN, RUNS_MANIFEST, RUN_GRIDS)  # what _load_ensemble reads
+RUN_MATRIX = (DESIGN, RUNS_MANIFEST, RUN_GRIDS)  # what _load_split reads
 # each archive directory -> its table, which names the files in it (manifest.py)
 ARCHIVES = {BASIS: BASIS_ARCHIVE, **dict.fromkeys((EMULATOR, *EMULATORS), EMULATOR_ARCHIVE)}
 
@@ -738,7 +706,7 @@ ARCHIVES = {BASIS: BASIS_ARCHIVE, **dict.fromkeys((EMULATOR, *EMULATORS), EMULAT
 # above.  Every stage takes --config, --seed and --out and is called as function(cfg, seed);
 # the _threads of four is unused, for perfbench's _call_stage.  main checks a stage's
 # reads before calling it, each file in an archive too, but the run grids, which
-# _load_ensemble checks.
+# _load_split checks.
 # ``run`` is not a stage: it calls these in this order in one process.
 STAGES = {
     "design": (cmd_design, "generate the nested maximin LHS design",

@@ -8,13 +8,12 @@ first, then the cheap block (nested copies first, then extras).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MalformedArtifact
-from .manifest import read_csv
+from .manifest import csv_text, read_csv, write_file
 
 EXPENSIVE = "expensive"
 CHEAP = "cheap"
@@ -233,11 +232,9 @@ def edge_mask(design: Design, bands) -> np.ndarray:
 
 def write_design_csv(design: Design, path) -> None:
     """Write ``theta_<name>...,fidelity`` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"theta_{n}" for n in design.space.names] + ["fidelity"])
-        for point, tag in zip(design.points, design.fidelity):
-            writer.writerow([f"{v:.17g}" for v in point] + [tag])
+    write_file(path, csv_text([[f"theta_{n}" for n in design.space.names] + ["fidelity"],
+                               *([f"{v:.17g}" for v in point] + [tag]
+                                 for point, tag in zip(design.points, design.fidelity))]))
 
 
 def read_design_csv(path, space: ParameterSpace) -> Design:

@@ -8,7 +8,6 @@ readers/writers flip row order.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +19,7 @@ from .errors import (
     NodataNeighbor,
     TargetOutOfBounds,
 )
+from .manifest import write_file
 
 _COORD_TOL = 1e-9  # fraction of a cell, absorbs file-format round trips
 
@@ -277,14 +277,9 @@ def write_ascii_grid(grid: Grid, path) -> bytes:
             f"xllcenter {grid.origin_x:.17g}\n"
             f"yllcenter {grid.origin_y:.17g}\n"
             f"cellsize {grid.cell_size:.17g}\n"
-            f"nodata_value {NODATA_VALUE:.17g}\n").encode()
-    body = (row_format * grid.n_rows % tuple(texts[inverse.ravel()].tolist())).encode()
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(body)
-    digest = hashlib.sha256(head)
-    digest.update(body)
-    return digest.digest()
+            f"nodata_value {NODATA_VALUE:.17g}\n")
+    body = row_format * grid.n_rows % tuple(texts[inverse.ravel()].tolist())
+    return write_file(path, head, body)
 
 
 _HEADER_KEYS = (b"ncols", b"nrows", b"xllcenter", b"yllcenter", b"cellsize", b"nodata_value")

@@ -1,5 +1,5 @@
-"""Deterministic JSON manifests, the CSV and array readers, and the archive
-writer and reader, for pipeline artifacts.
+"""The one file writer, deterministic JSON manifests, the CSV and array readers,
+and the archive writer and reader, for pipeline artifacts.
 
 Every stage writes a manifest carrying the config digest and the seeds it
 consumed; no timestamps or environment data, so reruns are byte-identical.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -36,13 +37,40 @@ def _jsonable(value):
     return value
 
 
+def write_file(path, *parts) -> bytes:
+    """Write ``parts`` to ``<path>.tmp``, then rename that to ``path``; returns the sha256
+    digest of the bytes written.  A str part is written as UTF-8, any other through its
+    buffer, so an array is not copied.  If anything raises, the temporary file is removed
+    and ``path`` keeps what it held.  There is no fsync: what this guards against is a
+    process that dies mid-write, not a power cut."""
+    tmp, digest = f"{path}.tmp", hashlib.sha256()
+    fh = open(tmp, "wb")  # if this raises, there is nothing to remove
+    try:
+        with fh:
+            for part in parts:
+                data = part.encode() if isinstance(part, str) else part
+                fh.write(data)
+                digest.update(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+    return digest.digest()
+
+
+def file_digest(path) -> bytes:
+    """The sha256 digest of the file at ``path``."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):  # a read of 1 MiB added 0.8 MB to peak RSS
+            digest.update(chunk)
+    return digest.digest()
+
+
 def write_manifest(path, data: dict) -> bytes:
     """Write ``data`` as indented JSON with sorted keys; returns the sha256
     digest of the bytes written."""
-    raw = (json.dumps(_jsonable(data), indent=2, sort_keys=True) + "\n").encode()
-    with open(path, "wb") as fh:
-        fh.write(raw)
-    return hashlib.sha256(raw).digest()
+    return write_file(path, json.dumps(_jsonable(data), indent=2, sort_keys=True) + "\n")
 
 
 def read_manifest(path) -> dict:
@@ -50,21 +78,27 @@ def read_manifest(path) -> dict:
         return json.load(fh)
 
 
-def config_digest(config_path) -> str:
-    return hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
+def csv_text(rows) -> str:
+    """``rows`` as ``csv.writer`` writes them, each line ended by CRLF."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
 
 
 def read_csv(path, float_columns: slice) -> tuple[list, list, list]:
     """Header, rows, and each row's ``float_columns`` as floats, of a CSV artifact.
 
-    Raises MalformedArtifact naming ``path`` for an empty file, a row not as
-    wide as the header, or a cell in ``float_columns`` that is not a finite
-    number.
+    Raises MalformedArtifact naming ``path`` for a file that is not UTF-8 text
+    or is empty, a row not as wide as the header, or a cell in ``float_columns``
+    that is not a finite number.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except UnicodeDecodeError as err:
+        raise MalformedArtifact(f"{path}: not UTF-8 text: {err}") from err
     if header is None:
         raise MalformedArtifact(f"{path}: empty file")
     for line, row in enumerate(rows, start=2):
@@ -111,19 +145,26 @@ def load_array(path) -> np.ndarray:
     return array
 
 
+def npy_parts(array: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The header and the data of the ``.npy`` file ``np.save`` writes for ``array``;
+    the data is the array itself, or its transpose in Fortran order, uncopied."""
+    header, meta = io.BytesIO(), np.lib.format.header_data_from_array_1_0(array)
+    np.lib.format.write_array_header_1_0(header, meta)
+    return header.getvalue(), np.ascontiguousarray(array.T if meta["fortran_order"] else array)
+
+
 def write_archive(directory, table: dict, contents: dict) -> None:
     """Write each file ``table`` names from ``contents``, keyed alike: a dict as a
-    manifest, CSV rows through ``csv.writer``, an array through ``np.save``."""
+    manifest, CSV rows as ``csv.writer`` writes them, an array as ``np.save`` does."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for name in table:
         if name.endswith(".json"):
             write_manifest(directory / name, contents[name])
         elif name.endswith(".csv"):
-            with open(directory / name, "w", newline="") as fh:
-                csv.writer(fh).writerows(contents[name])
+            write_file(directory / name, csv_text(contents[name]))
         else:
-            np.save(directory / name, contents[name])
+            write_file(directory / name, *npy_parts(np.asarray(contents[name])))
 
 
 def read_archive(directory, table: dict, sizes: dict) -> dict:

@@ -468,7 +468,8 @@ class TestExitCodes:
     def test_basis_at_every_component_loads(self, pipeline, tmp_path):
         # target_fraction = 1 keeps eigenvalues down to roundoff in lambda_1; the
         # orthogonality tolerance is relative to lambda_1, so they pass
-        ensemble = cli._load_ensemble(cli.load_config(pipeline / "experiment.ini"))
+        cfg = cli.load_config(pipeline / "experiment.ini")
+        ensemble = cli._load_split(cfg, cli._load_design(cfg), [])[0]
         basis = fit_basis(ensemble, target_fraction=1.0)
         assert basis.n_components > 20
         save_basis(basis, tmp_path / "basis")
@@ -645,7 +646,8 @@ class TestExitCodes:
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_torn_chain(self, pipeline, tmp_path, capsys):
-        # a calibrate that dies mid-write leaves the chain's first rows only
+        # calibrate writes through a temporary name, so a killed one leaves no short
+        # chain; but a chain beside another run's manifest shows the same mismatch
         root = tmp_path / "torn"
         shutil.copytree(pipeline, root)
         chain = root / "out" / "chain_mr.csv"
@@ -683,6 +685,20 @@ class TestExitCodes:
             cli.cmd_diagnose(cli.load_config(config))
         assert metrics.read_bytes() == before
 
+    @pytest.mark.parametrize("stage, artifact", [("emulate", "out/design.csv"),
+                                                 ("project", "out/chain_mr.csv")])
+    def test_csv_artifact_that_is_not_utf8(self, pipeline, tmp_path, capsys, stage, artifact):
+        # a 0xff byte once escaped read_csv as a UnicodeDecodeError traceback, exit 1
+        root = tmp_path / "not-utf8"
+        shutil.copytree(pipeline, root)
+        path = root / artifact
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] = 0xFF
+        path.write_bytes(bytes(raw))
+        assert main([stage, "--config", str(root / "experiment.ini")]) == 3
+        err = capsys.readouterr().err
+        assert f"malformed artifact: {path}: not UTF-8 text" in err
+
     @pytest.mark.parametrize("stage, artifact, kind", [
         ("calibrate", "out/basis", "file"),
         ("calibrate", "out/basis/basis.json", "directory"),
@@ -708,6 +724,11 @@ class TestExitCodes:
         assert main([stage, "--config", str(root / "experiment.ini")]) == 3
         err = capsys.readouterr().err
         assert "malformed artifact" in err and str(path) in err
+
+
+def _run_matrix(cfg) -> np.ndarray:
+    """The run matrix as the stages load it, holding no run out."""
+    return cli._load_split(cfg, cli._load_design(cfg), [])[0].depths
 
 
 def _fresh_depths(cfg) -> np.ndarray:
@@ -829,7 +850,7 @@ class TestEnsembleCache:
             return grid
 
         monkeypatch.setattr(cli, "read_ascii_grid", tracked)
-        depths = cli._load_ensemble(cli.load_config(root / "experiment.ini")).depths
+        depths = _run_matrix(cli.load_config(root / "experiment.ini"))
         assert len(held_before_read) == len(depths) == 50
         # the previous grid may live until the next is read; no earlier one does
         assert max(held_before_read) <= 1
@@ -869,10 +890,10 @@ class TestEnsembleCache:
         shutil.copytree(pipeline, root)
         cfg = cli.load_config(root / "experiment.ini")
         builds = _counting(monkeypatch, "build_ensemble")
-        warm = cli._load_ensemble(cfg).depths
+        warm = _run_matrix(cfg)
         assert builds == []
         (cfg.out_dir / "ensemble.npy").unlink()
-        cold = cli._load_ensemble(cfg).depths
+        cold = _run_matrix(cfg)
         assert len(builds) == 1
         assert warm.tobytes() == cold.tobytes() == _fresh_depths(cfg).tobytes()
 
@@ -927,13 +948,13 @@ class TestEnsembleCache:
         before = np.load(root / "out" / "ensemble.npy")
         change(root)
         builds = _counting(monkeypatch, "build_ensemble")
-        depths = cli._load_ensemble(cfg).depths
+        depths = _run_matrix(cfg)
         assert len(builds) == 1
         assert depths.tobytes() == _fresh_depths(cfg).tobytes()
         if change is _change_run_grid:
             assert np.count_nonzero(depths != before) == 1
         # the rewritten cache serves the next load, and no temporary file is left
-        assert cli._load_ensemble(cfg).depths.tobytes() == depths.tobytes()
+        assert _run_matrix(cfg).tobytes() == depths.tobytes()
         assert len(builds) == 1
         assert sorted(p.name for p in (root / "out").rglob("*.tmp")) == []
 
@@ -947,10 +968,12 @@ class TestRunMatrixMemory:
     # At 128x128 fine cells (a 6.2 MB run matrix), emulate's traced peak was 2.09 and
     # diagnose's 3.04 times the matrix when each held a second and third copy of it;
     # reading the matrix straight into the training and held-out rows and centering
-    # those in place brought them to 1.10 and 1.31.
+    # those in place brought them to 1.10 and 1.31.  crossval, which held the whole
+    # matrix and copied each fold out of it, went from 2.25 to 1.24 when it read each
+    # fold the same way.
     BOUND = 1.6  # times the run matrix's bytes
 
-    def test_emulate_and_diagnose_hold_one_run_matrix(self, tmp_path):
+    def test_emulate_diagnose_and_crossval_hold_one_run_matrix(self, tmp_path):
         config = tmp_path / "experiment.ini"
         config.write_text(CONFIG_TEMPLATE.replace("[synth]\n", (
             "[synth]\nfine_rows = 128\nfine_cols = 128\nfine_cell = 0.25\n"
@@ -962,7 +985,7 @@ class TestRunMatrixMemory:
         bound = self.BOUND * n_runs * len(shared_locations(cfg.synth)) * 8
         stages = "design,run-synth,emulate,calibrate,project,diagnose"
         assert main(["run", "--config", str(config), "--stages", stages]) == 0
-        for stage in ("emulate", "diagnose"):  # steady state: imports paid, the cache warm
+        for stage in ("emulate", "diagnose", "crossval"):  # steady state: the cache warm
             tracemalloc.start()
             try:
                 assert main([stage, "--config", str(config)]) == 0
@@ -970,6 +993,30 @@ class TestRunMatrixMemory:
             finally:
                 tracemalloc.stop()
             assert peak < bound, f"{stage}: {peak / bound * self.BOUND:.2f} x the run matrix"
+
+
+class TestInterruptedWrites:
+    def test_a_failed_rename_in_emulate_leaves_the_old_file_and_no_temporary(
+            self, pipeline, tmp_path, monkeypatch):
+        root = tmp_path / "interrupted"
+        shutil.copytree(pipeline, root)
+        # emulate's third write is the basis components, after basis.json and column_mean.npy
+        target = root / "out" / "basis" / "components.npy"
+        target.write_bytes(b"the previous bytes")
+        renames, real_replace = [], os.replace
+
+        def failing_third(src, dst):
+            renames.append(Path(dst))
+            if len(renames) == 3:
+                raise OSError(28, "No space left on device")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_third)
+        with pytest.raises(OSError, match="No space left on device"):
+            main(["emulate", "--config", str(root / "experiment.ini")])
+        assert renames[-1] == target
+        assert target.read_bytes() == b"the previous bytes"
+        assert sorted(root.rglob("*.tmp")) == []
 
 
 class TestWarmStarts:
