@@ -16,7 +16,9 @@ the runs it wrote, and ``_load_split`` builds and stores it on a miss.
 Exit codes: 0 success, 2 config error, 3 missing or malformed upstream
 artifact, a file where a directory belongs or the reverse included, 4
 numerical failure, including a component-count mismatch and a hold-out that
-leaves fewer than 2 expensive runs.
+leaves fewer than 2 expensive runs, 5 any other operating-system error on a
+file, such as a full disk or a read-only or permission-denied output
+directory.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from .errors import (
     ModelRunFailed,
     NonPositiveDf,
 )
-from .grid import flatten, read_ascii_grid, write_ascii_grid
+from .grid import LocationSet, flatten, read_ascii_grid, write_ascii_grid
 from .manifest import file_digest, npy_header, npy_parts, read_manifest, write_file, write_manifest
 from .reduce import (
     BASIS_ARCHIVE,
@@ -100,7 +102,7 @@ from .synthmodel import (
     simulate_observation,  # noqa: F401 - unused here, but perfbench's tracer wraps it here
 )
 
-EXIT_OK, EXIT_CONFIG, EXIT_MISSING, EXIT_NUMERICAL = 0, 2, 3, 4
+EXIT_OK, EXIT_CONFIG, EXIT_MISSING, EXIT_NUMERICAL, EXIT_OS = 0, 2, 3, 4, 5
 
 
 @dataclass
@@ -362,22 +364,10 @@ def cmd_run_synth(cfg: ExperimentConfig, seed: int | None = None, _threads: int 
     _store_ensemble(cfg, key, ensemble.depths)
 
 
-def _load_split(cfg: ExperimentConfig, design: Design, held_idx):
-    """The runs the runs manifest lists, on the shared locations: the ensemble
-    without the expensive rows ``held_idx``, its depths an array no one else
-    holds, and those rows' depths and settings.
-
-    The run matrix is cached in the ``ENSEMBLE`` pair under ``_ensemble_key``
-    by ``run-synth`` or the first load after it.  When the key and the matrix's
-    own checksum match, its rows are read straight into the two depth arrays;
-    anything else rebuilds it from the grids, one at a time, and rewrites it.
-    """
-    n_left = design.n_expensive - len(held_idx)
-    if n_left < 2:
-        raise AllExpensiveRemoved(f"holding out {len(held_idx)} of {design.n_expensive} "
-                                  f"expensive runs leaves {n_left}; the emulators need at least 2")
-    held = np.zeros(len(design.points), dtype=bool)
-    held[held_idx] = True  # expensive rows come first
+def _run_matrix(cfg: ExperimentConfig, design: Design) -> tuple[list, LocationSet, str]:
+    """The paths of the runs the runs manifest lists, in design row order, the shared
+    locations, and the ``_ensemble_key`` of the run matrix they make, from the sha256
+    of each file."""
     manifest_path = _path(cfg, RUNS_MANIFEST)
     try:
         run_paths = {entry["row"]: _check(cfg, RUN_GRIDS, cfg.runs_dir / entry["file"])
@@ -390,9 +380,31 @@ def _load_split(cfg: ExperimentConfig, design: Design, held_idx):
     locations = shared_locations(cfg.synth)
     digests = map(file_digest, (_path(cfg, DESIGN), manifest_path, *run_paths.values()))
     key = _ensemble_key(digests, locations)
+    return [run_paths[i] for i in range(len(design.points))], locations, key
+
+
+def _load_split(cfg: ExperimentConfig, design: Design, held_idx, run_matrix=None):
+    """The runs the runs manifest lists, on the shared locations: the ensemble
+    without the expensive rows ``held_idx``, its depths an array no one else
+    holds, and those rows' depths and settings.
+
+    The run matrix is cached in the ``ENSEMBLE`` pair under ``_ensemble_key``
+    by ``run-synth`` or the first load after it.  When the key and the matrix's
+    own checksum match, its rows are read straight into the two depth arrays;
+    anything else rebuilds it from the grids, one at a time, and rewrites it.
+    ``run_matrix``, :func:`_run_matrix`'s result, spares a stage that loads
+    several splits hashing the run files for each.
+    """
+    n_left = design.n_expensive - len(held_idx)
+    if n_left < 2:
+        raise AllExpensiveRemoved(f"holding out {len(held_idx)} of {design.n_expensive} "
+                                  f"expensive runs leaves {n_left}; the emulators need at least 2")
+    held = np.zeros(len(design.points), dtype=bool)
+    held[held_idx] = True  # expensive rows come first
+    paths, locations, key = _run_matrix(cfg, design) if run_matrix is None else run_matrix
     split = _cached_split(cfg, key, held, len(locations))
     if split is None:
-        paths, p_e = [run_paths[i] for i in range(len(design.points))], design.n_expensive
+        p_e = design.n_expensive
         depths = build_ensemble(map(read_ascii_grid, paths[:p_e]),
                                 map(read_ascii_grid, paths[p_e:]), design, locations).depths
         _store_ensemble(cfg, key, depths)
@@ -639,14 +651,16 @@ def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, _threads: int =
     folds = np.array_split(rng.permutation(p_e), cfg.folds)
     fold_seeds = child_seeds(seed, len(folds) + 1)
 
+    run_matrix = _run_matrix(cfg, design)  # one key for every hold-out
     cv_d = []
     for fold, fold_seed in zip(folds, fold_seeds[:-1]):
         if len(fold) == 0:
             continue
-        cv_d.extend(_holdout_d_values(cfg, design, np.sort(fold), fold_seed, archive))
+        cv_d.extend(_holdout_d_values(cfg, design, np.sort(fold), fold_seed, archive,
+                                      run_matrix))
 
     held_edge = np.flatnonzero(edge_mask(design, cfg.edge_bands)[:p_e])
-    edge_d = (_holdout_d_values(cfg, design, held_edge, fold_seeds[-1], archive)
+    edge_d = (_holdout_d_values(cfg, design, held_edge, fold_seeds[-1], archive, run_matrix)
               if held_edge.size else None)
 
     q = summarize_d(cv_d)
@@ -665,10 +679,10 @@ def cmd_crossval(cfg: ExperimentConfig, seed: int | None = None, _threads: int =
             seed=seed, **result)
 
 
-def _holdout_d_values(cfg, design, held_idx, seed, archive) -> list:
+def _holdout_d_values(cfg, design, held_idx, seed, archive, run_matrix) -> list:
     """Per-held-out-point RMSE difference between the MR and HR emulators, fitted
     without the expensive rows ``held_idx``, which :func:`_load_split` reads apart."""
-    train, test_depths, test_thetas = _load_split(cfg, design, held_idx)
+    train, test_depths, test_thetas = _load_split(cfg, design, held_idx, run_matrix)
     basis, emulators, _ = _fit_holdout(cfg, train, test_depths, seed, archive)
     pred_mr, pred_hr = (reconstruct(basis, predict_many(emu, test_thetas)[0])
                         for emu in emulators.values())
@@ -782,6 +796,9 @@ def main(argv=None) -> int:
     except FloodcalError as err:
         print(f"floodcal: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as err:  # write_file names the artifact when the error names no file
+        print(f"floodcal: file error: {err}", file=sys.stderr)
+        return EXIT_OS
     return EXIT_OK
 
 

@@ -225,11 +225,28 @@ def bilinear_interpolate(coarse: Grid, targets: LocationSet,
     )
 
 
-def flatten(grid: Grid, locations: LocationSet) -> np.ndarray:
-    """Depths of ``grid`` at locations that coincide with cell centers.
+@dataclass(frozen=True)
+class FlattenIndex:
+    """Flat index of the cell each location is the center of.
 
-    Output order follows the location index, so repeated calls across runs
-    produce identically ordered vectors.
+    Like :class:`BilinearStencil`, one index serves every grid of the
+    geometry it was built for.
+    """
+
+    geometry: tuple
+    cells: np.ndarray
+
+    def fits(self, grid: Grid) -> bool:
+        return self.geometry == _geometry(grid)
+
+
+def flatten_index(grid: Grid, locations: LocationSet) -> FlattenIndex:
+    """The :class:`FlattenIndex` of ``locations`` on ``grid``'s geometry.
+
+    Raises
+    ------
+    LocationNotOnGrid
+        If any location is not a cell center.
     """
     pts = locations.coords
     gx, gy = _fractional_index(grid, pts)
@@ -246,10 +263,32 @@ def flatten(grid: Grid, locations: LocationSet) -> np.ndarray:
     if np.any(off_grid):
         idx = int(np.argmax(off_grid))
         raise LocationNotOnGrid(f"location {tuple(pts[idx])} is not a cell center")
-    if np.any(grid.nodata_mask[rows, cols]):
-        idx = int(np.argmax(grid.nodata_mask[rows, cols]))
-        raise NodataNeighbor(f"location {tuple(pts[idx])} is a nodata cell")
-    return grid.values[rows, cols]
+    return FlattenIndex(_geometry(grid), rows * grid.n_cols + cols)
+
+
+def flatten(grid: Grid, locations: LocationSet, index: FlattenIndex | None = None) -> np.ndarray:
+    """Depths of ``grid`` at locations that coincide with cell centers.
+
+    Output order follows the location index, so repeated calls across runs
+    produce identically ordered vectors.  ``index``, from :func:`flatten_index`
+    on the same locations and a grid of the same geometry, skips locating them.
+
+    Raises
+    ------
+    LocationNotOnGrid
+        If any location is not a cell center.
+    NodataNeighbor
+        If any location is a nodata cell.
+    """
+    if index is None:
+        index = flatten_index(grid, locations)
+    elif not index.fits(grid):
+        raise ValueError("index was built for a grid of another geometry")
+    nodata = grid.nodata_mask.take(index.cells)
+    if np.any(nodata):
+        idx = int(np.argmax(nodata))
+        raise NodataNeighbor(f"location {tuple(locations.coords[idx])} is a nodata cell")
+    return grid.values.take(index.cells)
 
 
 # --- ASCII raster file format --------------------------------------------
@@ -264,22 +303,22 @@ def write_ascii_grid(grid: Grid, path) -> bytes:
     Header keys: ncols, nrows, xllcenter, yllcenter, cellsize, nodata_value.
     Data rows run north to south.  Values are written as ``%.17g``, which
     round-trips every float64 exactly.  Model grids repeat few depths, so
-    each distinct float64 bit pattern is formatted once (bit patterns, not
-    values, keep ``-0.0`` apart from ``0.0``) and the rows are filled from
-    those strings; the bytes are those of one ``%.17g`` per cell.
+    each distinct float64 bit pattern is formatted once, all in one ``%``
+    (bit patterns, not values, keep ``-0.0`` apart from ``0.0``), and each
+    row is joined from those strings; the bytes are those of one ``%.17g``
+    per cell.
     """
     vals = np.where(grid.nodata_mask, NODATA_VALUE, grid.values)
     bits, inverse = np.unique(vals[::-1].view(np.int64), return_inverse=True)
-    texts = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-    row_format = " ".join(["%s"] * grid.n_cols) + "\n"
+    texts = ("%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist())).split()
+    rows = np.array(texts, dtype=object)[inverse.reshape(vals.shape)].tolist()
     head = (f"ncols {grid.n_cols}\n"
             f"nrows {grid.n_rows}\n"
             f"xllcenter {grid.origin_x:.17g}\n"
             f"yllcenter {grid.origin_y:.17g}\n"
             f"cellsize {grid.cell_size:.17g}\n"
             f"nodata_value {NODATA_VALUE:.17g}\n")
-    body = row_format * grid.n_rows % tuple(texts[inverse.ravel()].tolist())
-    return write_file(path, head, body)
+    return write_file(path, head, "".join([" ".join(row) + "\n" for row in rows]))
 
 
 _HEADER_KEYS = (b"ncols", b"nrows", b"xllcenter", b"yllcenter", b"cellsize", b"nodata_value")

@@ -41,8 +41,9 @@ def write_file(path, *parts) -> bytes:
     """Write ``parts`` to ``<path>.tmp``, then rename that to ``path``; returns the sha256
     digest of the bytes written.  A str part is written as UTF-8, any other through its
     buffer, so an array is not copied.  If anything raises, the temporary file is removed
-    and ``path`` keeps what it held.  There is no fsync: what this guards against is a
-    process that dies mid-write, not a power cut."""
+    and ``path`` keeps what it held, and an OSError that names no file is given ``path``
+    as its filename.  There is no fsync: what this guards against is a process that dies
+    mid-write, not a power cut."""
     tmp, digest = f"{path}.tmp", hashlib.sha256()
     fh = open(tmp, "wb")  # if this raises, there is nothing to remove
     try:
@@ -52,8 +53,10 @@ def write_file(path, *parts) -> bytes:
                 fh.write(data)
                 digest.update(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as err:
         os.remove(tmp)
+        if isinstance(err, OSError) and err.filename is None:  # a full disk's ENOSPC
+            err.filename = os.fspath(path)
         raise
     return digest.digest()
 

@@ -19,7 +19,8 @@ import numpy as np
 from . import deferred
 from .design import CHEAP, EXPENSIVE, Design
 from .errors import DegenerateEnsemble, DimensionMismatch, MalformedArtifact
-from .grid import Grid, LocationSet, bilinear_interpolate, bilinear_stencil, flatten
+from .grid import (Grid, LocationSet, bilinear_interpolate, bilinear_stencil, flatten,
+                   flatten_index)
 from .manifest import read_archive, read_manifest, write_archive
 
 (eigh,) = deferred(globals(), "scipy.linalg", "eigh")
@@ -82,19 +83,22 @@ def build_ensemble(
     """Assemble the run matrix on shared locations.
 
     Expensive grids are read off directly (locations must be their cell
-    centers); cheap grids are matched by bilinear interpolation, with the
-    neighbours and weights computed once per coarse geometry.  Each grid is
-    dropped once placed, so lazy iterables hold one grid at a time.
+    centers), with the cells located once per fine geometry; cheap grids are
+    matched by bilinear interpolation, with the neighbours and weights
+    computed once per coarse geometry.  Each grid is dropped once placed, so
+    lazy iterables hold one grid at a time.
     """
     design.validate_nesting()
-    depths, stencil = np.empty((len(design.points), len(locations))), None
+    depths, index, stencil = np.empty((len(design.points), len(locations))), None, None
     grids = {EXPENSIVE: iter(expensive_grids), CHEAP: iter(cheap_grids)}
     for i, tag in enumerate(design.fidelity):
         grid = next(grids[tag], None)
         if grid is None:
             raise ValueError(f"{tag} grid count does not match design")
         if tag == EXPENSIVE:
-            depths[i] = flatten(grid, locations)
+            if index is None or not index.fits(grid):
+                index = flatten_index(grid, locations)
+            depths[i] = flatten(grid, locations, index)
             continue
         if stencil is None or not stencil.fits(grid):
             stencil = bilinear_stencil(grid, locations)

@@ -94,29 +94,39 @@ def _check_bounds(theta, config: SynthConfig) -> np.ndarray:
     return theta
 
 
-def _surface(xs: np.ndarray, ys: np.ndarray, theta, config: SynthConfig) -> np.ndarray:
-    """Truncated ridge depth at coordinates (m): max(0, A exp(-d^2/2w^2) - 0.05)."""
+@functools.lru_cache(maxsize=1)
+def _geometry(config: SynthConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a run computes from the grids alone, once per config: ``-(dist**2)``
+    of each fine and of each coarse cell center, dist being its distance to the
+    domain diagonal, and the cheap run's bias ``cheap_bias * sin(4 pi x / L)``
+    per coarse cell.  The last result is kept (configs are frozen and compare by
+    value) and shared by every run, so its arrays are read-only."""
+    fine_xy, coarse_xy = (cell_centers(t).T.reshape(2, t.n_rows, t.n_cols)
+                          for t in (config.fine_grid_template(), config.coarse_grid_template()))
+    arrays = [-((np.abs(ys - xs) / math.sqrt(2.0)) ** 2) for xs, ys in (fine_xy, coarse_xy)]
+    arrays.append(config.cheap_bias * np.sin(4.0 * math.pi * coarse_xy[0] / config.domain_length))
+    for array in arrays:
+        array.flags.writeable = False
+    return tuple(arrays)
+
+
+def _surface(neg_d2: np.ndarray, theta, config: SynthConfig) -> np.ndarray:
+    """Truncated ridge depth at cells with ``neg_d2 = -(dist**2)``:
+    max(0, A exp(-d^2/2w^2) - 0.05), computed in one new array."""
     amp = config.amplitude(theta)
     width = config.ridge_width(theta)
-    dist = np.abs(ys - xs) / math.sqrt(2.0)
-    depth = amp * np.exp(-(dist**2) / (2.0 * width**2)) - SURFACE_OFFSET
-    return np.maximum(depth, 0.0)
-
-
-def _grid_coords(template: Grid) -> tuple[np.ndarray, np.ndarray]:
-    cols, rows = np.meshgrid(np.arange(template.n_cols), np.arange(template.n_rows))
-    xs = template.origin_x + cols * template.cell_size
-    ys = template.origin_y + rows * template.cell_size
-    return xs, ys
+    depth = neg_d2 / (2.0 * width**2)
+    np.exp(depth, out=depth)
+    depth *= amp
+    depth -= SURFACE_OFFSET
+    return np.maximum(depth, 0.0, out=depth)
 
 
 def run_expensive(theta, config: SynthConfig) -> Grid:
     """High-resolution run: the ridge surface on the fine grid."""
     theta = _check_bounds(theta, config)
-    template = config.fine_grid_template()
-    xs, ys = _grid_coords(template)
-    return Grid(template.origin_x, template.origin_y, template.cell_size,
-                _surface(xs, ys, theta, config))
+    origin = 0.5 * config.fine_cell  # fine_grid_template's
+    return Grid(origin, origin, config.fine_cell, _surface(_geometry(config)[0], theta, config))
 
 
 def run_cheap(theta, config: SynthConfig) -> Grid:
@@ -127,12 +137,11 @@ def run_cheap(theta, config: SynthConfig) -> Grid:
     physical when the bias undercuts a shallow ridge.
     """
     theta = _check_bounds(theta, config)
-    template = config.coarse_grid_template()
-    xs, ys = _grid_coords(template)
-    f = _surface(xs, ys, theta, config)
-    bias = config.cheap_bias * np.sin(4.0 * math.pi * xs / config.domain_length)
+    _, neg_d2, bias = _geometry(config)
+    f = _surface(neg_d2, theta, config)
     values = np.maximum(config.rho_true * f + bias * (f > 0), 0.0)
-    return Grid(template.origin_x, template.origin_y, template.cell_size, values)
+    origin = 0.5 * config.coarse_cell  # coarse_grid_template's
+    return Grid(origin, origin, config.coarse_cell, values)
 
 
 def simulate_observation(

@@ -42,12 +42,33 @@ NUMERIC = (".csv", ".asc", ".npy")
 
 
 def environment_stamp() -> dict:
-    """numpy and scipy versions, and the BLAS numpy was built against."""
+    """numpy and scipy versions, the BLAS numpy was built against, and the
+    OpenBLAS kernel it runs (``blas_core``, None for a BLAS that does not say)."""
     import scipy
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")}}
+            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+            "blas_core": blas_core()}
+
+
+def blas_core() -> str | None:
+    """The kernel numpy's bundled OpenBLAS picked for this CPU, or set with
+    ``OPENBLAS_CORETYPE`` (``SkylakeX``, ``Haswell``, ...); None without one.
+
+    A DYNAMIC_ARCH build names one kernel in its configuration string but
+    chooses at load time, and kernels may round differently."""
+    import ctypes
+
+    from numpy._core import _multiarray_umath
+
+    # a library's symbols include those of the libraries it loaded, OpenBLAS among them
+    corename = getattr(ctypes.CDLL(_multiarray_umath.__file__),
+                       "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def write_config(root, approach: str) -> Path:

@@ -8,6 +8,11 @@ that prediction and construction are tested against bit for bit are built
 from them and from an emulator's ``params_list``.  Settings are
 unit-scaled; a nugget is per-run noise, so it enters a run's covariance
 with itself only, not that of two runs that share a setting.
+
+:func:`ascii_grid_text` and :func:`synth_run` write out the raster writer
+one cell at a time and the synthetic model's runs formula by formula; the
+package's forms, which do shared work once, are tested against them byte
+for byte.
 """
 
 import math
@@ -103,3 +108,34 @@ def gram(d2, n_cheap, h, trend, params) -> np.ndarray:
                                            params.nugget_exp)
     m += h @ trend.block_cov @ h.T
     return 0.5 * (m + m.T)
+
+
+def ascii_grid_text(grid, nodata_value: float) -> str:
+    """The text ``grid.write_ascii_grid`` writes for ``grid``: the header, then
+    one ``%.17g`` per cell, rows north to south, nodata cells as ``nodata_value``."""
+    written = np.where(grid.nodata_mask, nodata_value, grid.values)
+    lines = [f"ncols {grid.n_cols}", f"nrows {grid.n_rows}", f"xllcenter {grid.origin_x:.17g}",
+             f"yllcenter {grid.origin_y:.17g}", f"cellsize {grid.cell_size:.17g}",
+             f"nodata_value {nodata_value:.17g}"]
+    lines += [" ".join("%.17g" % v for v in row) for row in written[::-1].tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def synth_run(theta, config, fidelity: str) -> np.ndarray:
+    """The synthetic model's depths for one run, ``"expensive"`` on the fine
+    grid or ``"cheap"`` on the coarse grid, in the order of float operations
+    the package has always used: coordinates from a mesh of cell indices,
+    ``max(0, A exp(-d^2 / 2w^2) - 0.05)`` for the ridge, and for a cheap run
+    ``max(0, rho f + bias sin(4 pi x / L) [f > 0])``."""
+    shape, cell = ((config.fine_shape, config.fine_cell) if fidelity == "expensive"
+                   else (config.coarse_shape, config.coarse_cell))
+    cols, rows = np.meshgrid(np.arange(shape[1]), np.arange(shape[0]))
+    xs = 0.5 * cell + cols * cell
+    ys = 0.5 * cell + rows * cell
+    amp, width = config.amplitude(theta), config.ridge_width(theta)
+    dist = np.abs(ys - xs) / math.sqrt(2.0)
+    f = np.maximum(amp * np.exp(-(dist**2) / (2.0 * width**2)) - 0.05, 0.0)
+    if fidelity == "expensive":
+        return f
+    bias = config.cheap_bias * np.sin(4.0 * math.pi * xs / config.domain_length)
+    return np.maximum(config.rho_true * f + bias * (f > 0), 0.0)

@@ -915,6 +915,19 @@ class TestEnsembleCache:
         for name in written:
             assert (tmp_path / name).read_bytes() == (pipeline / name).read_bytes(), name
 
+    @pytest.mark.parametrize("folds", [2, 10])
+    def test_crossval_hashes_each_run_file_once_whatever_the_fold_count(
+            self, pipeline, tmp_path, monkeypatch, folds):
+        root = tmp_path / "folds"
+        shutil.copytree(pipeline, root)
+        config = root / "experiment.ini"
+        config.write_text(config.read_text().replace("folds = 5", f"folds = {folds}"))
+        cfg = cli.load_config(config)
+        digested = _counting(monkeypatch, "file_digest")
+        cli.cmd_crossval(cfg)
+        # design.csv, runs.manifest.json and each run grid
+        assert len(digested) == len(cli._load_design(cfg).points) + 2
+
     def test_warm_diagnose_and_crossval_parse_no_run_grid(self, pipeline, tmp_path, monkeypatch):
         root = tmp_path / "warm"
         shutil.copytree(pipeline, root)
@@ -996,13 +1009,26 @@ class TestRunMatrixMemory:
 
 
 class TestInterruptedWrites:
-    def test_a_failed_rename_in_emulate_leaves_the_old_file_and_no_temporary(
-            self, pipeline, tmp_path, monkeypatch):
+    # emulate's third write is the basis components, after basis.json and column_mean.npy
+    TARGET = Path("out") / "basis" / "components.npy"
+
+    @pytest.fixture
+    def root(self, pipeline, tmp_path):
         root = tmp_path / "interrupted"
         shutil.copytree(pipeline, root)
-        # emulate's third write is the basis components, after basis.json and column_mean.npy
-        target = root / "out" / "basis" / "components.npy"
-        target.write_bytes(b"the previous bytes")
+        (root / self.TARGET).write_bytes(b"the previous bytes")
+        return root
+
+    def _assert_exit_5_naming_the_target(self, root, capsys):
+        assert main(["emulate", "--config", str(root / "experiment.ini")]) == cli.EXIT_OS == 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "components.npy" in err, err
+        assert (root / self.TARGET).read_bytes() == b"the previous bytes"
+        assert sorted(root.rglob("*.tmp")) == []
+        return err
+
+    def test_a_failed_rename_in_emulate_leaves_the_old_file_and_no_temporary(
+            self, root, monkeypatch, capsys):
         renames, real_replace = [], os.replace
 
         def failing_third(src, dst):
@@ -1012,11 +1038,20 @@ class TestInterruptedWrites:
             return real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", failing_third)
-        with pytest.raises(OSError, match="No space left on device"):
-            main(["emulate", "--config", str(root / "experiment.ini")])
-        assert renames[-1] == target
-        assert target.read_bytes() == b"the previous bytes"
-        assert sorted(root.rglob("*.tmp")) == []
+        err = self._assert_exit_5_naming_the_target(root, capsys)
+        assert "No space left on device" in err
+        assert renames[-1] == root / self.TARGET
+
+    def test_a_forbidden_open_in_emulate_exits_5(self, root, monkeypatch, capsys):
+        import floodcal.manifest
+
+        def forbidding(file, *args, **kwargs):
+            if str(file).endswith("components.npy.tmp"):
+                raise PermissionError(13, "Permission denied", str(file))
+            return builtins.open(file, *args, **kwargs)
+
+        monkeypatch.setattr(floodcal.manifest, "open", forbidding, raising=False)
+        assert "Permission denied" in self._assert_exit_5_naming_the_target(root, capsys)
 
 
 class TestWarmStarts:

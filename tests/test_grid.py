@@ -17,11 +17,14 @@ from floodcal.grid import (
     LocationSet,
     bilinear_interpolate,
     bilinear_stencil,
+    cell_centers,
     flatten,
+    flatten_index,
     grid_locations,
     read_ascii_grid,
     write_ascii_grid,
 )
+from oracles import ascii_grid_text
 
 
 def square_grid(values, cell=1.0, origin=(0.0, 0.0), mask=None):
@@ -213,6 +216,34 @@ class TestFlatten:
         g = square_grid([[0.0, 1.0], [1.0, 1.0]], mask=mask)
         with pytest.raises(NodataNeighbor):
             flatten(g, LocationSet([[0.0, 0.0]]))
+        # the nodata check is per grid, so a prebuilt index does not skip it
+        index = flatten_index(square_grid(np.zeros((2, 2))), LocationSet([[0.0, 0.0]]))
+        with pytest.raises(NodataNeighbor):
+            flatten(g, LocationSet([[0.0, 0.0]]), index)
+
+    def test_prebuilt_index_is_bitwise_per_grid_flatten(self):
+        rng = np.random.default_rng(9)
+        template = Grid(10.0, -3.0, 0.3, np.zeros((7, 9)))
+        locs = LocationSet(cell_centers(template)[rng.permutation(63)[:40]])
+        index = flatten_index(template, locs)
+        for _ in range(3):
+            g = Grid(10.0, -3.0, 0.3, rng.uniform(0.0, 2.0, (7, 9)))
+            assert flatten(g, locs, index).tobytes() == flatten(g, locs).tobytes()
+
+    @pytest.mark.parametrize("other", [dict(cell=1.5), dict(origin=(1.0, 0.0)),
+                                       dict(values=np.zeros((3, 4)))])
+    def test_index_of_another_geometry_rejected(self, other):
+        locs = LocationSet([[0.0, 0.0], [1.0, 1.0]])
+        index = flatten_index(square_grid(np.zeros((3, 3))), locs)
+        g = square_grid(other.pop("values", np.ones((3, 3))), **other)
+        with pytest.raises(ValueError, match="geometry"):
+            flatten(g, locs, index)
+
+    def test_off_grid_location_rejected_when_the_index_is_built(self):
+        with pytest.raises(LocationNotOnGrid):
+            flatten_index(square_grid(np.zeros((2, 2))), LocationSet([[0.0, 0.5]]))
+        with pytest.raises(LocationNotOnGrid):  # outside the grid
+            flatten_index(square_grid(np.zeros((2, 2))), LocationSet([[2.0, 0.0]]))
 
 
 class TestAsciiFormat:
@@ -249,19 +280,12 @@ class TestAsciiFormat:
     @staticmethod
     def assert_bytes_match_per_value_formatter(path, g):
         assert write_ascii_grid(g, path) == hashlib.sha256(path.read_bytes()).digest()
-        # reference: one f-string per value
-        written = g.values.copy()
-        written[g.nodata_mask] = NODATA_VALUE
-        lines = [f"ncols {g.n_cols}", f"nrows {g.n_rows}", f"xllcenter {g.origin_x:.17g}",
-                 f"yllcenter {g.origin_y:.17g}", f"cellsize {g.cell_size:.17g}",
-                 f"nodata_value {NODATA_VALUE:.17g}"]
-        lines += [" ".join(f"{v:.17g}" for v in row) for row in written[::-1]]
-        assert path.read_text() == "\n".join(lines) + "\n"
+        assert path.read_bytes() == ascii_grid_text(g, NODATA_VALUE).encode()
         back = read_ascii_grid(path)
         valid = ~g.nodata_mask
         assert back.values[valid].tobytes() == g.values[valid].tobytes()
 
-    @pytest.mark.parametrize("shape", [(7, 5), (6, 1), (1, 1)])
+    @pytest.mark.parametrize("shape", [(7, 5), (6, 1), (1, 1), (1, 9), (64, 48)])
     def test_bytes_match_per_value_formatter(self, tmp_path, shape):
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
         vals = rng.uniform(0.0, 4.0, shape)
@@ -273,13 +297,19 @@ class TestAsciiFormat:
         g = Grid(-3.5, 1e6 + 0.1, 0.25, vals, mask)
         self.assert_bytes_match_per_value_formatter(tmp_path / "g.asc", g)
 
-    @pytest.mark.parametrize("case", ["signed-zeros", "all-equal", "ridge"])
+    @pytest.mark.parametrize("case", ["signed-zeros", "all-equal", "ridge", "few-distinct",
+                                      "one-row", "one-column"])
     def test_bytes_match_per_value_formatter_on_repeats(self, tmp_path, case):
         # the writer formats each distinct value once; these grids repeat values
+        rng = np.random.default_rng(len(case))
         if case == "signed-zeros":  # equal as values, "-0" and "0" as text
             vals, mask = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -0.0]]), None
         elif case == "all-equal":
             vals, mask = np.full((4, 6), 0.7), None
+        elif case in ("few-distinct", "one-row", "one-column"):
+            shape = {"few-distinct": (40, 33), "one-row": (1, 50), "one-column": (50, 1)}[case]
+            vals = rng.choice([0.0, -0.0, 0.1, 1e-300, 1.0 / 3.0, 2.5], shape)
+            mask = rng.random(shape) < 0.15
         else:  # depth depends on |row - col| only, like the synthetic model's ridge
             rows, cols = np.indices((24, 17))
             vals = np.maximum(0.9 - 0.1 * np.abs(rows - cols), 0.0) / 3.0

@@ -12,7 +12,9 @@ from floodcal.synthmodel import (
     run_expensive,
     shared_locations,
     simulate_observation,
+    _geometry,
 )
+from oracles import synth_run
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +101,37 @@ class TestRunCheap:
     def test_nonnegative(self, config):
         for theta in ([0.021, 1.049], [0.09, 0.951], [0.025, 1.0]):
             assert run_cheap(np.array(theta), config).values.min() >= 0.0
+
+
+class TestSharedGeometry:
+    # the runs compute what depends on the grids alone once per config, and must
+    # still give the bits of the formulas evaluated from scratch
+    @pytest.mark.parametrize("geometry", [((256, 256), 0.25, (64, 64), 1.0),
+                                          ((13, 10), 0.3, (4, 5), 1.2),
+                                          ((32, 32), 1.0, (8, 8), 4.0)],
+                             ids=["fine-grid", "non-dyadic", "default"])
+    def test_runs_are_bitwise_the_written_out_formulas(self, geometry):
+        fine_shape, fine_cell, coarse_shape, coarse_cell = geometry
+        config = SynthConfig(fine_shape=fine_shape, fine_cell=fine_cell,
+                             coarse_shape=coarse_shape, coarse_cell=coarse_cell,
+                             rho_true=0.85, cheap_bias=0.3)
+        rng = np.random.default_rng(fine_shape[0])
+        for theta in [config.space.unscale(rng.random(2)) for _ in range(4)]:
+            for run, fidelity, template in (
+                    (run_expensive, "expensive", config.fine_grid_template()),
+                    (run_cheap, "cheap", config.coarse_grid_template())):
+                grid = run(theta, config)
+                assert grid.values.tobytes() == synth_run(theta, config, fidelity).tobytes()
+                assert grid.same_geometry(template)
+                assert (grid.origin_x, grid.origin_y, grid.cell_size) == (
+                    template.origin_x, template.origin_y, template.cell_size)
+
+    def test_cached_geometry_is_read_only(self, config):
+        arrays = _geometry(config)
+        assert _geometry(SynthConfig(**vars(config))) is arrays
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
 
 
 class TestSimulateObservation:
